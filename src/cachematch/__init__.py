@@ -33,7 +33,7 @@ from .pam_steep import build_knapsack, mlp_match, pam_steep_rate, solve_fraction
 from .pcd import pcd_rate_shallow, pcd_rate_steep, pcd_simulate
 from .popularity import build_catalog
 from .regimes import classify_shallow, classify_steep, regime_map
-from .traffic import sample_profile
+from .traffic import SAMPLER_VERSION, sample_profile
 from .verification import verify_config
 
 __version__ = "0.1.0"
@@ -52,6 +52,7 @@ __all__ = [
     "PCD_SCHEME",
     "PolyKPoint",
     "RateReport",
+    "SAMPLER_VERSION",
     "SCHEMES",
     "SystemConfig",
     "build_catalog",

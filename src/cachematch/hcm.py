@@ -23,7 +23,7 @@ from .delivery import coded_delivery_rate
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile
+from .traffic import RequestProfile, first_in_file_order
 
 
 def popularity_split_gain(beta: float) -> float:
@@ -44,11 +44,10 @@ def compute_chi(config: SystemConfig, t: float) -> int:
     if not 0 <= config.beta < 1:
         raise DomainError("color plans require beta in [0, 1)")
     _check_slack(config, t)
-    g = popularity_split_gain(config.beta)
-    log_k = math.log(config.K)
-    if log_k < 2.0 * g * config.alpha:
+    if unicast_fallback(config):
         return 1
-    chi = int(math.floor(config.alpha * g * config.d / (2.0 * (1.0 + t) * log_k)))
+    g = popularity_split_gain(config.beta)
+    chi = int(math.floor(config.alpha * g * config.d / (2.0 * (1.0 + t) * math.log(config.K))))
     return max(1, chi)
 
 
@@ -148,25 +147,24 @@ def hcm_simulate(
     profile: RequestProfile, plan: ColorPlan, config: SystemConfig
 ) -> HcmTrialRate:
     """One-trial empirical decomposition under the color plan."""
-    u = profile.counts
+    files = profile.files
     chi = plan.chi
     clusters = config.num_clusters
 
-    color_totals = np.zeros((chi, clusters), dtype=np.int64)
-    np.add.at(color_totals, plan.file_color, u)
-    slots = plan.caches_per_color[:, None]
-    unmatched = int(np.maximum(color_totals - slots, 0).sum())
+    # requests of one color stay cluster-major and file-sorted, so each color
+    # matches its first m_x requests per cluster like pcd matches its first d
+    color = plan.file_color[files]
+    key = color * clusters + profile.cluster_of_request()
+    color_totals = np.bincount(key, minlength=chi * clusters).reshape(chi, clusters)
+    unmatched = int(np.maximum(color_totals - plan.caches_per_color[:, None], 0).sum())
 
     coded = 0.0
     for x in range(chi):
         m_x = int(plan.caches_per_color[x])
         if m_x == 0:
             continue  # no caches for this color; its users are all unmatched
-        rows = u[x::chi, :]
-        cs = np.cumsum(rows, axis=0)
-        prev = cs - rows
-        matched = np.minimum(cs, m_x) - np.minimum(prev, m_x)
-        distinct = int(np.count_nonzero(matched.sum(axis=1) > 0))
+        matched = first_in_file_order(files[color == x], color_totals[x], m_x)
+        distinct = len(set(matched.tolist()))
         coded += coded_delivery_rate(
             m_x * clusters, config.M, int(plan.class_sizes[x]), distinct
         )
@@ -174,25 +172,3 @@ def hcm_simulate(
     total = min(coded + unmatched, float(profile.total_users))
     return HcmTrialRate(coded, float(unmatched), total)
 
-
-def color_plan_to_csv(plan: ColorPlan, config: SystemConfig, files_path: str, caches_path: str) -> None:
-    """Dump (file, color) and (cluster, cache, color) tables, 1-indexed.
-
-    Caches are colored in index order inside every cluster: color 1 takes the
-    first floor(d*P_1) caches, color 2 the next block, and so on; leftover
-    caches are listed with color 0 (colorless).
-    """
-    with open(files_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("file,color\n")
-        for n, x in enumerate(plan.file_color):
-            fh.write(f"{n + 1},{int(x) + 1}\n")
-    cache_color = np.zeros(config.d, dtype=np.int64)  # 0 = colorless
-    k = 0
-    for x, m_x in enumerate(plan.caches_per_color):
-        cache_color[k : k + int(m_x)] = x + 1
-        k += int(m_x)
-    with open(caches_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cluster,cache,color\n")
-        for c in range(config.num_clusters):
-            for j in range(config.d):
-                fh.write(f"{c + 1},{c * config.d + j + 1},{cache_color[j]}\n")

@@ -16,6 +16,20 @@ from .errors import DomainError, MissingCopyCount
 _INF = float("inf")
 
 
+def deal_round_robin(copies, d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(files on each cache, caches holding each file) after dealing copies[n]
+    copies of file n, in file order, round-robin to d caches."""
+    contents: list[list[int]] = [[] for _ in range(d)]
+    cache_sets: list[list[int]] = [[] for _ in range(len(copies))]
+    seq = [n for n, c in enumerate(copies) for _ in range(int(c))]
+    for r, n in enumerate(seq):
+        contents[r % d].append(n)
+    for k, files in enumerate(contents):
+        for n in files:
+            cache_sets[n].append(k)  # ascending k keeps each set sorted
+    return tuple(map(tuple, contents)), tuple(map(tuple, cache_sets))
+
+
 @dataclass(frozen=True)
 class ClusterBipartiteGraph:
     num_left: int

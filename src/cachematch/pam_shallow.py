@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .errors import DomainError, InsufficientMemory
-from .matching import ClusterBipartiteGraph, max_matching
+from .matching import ClusterBipartiteGraph, deal_round_robin, max_matching
 from .mathkit import cramer_h
 from .popularity import ZipfCatalog
 from .traffic import RequestProfile
@@ -76,20 +76,9 @@ def proportional_placement(
             copies[n] += 1
             leftover -= 1
 
-    seq = np.repeat(np.arange(N), copies)
-    contents: list[list[int]] = [[] for _ in range(d)]
-    for r, n in enumerate(seq):
-        contents[r % d].append(int(n))
-    cache_sets: list[list[int]] = [[] for _ in range(N)]
-    for k, files in enumerate(contents):
-        for n in files:
-            cache_sets[n].append(k)
+    contents, cache_sets = deal_round_robin(copies, d)
     copies.setflags(write=False)
-    return ProportionalPlacement(
-        copies=copies,
-        cache_contents=tuple(tuple(c) for c in contents),
-        cache_sets=tuple(tuple(sorted(s)) for s in cache_sets),
-    )
+    return ProportionalPlacement(copies=copies, cache_contents=contents, cache_sets=cache_sets)
 
 
 def load_decay_exponent(rho: float, beta: float) -> float:
@@ -185,15 +174,9 @@ def pam_shallow_serve(
         evicted_requests += evicted
         server_mask |= (u[:, c] - surviving > 0)
 
-        order = np.nonzero(surviving)[0]
-        adjacency = []
-        owners = []
-        for n in order:
-            nbrs = placement.cache_sets[n]
-            for _ in range(int(surviving[n])):
-                adjacency.append(nbrs)
-                owners.append(int(n))
-        graph = ClusterBipartiteGraph(len(adjacency), d, tuple(adjacency))
+        owners = [n for n in np.flatnonzero(surviving).tolist() for _ in range(surviving[n])]
+        adjacency = tuple([placement.cache_sets[n] for n in owners])
+        graph = ClusterBipartiteGraph(len(adjacency), d, adjacency)
         outcome = max_matching(graph)
         matched_users += outcome.size
         unmatched_survivors += len(outcome.unmatched_left)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .errors import DomainError
+from .matching import deal_round_robin
 from .popularity import ZipfCatalog
 from .traffic import RequestProfile
 
@@ -106,23 +107,11 @@ def solve_fractional_knapsack(instance: KnapsackInstance) -> KsPlacement:
     copies = np.where(x == 1.0, w, 0).astype(np.int64)
     cached = frozenset(int(i) for i in np.nonzero(x == 1.0)[0])
 
-    d = instance.cluster_size
-    seq = np.repeat(np.arange(n_files), copies)
-    contents: list[list[int]] = [[] for _ in range(d)]
-    for r, n in enumerate(seq):
-        contents[r % d].append(int(n))
-    cache_sets: list[list[int]] = [[] for _ in range(n_files)]
-    for k, files in enumerate(contents):
-        for n in files:
-            cache_sets[n].append(k)
+    contents, cache_sets = deal_round_robin(copies, instance.cluster_size)
     x.setflags(write=False)
     copies.setflags(write=False)
     return KsPlacement(
-        x=x,
-        copies=copies,
-        cached=cached,
-        cache_contents=tuple(tuple(c) for c in contents),
-        cache_sets=tuple(tuple(sorted(s)) for s in cache_sets),
+        x=x, copies=copies, cached=cached, cache_contents=contents, cache_sets=cache_sets
     )
 
 
@@ -136,21 +125,18 @@ class MlpOutcome:
 def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> MlpOutcome:
     """Most-popular-last matching for one cluster.
 
-    Files are scanned from the least popular (largest index) down to the most
-    popular.  Every matched request consumes exactly one uniform draw over the
-    sorted list of currently available caches holding its file; requests that
-    find no available cache consume no draw.
+    Requested files are scanned from the least popular (largest index) down to
+    the most popular.  Every matched request consumes exactly one uniform draw
+    over the sorted list of currently available caches holding its file;
+    requests that find no available cache consume no draw.
     """
-    n_files = len(placement.cache_sets)
     available = [True] * len(placement.cache_contents)
     matched: list[tuple[int, int]] = []
     unmatched = 0
     server: list[int] = []
 
-    for n in range(n_files - 1, -1, -1):
+    for n in np.flatnonzero(requests)[::-1].tolist():
         r = int(requests[n])
-        if r == 0:
-            continue
         served_short = False
         for _ in range(r):
             cand = [k for k in placement.cache_sets[n] if available[k]]
@@ -222,15 +208,16 @@ def pam_steep_serve(
     profile: RequestProfile, placement: KsPlacement, rng: np.random.Generator
 ) -> SteepServeOutcome:
     """Serve one profile: MLP per cluster (index order), shared draw stream."""
-    server_mask = np.zeros(profile.counts.shape[0], dtype=bool)
+    n_files = len(placement.cache_sets)
+    server_mask = np.zeros(n_files, dtype=bool)
     matched_users = 0
     unmatched = 0
-    for c in range(profile.counts.shape[1]):
-        outcome = mlp_match(profile.counts[:, c], placement, rng)
+    for cluster_files in np.split(profile.files, profile.offsets[1:-1]):
+        requests = np.bincount(cluster_files, minlength=n_files)
+        outcome = mlp_match(requests, placement, rng)
         matched_users += len(outcome.matched)
         unmatched += outcome.unmatched_requests
-        for n in outcome.server_files:
-            server_mask[n] = True
+        server_mask[list(outcome.server_files)] = True
     distinct = int(np.count_nonzero(server_mask))
     return SteepServeOutcome(
         server_files=distinct,
@@ -239,11 +226,3 @@ def pam_steep_serve(
         rate=float(distinct),
     )
 
-
-def placement_to_csv(placement: KsPlacement, path: str) -> None:
-    """Dump (cache, file) pairs, 1-indexed, cache-major."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cache,file\n")
-        for k, files in enumerate(placement.cache_contents):
-            for n in files:
-                fh.write(f"{k + 1},{n + 1}\n")

@@ -21,7 +21,7 @@ from .config import SystemConfig
 from .delivery import coded_delivery_rate
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
-from .traffic import RequestProfile
+from .traffic import RequestProfile, first_in_file_order
 
 
 @dataclass(frozen=True)
@@ -98,24 +98,20 @@ def pcd_simulate(
     empirical decomposition does not depend on it.
     """
     del t_param
-    u = profile.counts
     K, d, M = config.K, config.d, config.M
     pool = coded_pool_size(config)
 
-    cs = np.cumsum(u, axis=0)
-    prev = cs - u
     # requests ranked in file-index order; the first d per cluster are matched
-    matched = np.minimum(cs, d) - np.minimum(prev, d)
-    totals = cs[-1, :] if cs.shape[0] else np.zeros(u.shape[1], dtype=np.int64)
-    unmatched_users = int(np.maximum(totals - d, 0).sum())
+    matched = first_in_file_order(profile.files, profile.cluster_totals(), d)
+    unmatched_users = profile.total_users - matched.size
 
     if pool > 0:
-        distinct_matched = int(np.count_nonzero(matched[:pool].sum(axis=1) > 0))
+        distinct_matched = len(set(matched[matched < pool].tolist()))
         coded = coded_delivery_rate(K, M, pool, distinct_matched)
     else:
         coded = 0.0
     # matched users demanding files outside the pool gain nothing from caches
-    overflow_unicasts = int(matched[pool:].sum())
+    overflow_unicasts = int(np.count_nonzero(matched >= pool))
 
     coded_term = coded + overflow_unicasts
     total = min(coded_term + unmatched_users, float(profile.total_users))

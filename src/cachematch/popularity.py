@@ -17,6 +17,7 @@ class ZipfCatalog:
     beta: float
     p: np.ndarray  # shape (N,), nonincreasing, sums to 1
     norm: float  # A_N = sum_{n=1}^{N} n^(-beta)
+    cdf: np.ndarray  # cumulative sums of p, for inverse-CDF request sampling
 
 
 def build_catalog(N: int, beta: float) -> ZipfCatalog:
@@ -28,8 +29,10 @@ def build_catalog(N: int, beta: float) -> ZipfCatalog:
     # numpy pairwise summation keeps the normalization error ~1e-15 up to N=1e7
     norm = float(np.sum(weights))
     p = weights / norm
+    cdf = np.cumsum(p)
     p.setflags(write=False)
-    return ZipfCatalog(N=N, beta=float(beta), p=p, norm=norm)
+    cdf.setflags(write=False)
+    return ZipfCatalog(N=N, beta=float(beta), p=p, norm=norm, cdf=cdf)
 
 
 def partial_sum_A(m: int, beta: float) -> float:

@@ -130,6 +130,7 @@ def _binomial_tail(n: int, q: float, k0: int) -> float:
 
 def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> VerificationReport:
     report = validate(config)
+    stream(seed, 0)  # a bad seed fails here, not as per-check skips
     warnings = tuple(w.detail for w in report.warnings)
     floor_met = config.meets_cluster_floor
     suite = _Suite()

@@ -36,6 +36,16 @@ def test_simulate_flags_violated_bound(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--scheme", "pcd", "--trials", "3"], ["verify-bounds", "--trials", "3"]],
+)
+def test_seed_outside_64_bits_exits_2(tmp_path, command, seed):
+    cfg = _write_config(tmp_path)
+    assert main([command[0], cfg, *command[1:], "--seed", seed]) == 2
+
+
 def test_simulate_rejects_bad_scheme(tmp_path):
     cfg = _write_config(tmp_path)
     with pytest.raises(SystemExit):

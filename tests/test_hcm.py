@@ -173,7 +173,7 @@ def test_simulate_hand_example():
     assert np.array_equal(plan.caches_per_color, [160, 120, 120])
     counts = np.zeros((10, 1), dtype=np.int64)
     counts[0, 0] = 161  # one more request for file 0 than color 0 has caches
-    profile = RequestProfile(counts=counts, config=config)
+    profile = RequestProfile.from_counts(counts, config)
     trial = hcm_simulate(profile, plan, config)
     assert trial.unmatched_term == 1.0
     assert trial.coded_term > 0.0
@@ -186,6 +186,6 @@ def test_simulate_respects_user_clamp():
     plan = build_color_plan(config, catalog, t=0.0)
     counts = np.zeros((4, 2), dtype=np.int64)
     counts[0, 0] = 1
-    profile = RequestProfile(counts=counts, config=config)
+    profile = RequestProfile.from_counts(counts, config)
     trial = hcm_simulate(profile, plan, config)
     assert trial.total <= profile.total_users

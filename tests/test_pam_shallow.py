@@ -130,7 +130,7 @@ def _one_file_per_cache_setup():
 
 def _profile(config, column):
     counts = np.array(column, dtype=np.int64).reshape(-1, 1)
-    return RequestProfile(counts=counts, config=config)
+    return RequestProfile.from_counts(counts, config)
 
 
 def test_serve_eviction_hand_example():

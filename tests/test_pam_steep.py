@@ -163,7 +163,7 @@ def test_envelope_rejects_shallow(base_config):
 def test_serve_hand_example():
     config = make_config(K=3, d=3, N=3, M=1.0, beta=2.0)
     counts = np.array([2, 1, 1], dtype=np.int64).reshape(-1, 1)
-    profile = RequestProfile(counts=counts, config=config)
+    profile = RequestProfile.from_counts(counts, config)
     outcome = pam_steep_serve(profile, _manual_placement(), stream(0, 0, MATCHING_ROLE))
     assert outcome.matched_users == 3
     assert outcome.unmatched_requests == 1
@@ -180,6 +180,19 @@ def test_serve_request_accounting(steep_config):
         assert outcome.matched_users + outcome.unmatched_requests == profile.total_users
         assert outcome.server_files <= outcome.unmatched_requests
         assert outcome.rate == outcome.server_files
+
+
+def test_serve_equals_mlp_over_dense_columns(steep_config):
+    catalog = build_catalog(steep_config.N, steep_config.beta)
+    placement = solve_fractional_knapsack(build_knapsack(steep_config, catalog))
+    for trial in range(10):
+        profile = sample_profile(steep_config, catalog, seed=8, trial=trial)
+        rng = stream(8, trial, MATCHING_ROLE)
+        outcomes = [mlp_match(column, placement, rng) for column in profile.counts.T]
+        served = pam_steep_serve(profile, placement, stream(8, trial, MATCHING_ROLE))
+        assert served.matched_users == sum(len(o.matched) for o in outcomes)
+        assert served.unmatched_requests == sum(o.unmatched_requests for o in outcomes)
+        assert served.server_files == len({n for o in outcomes for n in o.server_files})
 
 
 def test_serve_is_reproducible(steep_config):

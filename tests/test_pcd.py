@@ -109,7 +109,7 @@ def test_coded_pool_size():
 
 def _profile(config, counts):
     arr = np.array(counts, dtype=np.int64)
-    return RequestProfile(counts=arr, config=config)
+    return RequestProfile.from_counts(arr, config)
 
 
 def test_simulate_hand_example_shallow():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cachematch.popularity import build_catalog
 from cachematch.traffic import (
     MATCHING_ROLE,
     PROFILE_ROLE,
+    SAMPLER_VERSION,
     RequestProfile,
     distinct_files,
     profile_to_csv,
@@ -35,6 +38,24 @@ def test_stream_separates_keys_and_roles():
 def test_stream_rejects_negative_trial():
     with pytest.raises(DomainError):
         stream(0, -1)
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (1 << 64, 0), (0, 1 << 64)])
+def test_stream_rejects_keys_outside_64_bits(seed, trial):
+    # masking would alias seed -1 with seed 2**64 - 1
+    with pytest.raises(DomainError):
+        stream(seed, trial)
+
+
+def test_stream_rejects_fractional_keys():
+    with pytest.raises(TypeError):
+        stream(1.5, 0)
+
+
+def test_stream_accepts_both_ends_of_the_key_range():
+    top = (1 << 64) - 1
+    high = stream(top, top).integers(0, 1 << 30, 16)
+    assert not np.array_equal(high, stream(0, 0).integers(0, 1 << 30, 16))
 
 
 def test_sample_profile_shape_and_determinism(base_config):
@@ -72,10 +93,87 @@ def test_sample_profile_mean_matches_intensity(base_config):
     assert abs(mean - base_config.expected_users) <= 5 * sigma
 
 
+def test_sampler_version_is_exported():
+    import cachematch
+
+    assert cachematch.SAMPLER_VERSION == SAMPLER_VERSION == 2
+
+
+def test_from_counts_round_trips_sampled_profile(base_config):
+    cat = build_catalog(base_config.N, base_config.beta)
+    for trial in range(5):
+        profile = sample_profile(base_config, cat, seed=9, trial=trial)
+        again = RequestProfile.from_counts(profile.counts, base_config)
+        assert np.array_equal(again.offsets, profile.offsets)
+        assert np.array_equal(again.files, profile.files)
+        assert again.files.dtype == profile.files.dtype == np.int64
+
+
+def test_files_sorted_within_each_cluster(base_config):
+    cat = build_catalog(base_config.N, 0.6)
+    profile = sample_profile(base_config, cat, seed=4, trial=1)
+    offsets = profile.offsets
+    assert offsets[0] == 0 and offsets.size == base_config.num_clusters + 1
+    for c in range(base_config.num_clusters):
+        block = profile.files[offsets[c] : offsets[c + 1]]
+        assert np.all(np.diff(block) >= 0)
+        assert block.size == 0 or 0 <= block[0] <= block[-1] < base_config.N
+
+
+def test_counts_view_is_dense_read_only_int64(base_config):
+    cat = build_catalog(base_config.N, base_config.beta)
+    profile = sample_profile(base_config, cat, seed=2, trial=0)
+    counts = profile.counts
+    assert counts.shape == (base_config.N, base_config.num_clusters)
+    assert counts.dtype == np.int64
+    assert not counts.flags.writeable
+    assert counts is profile.counts  # built once
+    assert np.array_equal(counts.sum(axis=0), profile.cluster_totals())
+
+
+def test_from_counts_rejects_bad_counts(base_config):
+    with pytest.raises(DomainError):
+        RequestProfile.from_counts(np.zeros((3, 2), dtype=np.int64), base_config)
+    bad = np.zeros((base_config.N, base_config.num_clusters), dtype=np.int64)
+    bad[0, 0] = -1
+    with pytest.raises(ValueError):
+        RequestProfile.from_counts(bad, base_config)
+
+
+def test_sampler_matches_poisson_splitting_law():
+    # 500 trials x 10 clusters: totals have mean rho*d = 2.5, and each file's
+    # pooled count is Poisson with mean trials * K * rho * p_n; every check is
+    # held to 5 standard errors at this fixed seed
+    config = make_config(beta=0.6)
+    cat = build_catalog(config.N, config.beta)
+    trials = 500
+    totals = []
+    pooled = np.zeros(config.N)
+    for t in range(trials):
+        profile = sample_profile(config, cat, seed=17, trial=t)
+        totals.append(profile.cluster_totals())
+        pooled += np.bincount(profile.files, minlength=config.N)
+    totals = np.concatenate(totals)
+    lam = config.rho * config.d
+    assert abs(totals.mean() - lam) <= 5 * np.sqrt(lam / totals.size)
+    assert abs(totals.var(ddof=1) - lam) <= 5 * np.sqrt((lam + 2 * lam**2) / totals.size)
+    expected = trials * config.K * config.rho * cat.p
+    assert np.all(np.abs(pooled - expected) <= 5 * np.sqrt(expected))
+
+
+def test_sampler_never_returns_file_n(base_config):
+    # a cdf ending far short of 1 sends every draw above its end to file N - 1
+    cat = build_catalog(base_config.N, base_config.beta)
+    short = dataclasses.replace(cat, cdf=cat.cdf * 0.5)
+    profile = sample_profile(base_config, short, seed=3, trial=0)
+    assert profile.files.max() == base_config.N - 1
+    assert np.count_nonzero(profile.files == base_config.N - 1) > profile.total_users / 4
+
+
 def _tiny_profile():
     config = make_config(K=20, d=10, N=3)
     counts = np.array([[1, 0], [0, 2], [0, 0]], dtype=np.int64)
-    return RequestProfile(counts=counts, config=config)
+    return RequestProfile.from_counts(counts, config)
 
 
 def test_cluster_totals_and_total_users():
