@@ -86,6 +86,8 @@ def _row_config(base: SystemConfig, param: str, value: float) -> SystemConfig:
 
 
 def _cmd_rate_curve(args) -> int:
+    if args.workers < 1:  # checked here too, as --trials 0 never reaches collect_trials
+        raise DomainError(f"workers must be >= 1, got {args.workers}")
     base = load_config(args.config)
     values = _sweep_values(args.start, args.stop, args.step)
     rows = []

@@ -20,7 +20,7 @@ def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # bounded: worker processes live for a whole sweep
 def _integer_rate(num_caches: int, t: int, num_distinct: int) -> float:
     if t >= num_caches:
         return 0.0

@@ -3,7 +3,8 @@
 Every trial is keyed by its absolute index through the counter-based request
 stream, so a run is reproducible and independent of how trials are split
 across worker processes: serial and parallel runs of the same spec produce
-byte-identical reports.
+byte-identical reports.  Parallel runs share one worker pool per process,
+started on first use and replaced only to grow.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig, validate
-from .errors import IncompatibleScheme
+from .errors import DomainError, IncompatibleScheme
 from .hcm import build_color_plan, hcm_rate, hcm_simulate
 from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_placement
 from .pam_steep import build_knapsack, pam_steep_rate, pam_steep_serve, solve_fractional_knapsack
@@ -149,20 +151,51 @@ def _run_chunk(args: tuple[ExperimentSpec, int, int]) -> np.ndarray:
     return run_trials(*args)
 
 
+def plan_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
+    """(start, count) of each worker's chunk, in trial order; at most
+    min(trials, workers) chunks."""
+    size = math.ceil(trials / workers)
+    return [(start, min(size, trials - start)) for start in range(0, trials, size)]
+
+
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide pool, replaced only when it has fewer than `workers`."""
+    global _pool, _pool_workers
+    if _pool is None or _pool_workers < workers:
+        _drop_pool()
+        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool_workers = workers
+    return _pool
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
 def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     """All per-trial rows in trial order, regardless of worker count."""
     if spec.trials < 1:
         raise IncompatibleScheme(f"trials must be >= 1, got {spec.trials}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     validate(spec.config)
     check_compatibility(spec.config, spec.scheme)
-    if workers <= 1 or spec.trials == 1:
+    chunks = plan_chunks(spec.trials, workers)
+    if len(chunks) == 1:
         return run_trials(spec, 0, spec.trials)
-    size = math.ceil(spec.trials / workers)
-    chunks = []
-    for start in range(0, spec.trials, size):
-        chunks.append((spec, start, min(size, spec.trials - start)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_chunk, chunks))
+    pool = _worker_pool(workers)
+    try:
+        parts = list(pool.map(_run_chunk, [(spec, start, count) for start, count in chunks]))
+    except BrokenProcessPool:
+        _drop_pool()  # the next call starts a fresh pool
+        raise
     return np.concatenate(parts, axis=0)
 
 

@@ -16,7 +16,9 @@ feasible instead of evicting whole files.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,6 +40,8 @@ class ProportionalPlacement:
     copies: np.ndarray  # d_n per file, shape (N,), ints >= 1
     cache_contents: tuple[tuple[int, ...], ...]  # files stored on each of d caches
     cache_sets: tuple[tuple[int, ...], ...]  # caches storing each file, sorted
+    cache_ids: np.ndarray  # cache_sets flattened in file order, shape (copies.sum(),)
+    cache_starts: np.ndarray  # file n's caches start at cache_ids[cache_starts[n]]
 
 
 def memory_threshold(config: SystemConfig) -> float:
@@ -77,8 +81,12 @@ def proportional_placement(
             leftover -= 1
 
     contents, cache_sets = deal_round_robin(copies, d)
-    copies.setflags(write=False)
-    return ProportionalPlacement(copies=copies, cache_contents=contents, cache_sets=cache_sets)
+    cache_ids = np.fromiter(chain.from_iterable(cache_sets), dtype=np.int64, count=int(copies.sum()))
+    cache_starts = np.cumsum(copies) - copies
+    for array in (copies, cache_ids, cache_starts):
+        array.setflags(write=False)
+    return ProportionalPlacement(copies=copies, cache_contents=contents, cache_sets=cache_sets,
+                                 cache_ids=cache_ids, cache_starts=cache_starts)
 
 
 def load_decay_exponent(rho: float, beta: float) -> float:
@@ -143,84 +151,70 @@ def pam_shallow_serve(
 
     The rate counts distinct server-broadcast files (a broadcast serves every
     requester of that file in all clusters at once); it is bounded by the
-    per-trial unicast count automatically.
+    per-trial unicast count automatically.  Work and memory grow with the
+    number of requests, not with N.
     """
     if eviction not in (EVICT_FILE, EVICT_OVERFLOW):
         raise DomainError(f"unknown eviction policy {eviction!r}")
-    u = profile.counts
-    N, d = config.N, config.d
-    copies = placement.copies.astype(np.float64)
+    d, clusters = config.d, config.num_clusters
+    files = profile.files
+    cluster = profile.cluster_of_request()
 
-    # per-cache load matrix: weight[k, n] = 1/d_n if cache k stores file n
-    weight = np.zeros((d, N))
-    for k, files in enumerate(placement.cache_contents):
-        idx = np.fromiter(files, dtype=np.int64, count=len(files))
-        weight[k, idx] = 1.0 / copies[idx]
+    # each request adds 1/d_n to each of its file's d_n caches in its cluster;
+    # slot c * d + k is cache k of cluster c
+    reps = placement.copies[files]
+    owner = np.repeat(np.arange(files.size), reps)  # request behind each slot entry
+    rank = np.arange(owner.size) - (np.cumsum(reps) - reps)[owner]
+    slots = cluster[owner] * d + placement.cache_ids[placement.cache_starts[files[owner]] + rank]
+    loads = np.bincount(slots, weights=1.0 / reps[owner], minlength=clusters * d)
 
-    server_mask = np.zeros(N, dtype=bool)
+    keep = np.ones(files.size, dtype=bool)
+    if eviction == EVICT_FILE:
+        # literal policy: drop all requests for every file on a violating cache
+        keep[owner[_violating(loads)[slots]]] = False
+    else:
+        _evict_overflow(loads.reshape(clusters, d), profile, placement, keep)
+    evicted_requests = int(files.size - np.count_nonzero(keep))
+    server = set(files[~keep].tolist())
+
+    survivors = files[keep].tolist()  # still sorted within each cluster
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(cluster[keep], minlength=clusters)))).tolist()
     matched_users = 0
     unmatched_survivors = 0
-    evicted_requests = 0
-    any_violation = False
-
-    for c in range(config.num_clusters):
-        req = u[:, c]
-        if eviction == EVICT_FILE:
-            surviving, evicted = _evict_whole_files(req, weight, placement)
-        else:
-            surviving, evicted = _evict_overflow(req, weight, placement)
-        if evicted > 0:
-            any_violation = True
-        evicted_requests += evicted
-        server_mask |= (u[:, c] - surviving > 0)
-
-        owners = [n for n in np.flatnonzero(surviving).tolist() for _ in range(surviving[n])]
+    for c in range(clusters):
+        owners = survivors[bounds[c]:bounds[c + 1]]
         adjacency = tuple([placement.cache_sets[n] for n in owners])
         graph = ClusterBipartiteGraph(len(adjacency), d, adjacency)
         outcome = max_matching(graph)
         matched_users += outcome.size
         unmatched_survivors += len(outcome.unmatched_left)
-        for user in outcome.unmatched_left:  # defensive: theory says none
-            server_mask[owners[user]] = True
+        server.update(owners[user] for user in outcome.unmatched_left)  # defensive: theory says none
 
-    rate = float(np.count_nonzero(server_mask))
     return ShallowServeOutcome(
-        server_files=int(np.count_nonzero(server_mask)),
+        server_files=len(server),
         matched_users=matched_users,
         unmatched_survivors=unmatched_survivors,
         evicted_requests=evicted_requests,
-        all_feasible=not any_violation,
-        rate=rate,
+        all_feasible=evicted_requests == 0,
+        rate=float(len(server)),
     )
 
 
-def _evict_whole_files(req, weight, placement):
-    """Literal policy: drop all requests for every file on a violating cache."""
-    loads = weight @ req
-    bad = _violating(loads)
-    if not bad.any():
-        return req.copy(), 0
-    evict_files = np.zeros(req.shape[0], dtype=bool)
-    for k in np.nonzero(bad)[0]:
-        evict_files[list(placement.cache_contents[k])] = True
-    surviving = np.where(evict_files, 0, req)
-    return surviving, int(req[evict_files].sum())
-
-
-def _evict_overflow(req, weight, placement):
-    """Drop single requests (largest per-request load first) until feasible."""
-    work = req.astype(np.int64).copy()
-    loads = weight @ work
-    evicted = 0
-    while True:
-        bad = np.nonzero(_violating(loads))[0]
-        if bad.size == 0:
-            break
-        k = int(bad[0])
-        stored = [n for n in placement.cache_contents[k] if work[n] > 0]
-        # smallest copy count = largest load contribution per evicted request
-        n = min(stored, key=lambda f: (placement.copies[f], f))
-        work[n] -= 1
-        loads = loads - weight[:, n]
-        evicted += 1
-    return work, evicted
+def _evict_overflow(loads, profile, placement, keep):
+    """Drop single requests (largest per-request load first) until feasible,
+    clearing their entries of keep; loads[c, k] is updated in place."""
+    copies = placement.copies
+    for c in np.flatnonzero(_violating(loads).any(axis=1)):
+        lo, hi = profile.offsets[c], profile.offsets[c + 1]
+        block = profile.files[lo:hi]
+        work = Counter(block.tolist())
+        while True:
+            bad = np.nonzero(_violating(loads[c]))[0]
+            if bad.size == 0:
+                break
+            stored = [n for n in placement.cache_contents[int(bad[0])] if work[n] > 0]
+            # smallest copy count = largest load contribution per evicted request
+            n = min(stored, key=lambda f: (copies[f], f))
+            work[n] -= 1
+            loads[c, list(placement.cache_sets[n])] -= 1.0 / copies[n]
+            keep[lo + np.searchsorted(block, n) + work[n]] = False

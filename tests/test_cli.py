@@ -46,6 +46,23 @@ def test_seed_outside_64_bits_exits_2(tmp_path, command, seed):
     assert main([command[0], cfg, *command[1:], "--seed", seed]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "{cfg}", "--scheme", "pcd", "--trials", "3"],
+        ["rate-curve", "{cfg}", "--param", "M", "--start", "2", "--stop", "4", "--step", "1",
+         "--trials", "3", "--out", "{out}"],
+        ["rate-curve", "{cfg}", "--param", "M", "--start", "2", "--stop", "4", "--step", "1",
+         "--out", "{out}"],
+    ],
+)
+def test_workers_below_one_exits_2(tmp_path, command):
+    cfg, out = _write_config(tmp_path), tmp_path / "rates.csv"
+    argv = [a.format(cfg=cfg, out=out) for a in command]
+    assert main(argv + ["--workers", "0"]) == 2
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_scheme(tmp_path):
     cfg = _write_config(tmp_path)
     with pytest.raises(SystemExit):

@@ -1,11 +1,16 @@
 import json
 import math
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
 
+from cachematch import montecarlo
 from cachematch.config import load_config
-from cachematch.errors import HardInvariantViolation, IncompatibleScheme
+from cachematch.errors import DomainError, HardInvariantViolation, IncompatibleScheme
 from cachematch.hcm import hcm_rate
 from cachematch.montecarlo import (
     HCM_SCHEME,
@@ -17,6 +22,7 @@ from cachematch.montecarlo import (
     analytic_rate,
     check_compatibility,
     collect_trials,
+    plan_chunks,
     run_experiment,
     run_trials,
 )
@@ -159,3 +165,73 @@ def test_rejects_bad_specs():
         collect_trials(_spec("broadcast", trials=2, **SMALL))
     with pytest.raises(HardInvariantViolation):
         collect_trials(_spec(PCD_SCHEME, trials=2, rho=0.6))
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_rejects_workers_below_one(workers):
+    with pytest.raises(DomainError):
+        collect_trials(_spec(PCD_SCHEME, trials=2, **SMALL), workers=workers)
+
+
+def test_chunk_plans_cover_trials_in_order():
+    spec = _spec(PCD_SCHEME, trials=20, **SMALL)
+    full = run_trials(spec, 0, 20)
+    for trials in range(1, 21):
+        for workers in range(1, 9):
+            plan = plan_chunks(trials, workers)
+            assert 1 <= len(plan) <= min(trials, workers)
+            assert all(count >= 1 for _, count in plan)
+            assert [start for start, _ in plan] == [sum(c for _, c in plan[:i]) for i in range(len(plan))]
+            assert sum(count for _, count in plan) == trials
+            rows = np.concatenate([run_trials(spec, start, count) for start, count in plan])
+            assert np.array_equal(rows, full[:trials])
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Count the pools collect_trials starts, from no cached pool."""
+    starts = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    montecarlo._drop_pool()
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    yield starts
+    montecarlo._drop_pool()
+
+
+def test_one_pool_serves_consecutive_experiments(pool_starts):
+    spec = _spec(PCD_SCHEME, trials=6, **SMALL)
+    serial = run_experiment(spec, workers=1).to_json(spec.config)
+    assert run_experiment(spec, workers=2).to_json(spec.config) == serial
+    assert run_experiment(spec, workers=2).to_json(spec.config) == serial
+    assert pool_starts == [2]
+
+
+def test_pool_is_replaced_only_to_grow(pool_starts):
+    spec = _spec(PCD_SCHEME, trials=6, **SMALL)
+    serial = collect_trials(spec, workers=1)
+    for workers in (2, 3, 2):
+        assert np.array_equal(collect_trials(spec, workers=workers), serial)
+    assert pool_starts == [2, 3]
+
+
+def test_broken_pool_is_dropped(pool_starts):
+    spec = _spec(PCD_SCHEME, trials=6, **SMALL)
+    serial = collect_trials(spec, workers=1)
+    assert np.array_equal(collect_trials(spec, workers=2), serial)
+    pool = montecarlo._pool
+    worker = next(iter(pool._processes.values()))
+    worker.terminate()
+    # wait on the sentinel, not join: the pool's own thread reaps the worker
+    assert wait([worker.sentinel], timeout=10.0)
+    deadline = time.monotonic() + 10.0
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)  # let the pool notice the lost worker
+    with pytest.raises(BrokenProcessPool):
+        collect_trials(spec, workers=2)
+    assert np.array_equal(collect_trials(spec, workers=2), serial)
+    assert pool_starts == [2, 2]

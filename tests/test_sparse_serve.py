@@ -1,0 +1,157 @@
+"""Differential tests: pam-shallow serve on sparse per-request loads.
+
+The oracle below is the dense formulation: a d x N weight matrix per trial,
+one matrix-vector product per cluster over the full count column, and the
+whole-file and single-request eviction loops on dense per-file counts.
+pam_shallow_serve reads only the requested files; on the same counts both
+must give the same outcome, field by field.
+"""
+
+import numpy as np
+import pytest
+
+from cachematch.matching import ClusterBipartiteGraph, max_matching
+from cachematch.pam_shallow import (
+    EVICT_FILE,
+    EVICT_OVERFLOW,
+    ShallowServeOutcome,
+    _violating,
+    memory_threshold,
+    pam_shallow_serve,
+    proportional_placement,
+)
+from cachematch.popularity import build_catalog
+from cachematch.traffic import RequestProfile, sample_profile
+
+from conftest import make_config
+
+PROFILES = 60  # random profiles per configuration and policy
+
+
+def dense_serve(counts, placement, config, eviction):
+    u = counts
+    N, d = config.N, config.d
+    copies = placement.copies.astype(np.float64)
+
+    weight = np.zeros((d, N))
+    for k, files in enumerate(placement.cache_contents):
+        idx = np.fromiter(files, dtype=np.int64, count=len(files))
+        weight[k, idx] = 1.0 / copies[idx]
+
+    server_mask = np.zeros(N, dtype=bool)
+    matched_users = 0
+    unmatched_survivors = 0
+    evicted_requests = 0
+    any_violation = False
+
+    for c in range(config.num_clusters):
+        req = u[:, c]
+        if eviction == EVICT_FILE:
+            surviving, evicted = _dense_evict_whole_files(req, weight, placement)
+        else:
+            surviving, evicted = _dense_evict_overflow(req, weight, placement)
+        if evicted > 0:
+            any_violation = True
+        evicted_requests += evicted
+        server_mask |= (u[:, c] - surviving > 0)
+
+        owners = [n for n in np.flatnonzero(surviving).tolist() for _ in range(surviving[n])]
+        adjacency = tuple([placement.cache_sets[n] for n in owners])
+        graph = ClusterBipartiteGraph(len(adjacency), d, adjacency)
+        outcome = max_matching(graph)
+        matched_users += outcome.size
+        unmatched_survivors += len(outcome.unmatched_left)
+        for user in outcome.unmatched_left:
+            server_mask[owners[user]] = True
+
+    rate = float(np.count_nonzero(server_mask))
+    return ShallowServeOutcome(
+        server_files=int(np.count_nonzero(server_mask)),
+        matched_users=matched_users,
+        unmatched_survivors=unmatched_survivors,
+        evicted_requests=evicted_requests,
+        all_feasible=not any_violation,
+        rate=rate,
+    )
+
+
+def _dense_evict_whole_files(req, weight, placement):
+    loads = weight @ req
+    bad = _violating(loads)
+    if not bad.any():
+        return req.copy(), 0
+    evict_files = np.zeros(req.shape[0], dtype=bool)
+    for k in np.nonzero(bad)[0]:
+        evict_files[list(placement.cache_contents[k])] = True
+    surviving = np.where(evict_files, 0, req)
+    return surviving, int(req[evict_files].sum())
+
+
+def _dense_evict_overflow(req, weight, placement):
+    work = req.astype(np.int64).copy()
+    loads = weight @ work
+    evicted = 0
+    while True:
+        bad = np.nonzero(_violating(loads))[0]
+        if bad.size == 0:
+            break
+        k = int(bad[0])
+        stored = [n for n in placement.cache_contents[k] if work[n] > 0]
+        n = min(stored, key=lambda f: (placement.copies[f], f))
+        work[n] -= 1
+        loads = loads - weight[:, n]
+        evicted += 1
+    return work, evicted
+
+
+def _random_counts(gen, config, per_cluster):
+    """Counts averaging `per_cluster` requests per cluster; one cluster is empty."""
+    p = build_catalog(config.N, config.beta).p
+    counts = gen.poisson(per_cluster * p[:, None], size=(config.N, config.num_clusters))
+    counts[:, gen.integers(config.num_clusters)] = 0
+    return counts
+
+
+CONFIGS = [
+    make_config(K=40, d=10, N=20, M=4.0, rho=0.3),
+    make_config(K=30, d=10, N=25, M=6.0, beta=0.3),  # copy counts vary
+    make_config(K=36, d=12, N=30, M=8.0, beta=0.6),
+    make_config(K=20, d=5, N=12, M=13.0, beta=0.8),
+]
+
+
+@pytest.mark.parametrize("eviction", [EVICT_FILE, EVICT_OVERFLOW])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_serve_matches_dense_oracle(config, eviction):
+    assert config.M >= memory_threshold(config)
+    placement = proportional_placement(config, build_catalog(config.N, config.beta))
+    gen = np.random.default_rng(2026)
+    evicting = feasible = 0
+    for i in range(PROFILES):
+        counts = _random_counts(gen, config, per_cluster=config.d * (0.3 + 0.4 * (i % 4)))
+        profile = RequestProfile.from_counts(counts, config)
+        expected = dense_serve(counts, placement, config, eviction)
+        assert pam_shallow_serve(profile, placement, config, eviction=eviction) == expected
+        evicting += expected.evicted_requests > 0
+        feasible += expected.all_feasible
+    assert evicting > 0 and feasible > 0  # both branches ran
+
+
+def test_placement_flat_arrays_list_cache_sets():
+    config = make_config(K=36, d=12, N=30, M=8.0, beta=0.6)
+    placement = proportional_placement(config, build_catalog(config.N, config.beta))
+    assert len(set(placement.copies.tolist())) > 1
+    for n, caches in enumerate(placement.cache_sets):
+        start = placement.cache_starts[n]
+        assert placement.cache_ids[start:start + placement.copies[n]].tolist() == list(caches)
+    assert placement.cache_ids.size == placement.copies.sum()
+
+
+def test_serve_never_builds_dense_counts():
+    config = CONFIGS[0]
+    catalog = build_catalog(config.N, config.beta)
+    placement = proportional_placement(config, catalog)
+    for eviction in (EVICT_FILE, EVICT_OVERFLOW):
+        profile = sample_profile(config, catalog, seed=3, trial=0)
+        pam_shallow_serve(profile, placement, config, eviction=eviction)
+        assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt
