@@ -15,7 +15,6 @@ import sys
 from .bounds import shallow_lower_bound
 from .config import SystemConfig, load_config, validate
 from .errors import DomainError, HardInvariantViolation, IncompatibleScheme, InsufficientMemory
-from .hcm import hcm_rate
 from .montecarlo import (
     HCM_SCHEME,
     PAM_SHALLOW_SCHEME,
@@ -25,9 +24,7 @@ from .montecarlo import (
     ExperimentSpec,
     run_experiment,
 )
-from .pam_shallow import memory_threshold, pam_shallow_rate
-from .pam_steep import pam_steep_rate
-from .pcd import pcd_rate_shallow, pcd_rate_steep
+from .pam_shallow import memory_threshold
 from .regimes import regime_map
 from .verification import verify_config
 
@@ -113,23 +110,20 @@ def _cmd_rate_curve(args) -> int:
 
     for v, config in row_configs:
         shallow = config.beta < 1
-        rate_pcd = (pcd_rate_shallow(config) if shallow else pcd_rate_steep(config)).total
-        rate_pam = pam_shallow_rate(config) if shallow else pam_steep_rate(config).order_value
-        row = [_fmt(v), _fmt(rate_pcd), _fmt(rate_pam)]
+        pam = PAM_SHALLOW_SCHEME if shallow else PAM_STEEP_SCHEME
+        row = [_fmt(v)] + [_fmt(SCHEMES[s].analytic(config, config.t0)) for s in (PCD_SCHEME, pam)]
         if include_shallow_cols:
-            rate_hcm = hcm_rate(config, config.t0) if shallow else None
+            rate_hcm = SCHEMES[HCM_SCHEME].analytic(config, config.t0) if shallow else None
             try:
                 bound = shallow_lower_bound(config) if shallow else None
             except DomainError:
                 bound = None
             row += [_fmt(rate_hcm), _fmt(bound)]
         if args.trials > 0:
-            row += [_fmt(_sim_mean(config, PCD_SCHEME, args))]
-            if shallow:
-                feasible = config.M >= memory_threshold(config)
-                row += [_fmt(_sim_mean(config, PAM_SHALLOW_SCHEME, args) if feasible else None)]
-            else:
-                row += [_fmt(_sim_mean(config, PAM_STEEP_SCHEME, args))]
+            # below its replication threshold pam-shallow has no placement
+            pam_places = not shallow or config.M >= memory_threshold(config)
+            row += [_fmt(_sim_mean(config, PCD_SCHEME, args)),
+                    _fmt(_sim_mean(config, pam, args) if pam_places else None)]
             if include_shallow_cols:
                 row += [_fmt(_sim_mean(config, HCM_SCHEME, args) if shallow else None)]
         rows.append(row)

@@ -120,17 +120,19 @@ def validate(config: SystemConfig) -> ValidationReport:
     )
     check(
         "intensity_range",
-        0.0 < config.rho < 0.5,
+        0.0 < config.rho < 0.5 and config.alpha > 0,  # alpha rounds to 0 within ~1e-8 of 1/2
         "error",
-        f"rho = {config.rho} must lie in (0, 1/2)",
+        f"rho = {config.rho} must lie in (0, 1/2) with alpha > 0",
     )
     check(
         "zipf_exponent",
-        config.beta >= 0 and config.beta != 1.0,
+        0 <= config.beta < math.inf and config.beta != 1.0,
         "error",
-        f"beta = {config.beta} must be >= 0 and != 1 (unit exponent unsupported)",
+        f"beta = {config.beta} must be finite, >= 0 and != 1 (unit exponent unsupported)",
     )
-    check("tail_slack", config.t0 > 0, "error", f"t0 = {config.t0} must be > 0")
+    check(
+        "tail_slack", 0 < config.t0 < math.inf, "error", f"t0 = {config.t0} must be finite and > 0"
+    )
 
     hard_ok = all(c.passed for c in checks)
     if hard_ok:
@@ -161,6 +163,11 @@ def load_config(path: str) -> SystemConfig:
     missing = sorted(set(CONFIG_KEYS) - set(raw))
     if missing:
         raise HardInvariantViolation(f"{path}: missing keys {missing}")
+    for key, value in raw.items():  # no coercion: bool is an int, "600" is a string
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise HardInvariantViolation(f"{path}: {key} must be a JSON number, got {value!r}")
+        if key in ("k", "d", "n") and isinstance(value, float) and not value.is_integer():
+            raise HardInvariantViolation(f"{path}: {key} must be an integer, got {value!r}")
     return SystemConfig(
         K=int(raw["k"]),
         d=int(raw["d"]),

@@ -113,22 +113,6 @@ def hcm_rate(config: SystemConfig, t: float) -> float:
     return min(config.rho * K, coded + unmatched)
 
 
-def per_color_rate_sum(config: SystemConfig, t: float) -> float:
-    """Looser three-branch form of the summed per-color delivery rates."""
-    if not 0 <= config.beta < 1:
-        raise DomainError("color-plan rate requires beta in [0, 1)")
-    _check_slack(config, t)
-    chi = compute_chi(config, t)
-    N, M = config.N, config.M
-    if M >= math.ceil(N / chi):
-        return 0.0
-    if M == 0:
-        return math.inf
-    if M <= math.floor(N / chi):
-        return N / M - 1.0
-    return (N % chi) * (math.ceil(N / chi) / M - 1.0)
-
-
 def unmatched_chain_bound(plan: ColorPlan, config: SystemConfig) -> float:
     """(1/sqrt(2*pi)) * K * sum_x P_x * (2*rho*e^(1-2*rho))^floor(d*P_x)."""
     base = 2.0 * config.rho * math.exp(1.0 - 2.0 * config.rho)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -23,14 +25,119 @@ from .hcm import build_color_plan, hcm_rate, hcm_simulate
 from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_placement
 from .pam_steep import build_knapsack, pam_steep_rate, pam_steep_serve, solve_fractional_knapsack
 from .pcd import pcd_rate_shallow, pcd_rate_steep, pcd_simulate
-from .popularity import build_catalog
-from .traffic import MATCHING_ROLE, sample_profile, stream
+from .popularity import ZipfCatalog, build_catalog
+from .traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
 PCD_SCHEME = "pcd"
 PAM_SHALLOW_SCHEME = "pam-shallow"
 PAM_STEEP_SCHEME = "pam-steep"
 HCM_SCHEME = "hcm"
-SCHEMES = (PCD_SCHEME, PAM_SHALLOW_SCHEME, PAM_STEEP_SCHEME, HCM_SCHEME)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the trial loop, the CLI and the checks need to know about one scheme.
+
+    check(config) raises IncompatibleScheme when the scheme does not apply.
+    analytic(config, t) is the expected-rate reference at slack t.  For
+    pam-steep it is an order-of-magnitude envelope with untracked constants,
+    so its bound_satisfied is indicative only; the other three are actual
+    expected-rate upper bounds.  prepare(config, catalog, t) builds the state
+    every trial of a chunk shares: nothing for pcd, the placement for the two
+    replication schemes, the color plan for hcm.
+
+    trial(profile, config, state, seed, trial) gives one row
+    (rate, coded, unmatched), whose last two columns mean different things:
+    - pcd, hcm: the coded term and the unmatched users; rate is their sum,
+      clamped at the user count
+    - pam-shallow: 0 and the unmatched survivors of eviction (always 0)
+    - pam-steep: 0 and the unmatched requests
+
+    Callees are looked up in this module at call time, so a wrapper put on
+    montecarlo.<name> sees every call.
+    """
+
+    name: str
+    check: Callable[[SystemConfig], None]
+    analytic: Callable[[SystemConfig, float], float]
+    prepare: Callable[[SystemConfig, ZipfCatalog, float], Any]
+    trial: Callable[[RequestProfile, SystemConfig, Any, int, int], tuple[float, float, float]]
+
+
+def _shallow_only(name: str) -> Callable[[SystemConfig], None]:
+    def check(config: SystemConfig) -> None:
+        if not 0 <= config.beta < 1:
+            raise IncompatibleScheme(f"{name} requires beta in [0, 1), got {config.beta}")
+
+    return check
+
+
+def _steep_only(config: SystemConfig) -> None:
+    if config.beta <= 1:
+        raise IncompatibleScheme(f"{PAM_STEEP_SCHEME} requires beta > 1, got {config.beta}")
+    if config.d < 2:
+        raise IncompatibleScheme(f"{PAM_STEEP_SCHEME} requires d >= 2, got {config.d}")
+
+
+def _pcd_trial(profile, config, state, seed, trial):
+    r = pcd_simulate(profile, config)
+    return r.total, r.coded_term, r.unmatched_term
+
+
+def _pam_shallow_trial(profile, config, placement, seed, trial):
+    out = pam_shallow_serve(profile, placement, config)
+    return out.rate, 0.0, float(out.unmatched_survivors)
+
+
+def _pam_steep_trial(profile, config, placement, seed, trial):
+    out = pam_steep_serve(profile, placement, stream(seed, trial, MATCHING_ROLE))
+    return out.rate, 0.0, float(out.unmatched_requests)
+
+
+def _hcm_trial(profile, config, plan, seed, trial):
+    r = hcm_simulate(profile, plan, config)
+    return r.total, r.coded_term, r.unmatched_term
+
+
+class _SchemeTable(dict):
+    """Scheme by name; an unknown name raises IncompatibleScheme."""
+
+    def __missing__(self, name):
+        raise IncompatibleScheme(f"unknown scheme {name!r}")
+
+
+SCHEMES: dict[str, Scheme] = _SchemeTable((s.name, s) for s in (
+    Scheme(
+        PCD_SCHEME,
+        lambda config: None,  # applies at every beta
+        lambda config, t: (
+            pcd_rate_shallow(config) if config.beta < 1 else pcd_rate_steep(config)
+        ).total,
+        lambda config, catalog, t: None,
+        _pcd_trial,
+    ),
+    Scheme(
+        PAM_SHALLOW_SCHEME,
+        _shallow_only(PAM_SHALLOW_SCHEME),
+        lambda config, t: pam_shallow_rate(config),
+        lambda config, catalog, t: proportional_placement(config, catalog),
+        _pam_shallow_trial,
+    ),
+    Scheme(
+        PAM_STEEP_SCHEME,
+        _steep_only,
+        lambda config, t: pam_steep_rate(config).order_value,
+        lambda config, catalog, t: solve_fractional_knapsack(build_knapsack(config, catalog)),
+        _pam_steep_trial,
+    ),
+    Scheme(
+        HCM_SCHEME,
+        _shallow_only(HCM_SCHEME),
+        hcm_rate,
+        lambda config, catalog, t: build_color_plan(config, catalog, t),
+        _hcm_trial,
+    ),
+))
 
 
 @dataclass(frozen=True)
@@ -40,6 +147,10 @@ class ExperimentSpec:
     trials: int
     seed: int
     t_param: float | None = None  # hierarchical slack; defaults to config.t0
+
+    @property
+    def slack(self) -> float:
+        return self.config.t0 if self.t_param is None else self.t_param
 
 
 @dataclass(frozen=True)
@@ -78,72 +189,16 @@ class RateReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def check_compatibility(config: SystemConfig, scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise IncompatibleScheme(f"unknown scheme {scheme!r}")
-    if scheme in (PAM_SHALLOW_SCHEME, HCM_SCHEME) and not 0 <= config.beta < 1:
-        raise IncompatibleScheme(f"{scheme} requires beta in [0, 1), got {config.beta}")
-    if scheme == PAM_STEEP_SCHEME:
-        if config.beta <= 1:
-            raise IncompatibleScheme(f"{scheme} requires beta > 1, got {config.beta}")
-        if config.d < 2:
-            raise IncompatibleScheme(f"{scheme} requires d >= 2, got {config.d}")
-
-
-def analytic_rate(spec: ExperimentSpec) -> float:
-    """Expected-rate reference for the spec.
-
-    For the steep replication scheme this is an order-of-magnitude envelope
-    (untracked constants), so its bound_satisfied is indicative only; the
-    other three references are actual expected-rate upper bounds.
-    """
-    config = spec.config
-    if spec.scheme == PCD_SCHEME:
-        rate = pcd_rate_shallow(config) if config.beta < 1 else pcd_rate_steep(config)
-        return rate.total
-    if spec.scheme == PAM_SHALLOW_SCHEME:
-        return pam_shallow_rate(config)
-    if spec.scheme == PAM_STEEP_SCHEME:
-        return pam_steep_rate(config).order_value
-    t = config.t0 if spec.t_param is None else spec.t_param
-    return hcm_rate(config, t)
-
-
 def run_trials(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
     """Rows (rate, coded, unmatched) for trials start..start+count-1."""
     config = spec.config
+    scheme = SCHEMES[spec.scheme]
     catalog = build_catalog(config.N, config.beta)
+    state = scheme.prepare(config, catalog, spec.slack)
     rows = np.empty((count, 3), dtype=np.float64)
-
-    if spec.scheme == PCD_SCHEME:
-        for i in range(count):
-            trial = start + i
-            profile = sample_profile(config, catalog, spec.seed, trial)
-            r = pcd_simulate(profile, config)
-            rows[i] = (r.total, r.coded_term, r.unmatched_term)
-    elif spec.scheme == PAM_SHALLOW_SCHEME:
-        placement = proportional_placement(config, catalog)
-        for i in range(count):
-            trial = start + i
-            profile = sample_profile(config, catalog, spec.seed, trial)
-            out = pam_shallow_serve(profile, placement, config)
-            rows[i] = (out.rate, 0.0, float(out.unmatched_survivors))
-    elif spec.scheme == PAM_STEEP_SCHEME:
-        placement = solve_fractional_knapsack(build_knapsack(config, catalog))
-        for i in range(count):
-            trial = start + i
-            profile = sample_profile(config, catalog, spec.seed, trial)
-            rng = stream(spec.seed, trial, MATCHING_ROLE)
-            out = pam_steep_serve(profile, placement, rng)
-            rows[i] = (out.rate, 0.0, float(out.unmatched_requests))
-    else:
-        t = config.t0 if spec.t_param is None else spec.t_param
-        plan = build_color_plan(config, catalog, t)
-        for i in range(count):
-            trial = start + i
-            profile = sample_profile(config, catalog, spec.seed, trial)
-            r = hcm_simulate(profile, plan, config)
-            rows[i] = (r.total, r.coded_term, r.unmatched_term)
+    for i, trial in enumerate(range(start, start + count)):
+        profile = sample_profile(config, catalog, spec.seed, trial)
+        rows[i] = scheme.trial(profile, config, state, spec.seed, trial)
     return rows
 
 
@@ -186,7 +241,7 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     validate(spec.config)
-    check_compatibility(spec.config, spec.scheme)
+    SCHEMES[spec.scheme].check(spec.config)
     chunks = plan_chunks(spec.trials, workers)
     if len(chunks) == 1:
         return run_trials(spec, 0, spec.trials)
@@ -204,7 +259,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RateReport:
     rates = rows[:, 0]
     mean = float(rates.mean())
     stderr = 0.0 if spec.trials == 1 else float(rates.std(ddof=1) / math.sqrt(spec.trials))
-    analytic = analytic_rate(spec)
+    analytic = SCHEMES[spec.scheme].analytic(spec.config, spec.slack)
     satisfied = bool(mean <= analytic + 3.0 * stderr)
     return RateReport(
         scheme=spec.scheme,

@@ -9,14 +9,11 @@ Delivery: a cache whose fractional load sum_n u_n/d_n exceeds 1 is violating;
 every request for any file stored on a violating cache is evicted to the
 server (one broadcast per distinct evicted file serves all its requesters,
 in every cluster).  Surviving requests admit a perfect matching to caches.
-An alternative eviction policy removes single requests until loads are
-feasible instead of evicting whole files.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,9 +27,6 @@ from .popularity import ZipfCatalog
 from .traffic import RequestProfile
 
 _LOAD_TOL = 1e-9  # float slack on the exact rational load threshold
-
-EVICT_FILE = "file"
-EVICT_OVERFLOW = "overflow"
 
 
 @dataclass(frozen=True)
@@ -114,19 +108,6 @@ def pam_shallow_rate(config: SystemConfig) -> float:
     )
 
 
-def pam_shallow_rate_tight(config: SystemConfig) -> float:
-    """Tighter two-term alternative to the plain K*M*exp(...) envelope."""
-    if not 0 <= config.beta < 1:
-        raise DomainError("shallow rate requires beta in [0, 1)")
-    K, N, M, d, rho = config.K, config.N, config.M, config.d, config.rho
-    if M < memory_threshold(config):
-        return rho * K
-    z = load_decay_exponent(rho, config.beta)
-    head = math.exp(-z * d * M / N)
-    alt = K * d * head + (N * K / d) * math.exp(-z * d)
-    return min(rho * K, K * M * head, alt)
-
-
 @dataclass(frozen=True)
 class ShallowServeOutcome:
     server_files: int  # distinct files broadcast by the server
@@ -145,7 +126,6 @@ def pam_shallow_serve(
     profile: RequestProfile,
     placement: ProportionalPlacement,
     config: SystemConfig,
-    eviction: str = EVICT_FILE,
 ) -> ShallowServeOutcome:
     """Serve one request profile; returns the per-trial decomposition.
 
@@ -154,8 +134,6 @@ def pam_shallow_serve(
     per-trial unicast count automatically.  Work and memory grow with the
     number of requests, not with N.
     """
-    if eviction not in (EVICT_FILE, EVICT_OVERFLOW):
-        raise DomainError(f"unknown eviction policy {eviction!r}")
     d, clusters = config.d, config.num_clusters
     files = profile.files
     cluster = profile.cluster_of_request()
@@ -168,12 +146,9 @@ def pam_shallow_serve(
     slots = cluster[owner] * d + placement.cache_ids[placement.cache_starts[files[owner]] + rank]
     loads = np.bincount(slots, weights=1.0 / reps[owner], minlength=clusters * d)
 
+    # drop all requests for every file on a violating cache
     keep = np.ones(files.size, dtype=bool)
-    if eviction == EVICT_FILE:
-        # literal policy: drop all requests for every file on a violating cache
-        keep[owner[_violating(loads)[slots]]] = False
-    else:
-        _evict_overflow(loads.reshape(clusters, d), profile, placement, keep)
+    keep[owner[_violating(loads)[slots]]] = False
     evicted_requests = int(files.size - np.count_nonzero(keep))
     server = set(files[~keep].tolist())
 
@@ -199,22 +174,3 @@ def pam_shallow_serve(
         rate=float(len(server)),
     )
 
-
-def _evict_overflow(loads, profile, placement, keep):
-    """Drop single requests (largest per-request load first) until feasible,
-    clearing their entries of keep; loads[c, k] is updated in place."""
-    copies = placement.copies
-    for c in np.flatnonzero(_violating(loads).any(axis=1)):
-        lo, hi = profile.offsets[c], profile.offsets[c + 1]
-        block = profile.files[lo:hi]
-        work = Counter(block.tolist())
-        while True:
-            bad = np.nonzero(_violating(loads[c]))[0]
-            if bad.size == 0:
-                break
-            stored = [n for n in placement.cache_contents[int(bad[0])] if work[n] > 0]
-            # smallest copy count = largest load contribution per evicted request
-            n = min(stored, key=lambda f: (copies[f], f))
-            work[n] -= 1
-            loads[c, list(placement.cache_sets[n])] -= 1.0 / copies[n]
-            keep[lo + np.searchsorted(block, n) + work[n]] = False

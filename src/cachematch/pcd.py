@@ -89,15 +89,8 @@ def coded_pool_size(config: SystemConfig) -> int:
     return min(config.N, int(math.floor((config.K * config.M) ** (1.0 / config.beta))))
 
 
-def pcd_simulate(
-    profile: RequestProfile, config: SystemConfig, t_param: float | None = None
-) -> PcdRate:
-    """One-trial empirical rate decomposition.
-
-    t_param is accepted for interface symmetry with the analytic side; the
-    empirical decomposition does not depend on it.
-    """
-    del t_param
+def pcd_simulate(profile: RequestProfile, config: SystemConfig) -> PcdRate:
+    """One-trial empirical rate decomposition."""
     K, d, M = config.K, config.d, config.M
     pool = coded_pool_size(config)
 

@@ -121,13 +121,3 @@ def distinct_files(profile: RequestProfile, cluster_subset=None) -> int:
         files = files[np.isin(profile.cluster_of_request(), subset)]
     return len(set(files.tolist()))
 
-
-def profile_to_csv(profile: RequestProfile, path: str) -> None:
-    """Dump nonzero (cluster, file, count) triples, cluster-major, 1-indexed."""
-    N = profile.config.N
-    keys = profile.cluster_of_request() * N + profile.files
-    keys, counts = np.unique(keys, return_counts=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cluster,file,count\n")
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            fh.write(f"{key // N + 1},{key % N + 1},{count}\n")

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .bounds import (
-    DISTINCT_FRACTION,
     distinct_files_tail_bound,
     gap_constant,
     lower_bound_report,
@@ -30,7 +30,6 @@ from .hcm import build_color_plan, hcm_rate, unmatched_chain_bound
 from .mathkit import (
     SQRT_TWO_PI,
     conditional_mean_above,
-    cramer_h,
     excess_stirling_bound,
     expected_excess,
     poisson_pmf,
@@ -41,12 +40,13 @@ from .montecarlo import (
     HCM_SCHEME,
     PAM_SHALLOW_SCHEME,
     PCD_SCHEME,
+    SCHEMES,
     ExperimentSpec,
     collect_trials,
 )
-from .pam_shallow import memory_threshold, pam_shallow_rate, pam_shallow_serve, proportional_placement
+from .pam_shallow import memory_threshold, pam_shallow_serve, proportional_placement
 from .pam_steep import build_knapsack, mlp_match, pam_steep_rate, solve_fractional_knapsack
-from .pcd import pcd_rate_shallow, pcd_rate_steep, unmatched_tail_term
+from .pcd import pcd_rate_shallow, unmatched_tail_term
 from .popularity import build_catalog, partial_sum_A, partial_sum_envelope
 from .traffic import MATCHING_ROLE, sample_profile, stream
 
@@ -191,35 +191,31 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
 
     suite.run("cluster-unmatched-analytic", cluster_unmatched_analytic)
 
-    # --- replication-free scheme, Monte Carlo ----------------------------
-    pcd_rows = None
+    # --- Monte Carlo against the analytic rates --------------------------
+    @cache
+    def mc_rows(scheme):
+        return collect_trials(ExperimentSpec(config=config, scheme=scheme, trials=trials, seed=seed))
 
-    def get_pcd_rows():
-        nonlocal pcd_rows
-        if pcd_rows is None:
-            spec = ExperimentSpec(config=config, scheme=PCD_SCHEME, trials=trials, seed=seed)
-            pcd_rows = collect_trials(spec)
-        return pcd_rows
+    def rate_mc(scheme):
+        def check():
+            mean, se = _mc_stats(mc_rows(scheme), 0)
+            analytic = SCHEMES[scheme].analytic(config, config.t0)
+            ok = mean <= analytic + 3 * se
+            return ok, f"mean rate {mean:.6g} (se {se:.3g}) vs analytic {analytic:.6g}"
+
+        return check
 
     if floor_met:
 
         def unmatched_tail_mc():
-            rows = get_pcd_rows()
-            mean, se = _mc_stats(rows, 2)
+            mean, se = _mc_stats(mc_rows(PCD_SCHEME), 2)
             tail = unmatched_tail_term(config.K, config.t0)
             exact = config.num_clusters * expected_excess(lam, config.d)
             ok = mean <= tail + 3 * se and mean <= exact + 3 * se + 1e-12
             return ok, f"mean U0 = {mean:.6g} (se {se:.3g}) vs K^-t0 tail {tail:.6g}"
 
-        def pcd_rate_mc():
-            rows = get_pcd_rows()
-            mean, se = _mc_stats(rows, 0)
-            analytic = (pcd_rate_shallow(config) if shallow else pcd_rate_steep(config)).total
-            ok = mean <= analytic + 3 * se
-            return ok, f"mean rate {mean:.6g} (se {se:.3g}) vs analytic {analytic:.6g}"
-
         suite.run("unmatched-tail-mc", unmatched_tail_mc)
-        suite.run("pcd-rate-mc", pcd_rate_mc)
+        suite.run("pcd-rate-mc", rate_mc(PCD_SCHEME))
     else:
         reason = (
             f"cluster floor not met (d = {config.d} < {config.cluster_floor:.4g}); "
@@ -272,19 +268,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         suite.run("load-decay-positive", load_decay_positive)
 
         if above and floor_met:
-
-            def pam_rate_mc():
-                spec = ExperimentSpec(
-                    config=config, scheme=PAM_SHALLOW_SCHEME, trials=trials, seed=seed
-                )
-                rows = collect_trials(spec)
-                mean, se = _mc_stats(rows, 0)
-                analytic = pam_shallow_rate(config)
-                return mean <= analytic + 3 * se, (
-                    f"mean rate {mean:.6g} (se {se:.3g}) vs analytic {analytic:.6g}"
-                )
-
-            suite.run("pam-rate-mc", pam_rate_mc)
+            suite.run("pam-rate-mc", rate_mc(PAM_SHALLOW_SCHEME))
         else:
             suite.skip(
                 "pam-rate-mc",
@@ -318,7 +302,10 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
 
     def lower_bound_consistency():
         rep = lower_bound_report(config)
-        achievable = [pcd_rate_shallow(config).total, pam_shallow_rate(config), hcm_rate(config, config.t0)]
+        achievable = [
+            SCHEMES[name].analytic(config, config.t0)
+            for name in (PCD_SCHEME, PAM_SHALLOW_SCHEME, HCM_SCHEME)
+        ]
         worst = min(achievable)
         ok = rep.closed_form <= worst and rep.best <= config.rho * config.K
         return ok, f"closed form {rep.closed_form:.6g} vs min achievable {worst:.6g}"
@@ -357,17 +344,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         suite.run("hcm-chain-bound", hcm_chain)
 
         if floor_met:
-
-            def hcm_rate_mc():
-                spec = ExperimentSpec(config=config, scheme=HCM_SCHEME, trials=trials, seed=seed)
-                rows = collect_trials(spec)
-                mean, se = _mc_stats(rows, 0)
-                analytic = hcm_rate(config, config.t0)
-                return mean <= analytic + 3 * se, (
-                    f"mean rate {mean:.6g} (se {se:.3g}) vs analytic {analytic:.6g}"
-                )
-
-            suite.run("hcm-rate-mc", hcm_rate_mc)
+            suite.run("hcm-rate-mc", rate_mc(HCM_SCHEME))
         else:
             suite.skip("hcm-rate-mc", "cluster floor not met")
     else:
@@ -400,7 +377,8 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
                 profile = sample_profile(config, catalog, seed, trial)
                 rng = stream(seed, trial, MATCHING_ROLE)
                 for c in range(config.num_clusters):
-                    req = profile.counts[:, c]
+                    lo, hi = profile.offsets[c], profile.offsets[c + 1]
+                    req = np.bincount(profile.files[lo:hi], minlength=config.N)
                     out = mlp_match(req, placement, rng)
                     caches = [k for _, k in out.matched]
                     if len(set(caches)) != len(caches):

@@ -3,6 +3,11 @@ import json
 import pytest
 
 from cachematch.cli import main
+from cachematch.config import SystemConfig
+from cachematch.hcm import hcm_rate
+from cachematch.pam_shallow import pam_shallow_rate
+from cachematch.pam_steep import pam_steep_rate
+from cachematch.pcd import pcd_rate_shallow, pcd_rate_steep
 
 VALID = {"k": 20, "d": 10, "n": 20, "m": 2.0, "rho": 0.25, "beta": 0.0, "t0": 1.0}
 
@@ -92,6 +97,25 @@ def test_rate_curve_analytic_columns(tmp_path):
     assert by_beta["2"][4] == ""
     assert by_beta["0"][3] != ""
     assert float(by_beta["0"][1]) > 0
+    # each analytic cell is its scheme's rate, written to 12 digits
+    shallow = SystemConfig(K=20, d=10, N=20, M=2.0, rho=0.25, beta=0.0, t0=1.0)
+    steep = SystemConfig(K=20, d=10, N=20, M=2.0, rho=0.25, beta=2.0, t0=1.0)
+    cells = [pcd_rate_shallow(shallow).total, pam_shallow_rate(shallow), hcm_rate(shallow, 1.0)]
+    assert by_beta["0"][1:4] == [f"{x:.12g}" for x in cells]
+    steep_cells = [pcd_rate_steep(steep).total, pam_steep_rate(steep).order_value]
+    assert by_beta["2"][1:3] == [f"{x:.12g}" for x in steep_cells]
+
+
+def test_rate_curve_hcm_column_is_the_color_plan_rate(tmp_path):
+    # rho = 0.05 at d = 60 gives chi = 2, so the color plan beats pcd by 1
+    cfg = _write_config(tmp_path, k=600, d=60, n=600, m=40.0, rho=0.05, t0=0.2)
+    out = tmp_path / "curve.csv"
+    argv = ["rate-curve", cfg, "--param", "M", "--start", "40", "--stop", "40", "--step", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+    config = SystemConfig(K=600, d=60, N=600, M=40.0, rho=0.05, beta=0.0, t0=0.2)
+    assert row[3] == f"{hcm_rate(config, 0.2):.12g}"
+    assert float(row[1]) - float(row[3]) == pytest.approx(1.0)
 
 
 def test_rate_curve_simulated_columns(tmp_path):
@@ -185,6 +209,22 @@ def test_invalid_intensity_exits_2(tmp_path, argv):
     cfg = _write_config(tmp_path, rho=0.6)
     argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"k": 600.9},
+        {"k": True, "d": 1},
+        {"k": "600"},
+        {"t0": float("inf")},
+        {"beta": float("inf")},
+    ],
+)
+def test_config_that_used_to_be_coerced_exits_2(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["simulate", cfg, "--scheme", "pcd", "--trials", "2"]) == 2
+    assert capsys.readouterr().out == ""  # no report, so no Infinity token either
 
 
 def test_missing_config_exits_2(tmp_path):

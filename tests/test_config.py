@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachematch.config import (
     CONFIG_KEYS,
@@ -12,6 +14,8 @@ from cachematch.config import (
 from cachematch.errors import HardInvariantViolation
 
 from conftest import make_config
+
+VALID_PAYLOAD = dict(k=600, d=60, n=600, m=2.0, rho=0.1, beta=0.0, t0=1.0)
 
 
 def test_properties(base_config):
@@ -59,6 +63,10 @@ def test_validate_floor_warning(base_config):
         (dict(N=50), "catalog_covers_caches"),
         (dict(M=-1.0), "memory_nonnegative"),
         (dict(K=0), "positive_sizes"),
+        (dict(rho=0.4999999999999999), "intensity_range"),  # alpha rounds to 0
+        (dict(beta=math.inf), "zipf_exponent"),
+        (dict(t0=math.inf), "tail_slack"),
+        (dict(t0=math.nan), "tail_slack"),
     ],
 )
 def test_validate_hard_failures(overrides, failing):
@@ -97,6 +105,14 @@ def test_load_shipped_configs():
         {"k": 10},  # missing keys
         dict(k=10, d=2, n=10, m=1, rho=0.2, beta=0, t0=1, extra=5),  # unknown key
         [1, 2, 3],  # not an object
+        {**VALID_PAYLOAD, "k": 600.9},  # fractional size
+        {**VALID_PAYLOAD, "k": True, "d": 1},  # bool is not a size
+        {**VALID_PAYLOAD, "k": "600"},  # nor is a string
+        {**VALID_PAYLOAD, "n": float("inf")},
+        {**VALID_PAYLOAD, "m": "2"},
+        {**VALID_PAYLOAD, "rho": None},
+        {**VALID_PAYLOAD, "beta": False},
+        {**VALID_PAYLOAD, "t0": [1.0]},
     ],
 )
 def test_load_config_rejects_malformed(tmp_path, payload):
@@ -104,6 +120,43 @@ def test_load_config_rejects_malformed(tmp_path, payload):
     path.write_text(json.dumps(payload))
     with pytest.raises(HardInvariantViolation):
         load_config(str(path))
+
+
+@st.composite
+def valid_payloads(draw):
+    d = draw(st.integers(1, 64))
+    k = d * draw(st.integers(1, 64))
+    return dict(
+        k=k,
+        d=d,
+        n=k + draw(st.integers(0, 1000)),
+        m=draw(st.one_of(st.integers(0, 10**6), st.floats(0, 1e6))),
+        rho=draw(st.floats(0, 0.49, exclude_min=True)),  # alpha rounds to 0 near 1/2
+        beta=draw(st.floats(0, 10).filter(lambda b: b != 1.0)),
+        t0=draw(st.floats(0, 100, exclude_min=True)),
+    )
+
+
+@settings(max_examples=200)
+@given(valid_payloads(), st.booleans())
+def test_load_config_round_trip_property(tmp_path_factory, payload, float_sizes):
+    written = dict(payload)
+    if float_sizes:  # an integral float such as 600.0 is a size too
+        written.update((key, float(payload[key])) for key in ("k", "d", "n"))
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    path.write_text(json.dumps(written))
+    config = load_config(str(path))
+    assert config == SystemConfig(
+        K=payload["k"],
+        d=payload["d"],
+        N=payload["n"],
+        M=float(payload["m"]),
+        rho=payload["rho"],
+        beta=payload["beta"],
+        t0=payload["t0"],
+    )
+    assert all(type(size) is int for size in (config.K, config.d, config.N))
+    assert validate(config).ok
 
 
 def test_config_keys_frozen():

@@ -9,7 +9,6 @@ from cachematch.hcm import (
     compute_chi,
     hcm_rate,
     hcm_simulate,
-    per_color_rate_sum,
     popularity_split_gain,
     unicast_fallback,
     unmatched_chain_bound,
@@ -114,16 +113,6 @@ def test_rate_rejects_bad_inputs():
         hcm_rate(make_config(beta=1.5), 0.0)
     with pytest.raises(DomainError):
         hcm_rate(make_config(), 2.0)
-
-
-def test_per_color_rate_sum_relations():
-    exact = make_config(**WIDE)
-    assert per_color_rate_sum(exact, 0.0) == 0.0
-    low = make_config(**{**WIDE, "M": 5.0})
-    # looser per-color sum keeps the -1 instead of -chi
-    assert per_color_rate_sum(low, 0.0) == pytest.approx(100 / 5.0 - 1.0, rel=1e-13)
-    assert per_color_rate_sum(low, 0.0) >= hcm_rate(low, 0.0) - 1.0 / SQRT_TWO_PI
-    assert per_color_rate_sum(make_config(**{**WIDE, "M": 0.0}), 0.0) == math.inf
 
 
 def test_unmatched_chain_bound():

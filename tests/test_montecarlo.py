@@ -19,8 +19,6 @@ from cachematch.montecarlo import (
     PCD_SCHEME,
     SCHEMES,
     ExperimentSpec,
-    analytic_rate,
-    check_compatibility,
     collect_trials,
     plan_chunks,
     run_experiment,
@@ -46,22 +44,26 @@ def _spec(scheme, trials=5, seed=11, t_param=None, **overrides):
     )
 
 
+def analytic_rate(spec):
+    return SCHEMES[spec.scheme].analytic(spec.config, spec.slack)
+
+
 def test_compatibility_matrix():
-    check_compatibility(make_config(), PCD_SCHEME)
-    check_compatibility(make_config(beta=2.0), PCD_SCHEME)
-    check_compatibility(make_config(), PAM_SHALLOW_SCHEME)
-    check_compatibility(make_config(beta=0.5), HCM_SCHEME)
-    check_compatibility(make_config(beta=2.0), PAM_STEEP_SCHEME)
+    SCHEMES[PCD_SCHEME].check(make_config())
+    SCHEMES[PCD_SCHEME].check(make_config(beta=2.0))
+    SCHEMES[PAM_SHALLOW_SCHEME].check(make_config())
+    SCHEMES[HCM_SCHEME].check(make_config(beta=0.5))
+    SCHEMES[PAM_STEEP_SCHEME].check(make_config(beta=2.0))
     with pytest.raises(IncompatibleScheme):
-        check_compatibility(make_config(), "broadcast")
+        SCHEMES["broadcast"].check(make_config())
     with pytest.raises(IncompatibleScheme):
-        check_compatibility(make_config(beta=2.0), PAM_SHALLOW_SCHEME)
+        SCHEMES[PAM_SHALLOW_SCHEME].check(make_config(beta=2.0))
     with pytest.raises(IncompatibleScheme):
-        check_compatibility(make_config(beta=1.5), HCM_SCHEME)
+        SCHEMES[HCM_SCHEME].check(make_config(beta=1.5))
     with pytest.raises(IncompatibleScheme):
-        check_compatibility(make_config(beta=0.5), PAM_STEEP_SCHEME)
+        SCHEMES[PAM_STEEP_SCHEME].check(make_config(beta=0.5))
     with pytest.raises(IncompatibleScheme):
-        check_compatibility(make_config(K=100, d=1, beta=2.0), PAM_STEEP_SCHEME)
+        SCHEMES[PAM_STEEP_SCHEME].check(make_config(K=100, d=1, beta=2.0))
 
 
 def test_analytic_dispatch():
@@ -77,6 +79,20 @@ def test_analytic_dispatch():
     assert analytic_rate(_spec(HCM_SCHEME, t_param=0.5)) == hcm_rate(
         make_config(), 0.5
     )
+
+
+def test_hcm_plan_is_built_at_the_spec_slack(monkeypatch):
+    slacks = []
+    original = montecarlo.build_color_plan
+
+    def recording(config, catalog, t):
+        slacks.append(t)
+        return original(config, catalog, t)
+
+    monkeypatch.setattr(montecarlo, "build_color_plan", recording)
+    run_trials(_spec(HCM_SCHEME, trials=2, t_param=0.5), 0, 2)
+    run_trials(_spec(HCM_SCHEME, trials=2), 0, 2)
+    assert slacks == [0.5, 1.0]  # t_param, then the default t0
 
 
 @pytest.mark.parametrize("scheme", [PCD_SCHEME, PAM_STEEP_SCHEME])

@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cachematch.errors import DomainError, InsufficientMemory
 from cachematch.matching import fractional_load
 from cachematch.pam_shallow import (
-    EVICT_FILE,
-    EVICT_OVERFLOW,
     load_decay_exponent,
     memory_threshold,
     pam_shallow_rate,
-    pam_shallow_rate_tight,
     pam_shallow_serve,
     proportional_placement,
     rate_formula,
@@ -93,7 +90,6 @@ def test_load_decay_exponent_frozen():
 
 def test_rate_below_threshold_is_unicast(base_config):
     assert pam_shallow_rate(make_config(M=5.0)) == pytest.approx(25.0)
-    assert pam_shallow_rate_tight(make_config(M=5.0)) == pytest.approx(25.0)
 
 
 def test_rate_above_threshold_formula():
@@ -108,17 +104,9 @@ def test_rate_above_threshold_formula():
     assert rate_formula(K=100, N=100, M=100.0, d=50, rho=0.25, beta=0.0) == pytest.approx(want, rel=1e-13)
 
 
-def test_tight_rate_never_looser(base_config):
-    for M in (10.0, 20.0, 40.0, 80.0):
-        config = make_config(M=M)
-        assert pam_shallow_rate_tight(config) <= pam_shallow_rate(config) + 1e-12
-
-
 def test_rate_rejects_steep():
     with pytest.raises(DomainError):
         pam_shallow_rate(make_config(beta=1.2))
-    with pytest.raises(DomainError):
-        pam_shallow_rate_tight(make_config(beta=1.2))
 
 
 def _one_file_per_cache_setup():
@@ -137,20 +125,13 @@ def test_serve_eviction_hand_example():
     config, placement = _one_file_per_cache_setup()
     profile = _profile(config, [2, 0, 0])  # two requests for file 0, load 2 > 1
 
-    whole = pam_shallow_serve(profile, placement, config, eviction=EVICT_FILE)
+    whole = pam_shallow_serve(profile, placement, config)
     assert whole.evicted_requests == 2
     assert whole.matched_users == 0
     assert whole.server_files == 1
     assert whole.rate == 1.0
     assert not whole.all_feasible
     assert whole.unmatched_survivors == 0
-
-    single = pam_shallow_serve(profile, placement, config, eviction=EVICT_OVERFLOW)
-    assert single.evicted_requests == 1
-    assert single.matched_users == 1
-    assert single.server_files == 1
-    assert single.rate == 1.0
-    assert not single.all_feasible
 
 
 def test_serve_feasible_profile_needs_no_server():
@@ -160,12 +141,6 @@ def test_serve_feasible_profile_needs_no_server():
     assert outcome.matched_users == 3
     assert outcome.server_files == 0
     assert outcome.rate == 0.0
-
-
-def test_serve_rejects_unknown_policy():
-    config, placement = _one_file_per_cache_setup()
-    with pytest.raises(DomainError):
-        pam_shallow_serve(_profile(config, [1, 0, 0]), placement, config, eviction="drop")
 
 
 def test_feasibility_flag_matches_load_helper():
@@ -186,14 +161,13 @@ def test_feasibility_flag_matches_load_helper():
         assert outcome.all_feasible == all(load <= 1.0 + 1e-9 for load in loads)
 
 
-@pytest.mark.parametrize("eviction", [EVICT_FILE, EVICT_OVERFLOW])
-def test_serve_request_accounting(eviction):
+def test_serve_request_accounting():
     config = make_config(K=40, d=10, N=20, M=4.0, rho=0.3)
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
     for trial in range(30):
         profile = sample_profile(config, catalog, seed=17, trial=trial)
-        outcome = pam_shallow_serve(profile, placement, config, eviction=eviction)
+        outcome = pam_shallow_serve(profile, placement, config)
         total = (
             outcome.matched_users + outcome.evicted_requests + outcome.unmatched_survivors
         )

@@ -2,7 +2,7 @@
 
 The oracle below is the dense formulation: a d x N weight matrix per trial,
 one matrix-vector product per cluster over the full count column, and the
-whole-file and single-request eviction loops on dense per-file counts.
+whole-file eviction loop on dense per-file counts.
 pam_shallow_serve reads only the requested files; on the same counts both
 must give the same outcome, field by field.
 """
@@ -12,8 +12,6 @@ import pytest
 
 from cachematch.matching import ClusterBipartiteGraph, max_matching
 from cachematch.pam_shallow import (
-    EVICT_FILE,
-    EVICT_OVERFLOW,
     ShallowServeOutcome,
     _violating,
     memory_threshold,
@@ -25,10 +23,10 @@ from cachematch.traffic import RequestProfile, sample_profile
 
 from conftest import make_config
 
-PROFILES = 60  # random profiles per configuration and policy
+PROFILES = 60  # random profiles per configuration
 
 
-def dense_serve(counts, placement, config, eviction):
+def dense_serve(counts, placement, config):
     u = counts
     N, d = config.N, config.d
     copies = placement.copies.astype(np.float64)
@@ -46,10 +44,7 @@ def dense_serve(counts, placement, config, eviction):
 
     for c in range(config.num_clusters):
         req = u[:, c]
-        if eviction == EVICT_FILE:
-            surviving, evicted = _dense_evict_whole_files(req, weight, placement)
-        else:
-            surviving, evicted = _dense_evict_overflow(req, weight, placement)
+        surviving, evicted = _dense_evict_whole_files(req, weight, placement)
         if evicted > 0:
             any_violation = True
         evicted_requests += evicted
@@ -87,23 +82,6 @@ def _dense_evict_whole_files(req, weight, placement):
     return surviving, int(req[evict_files].sum())
 
 
-def _dense_evict_overflow(req, weight, placement):
-    work = req.astype(np.int64).copy()
-    loads = weight @ work
-    evicted = 0
-    while True:
-        bad = np.nonzero(_violating(loads))[0]
-        if bad.size == 0:
-            break
-        k = int(bad[0])
-        stored = [n for n in placement.cache_contents[k] if work[n] > 0]
-        n = min(stored, key=lambda f: (placement.copies[f], f))
-        work[n] -= 1
-        loads = loads - weight[:, n]
-        evicted += 1
-    return work, evicted
-
-
 def _random_counts(gen, config, per_cluster):
     """Counts averaging `per_cluster` requests per cluster; one cluster is empty."""
     p = build_catalog(config.N, config.beta).p
@@ -120,9 +98,8 @@ CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("eviction", [EVICT_FILE, EVICT_OVERFLOW])
 @pytest.mark.parametrize("config", CONFIGS)
-def test_serve_matches_dense_oracle(config, eviction):
+def test_serve_matches_dense_oracle(config):
     assert config.M >= memory_threshold(config)
     placement = proportional_placement(config, build_catalog(config.N, config.beta))
     gen = np.random.default_rng(2026)
@@ -130,8 +107,8 @@ def test_serve_matches_dense_oracle(config, eviction):
     for i in range(PROFILES):
         counts = _random_counts(gen, config, per_cluster=config.d * (0.3 + 0.4 * (i % 4)))
         profile = RequestProfile.from_counts(counts, config)
-        expected = dense_serve(counts, placement, config, eviction)
-        assert pam_shallow_serve(profile, placement, config, eviction=eviction) == expected
+        expected = dense_serve(counts, placement, config)
+        assert pam_shallow_serve(profile, placement, config) == expected
         evicting += expected.evicted_requests > 0
         feasible += expected.all_feasible
     assert evicting > 0 and feasible > 0  # both branches ran
@@ -151,7 +128,6 @@ def test_serve_never_builds_dense_counts():
     config = CONFIGS[0]
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
-    for eviction in (EVICT_FILE, EVICT_OVERFLOW):
-        profile = sample_profile(config, catalog, seed=3, trial=0)
-        pam_shallow_serve(profile, placement, config, eviction=eviction)
-        assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt
+    profile = sample_profile(config, catalog, seed=3, trial=0)
+    pam_shallow_serve(profile, placement, config)
+    assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt

@@ -11,7 +11,6 @@ from cachematch.traffic import (
     SAMPLER_VERSION,
     RequestProfile,
     distinct_files,
-    profile_to_csv,
     sample_profile,
     stream,
 )
@@ -193,8 +192,3 @@ def test_distinct_files():
         distinct_files(profile, cluster_subset=[5])
 
 
-def test_profile_to_csv(tmp_path):
-    path = tmp_path / "profile.csv"
-    profile_to_csv(_tiny_profile(), str(path))
-    text = path.read_text(encoding="utf-8")
-    assert text == "cluster,file,count\n1,1,1\n2,2,2\n"

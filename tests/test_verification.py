@@ -1,10 +1,15 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from cachematch import verification
 from cachematch.config import load_config
 from cachematch.errors import HardInvariantViolation
+from cachematch.montecarlo import ExperimentSpec, run_experiment
+from cachematch.popularity import build_catalog
+from cachematch.traffic import sample_profile
 from cachematch.verification import FAIL, PASS, SKIPPED, verify_config
 
 from conftest import make_config
@@ -66,6 +71,15 @@ def test_above_threshold_runs_replication_checks():
     assert by_name["pam-rate-mc"] == PASS
     assert by_name["pam-feasible-all-matched"] == PASS
     assert report.all_pass
+    # each rate check compares the mean and analytic rate that simulate reports
+    details = {c.name: c.detail for c in report.checks}
+    checks = {"pcd-rate-mc": "pcd", "pam-rate-mc": "pam-shallow", "hcm-rate-mc": "hcm"}
+    for name, scheme in checks.items():
+        rate = run_experiment(ExperimentSpec(config=config, scheme=scheme, trials=20, seed=0))
+        assert details[name] == (
+            f"mean rate {rate.mean_rate:.6g} (se {rate.stderr:.3g}) "
+            f"vs analytic {rate.analytic_rate:.6g}"
+        )
 
 
 def test_steep_config_statuses():
@@ -94,6 +108,28 @@ def test_steep_config_statuses():
     # d = 16 clears the floor at t0 = 0.1, so the tail checks ran
     assert by_name["unmatched-tail-mc"] == PASS
     assert by_name["pcd-rate-mc"] == PASS
+
+
+def test_mlp_structural_matches_each_clusters_requests(monkeypatch):
+    config = load_config("configs/steep.json")
+    seen = []
+    original = verification.mlp_match
+
+    def recording(requests, placement, rng):
+        seen.append(np.array(requests))
+        return original(requests, placement, rng)
+
+    monkeypatch.setattr(verification, "mlp_match", recording)
+    assert verify_config(config, seed=4, trials=3).all_pass
+    catalog = build_catalog(config.N, config.beta)
+    # the oracle is the dense count view, one column per cluster
+    expected = [
+        sample_profile(config, catalog, 4, trial).counts[:, c]
+        for trial in range(3)
+        for c in range(config.num_clusters)
+    ]
+    assert len(seen) == len(expected)
+    assert all(np.array_equal(got, want) for got, want in zip(seen, expected))
 
 
 def test_floor_violation_skips_simulation_checks():
