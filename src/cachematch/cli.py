@@ -24,7 +24,6 @@ from .montecarlo import (
     ExperimentSpec,
     run_experiment,
 )
-from .pam_shallow import memory_threshold
 from .regimes import regime_map
 from .verification import verify_config
 
@@ -120,10 +119,7 @@ def _cmd_rate_curve(args) -> int:
                 bound = None
             row += [_fmt(rate_hcm), _fmt(bound)]
         if args.trials > 0:
-            # below its replication threshold pam-shallow has no placement
-            pam_places = not shallow or config.M >= memory_threshold(config)
-            row += [_fmt(_sim_mean(config, PCD_SCHEME, args)),
-                    _fmt(_sim_mean(config, pam, args) if pam_places else None)]
+            row += [_fmt(_sim_mean(config, PCD_SCHEME, args)), _fmt(_sim_mean(config, pam, args))]
             if include_shallow_cols:
                 row += [_fmt(_sim_mean(config, HCM_SCHEME, args) if shallow else None)]
         rows.append(row)
@@ -133,9 +129,13 @@ def _cmd_rate_curve(args) -> int:
     return 0
 
 
-def _sim_mean(config: SystemConfig, scheme: str, args) -> float:
+def _sim_mean(config: SystemConfig, scheme: str, args) -> float | None:
+    """Simulated mean rate; None where the scheme has no placement."""
     spec = ExperimentSpec(config=config, scheme=scheme, trials=args.trials, seed=args.seed)
-    return run_experiment(spec, workers=args.workers).mean_rate
+    try:
+        return run_experiment(spec, workers=args.workers).mean_rate
+    except InsufficientMemory:
+        return None
 
 
 def _cmd_regime_map(args) -> int:

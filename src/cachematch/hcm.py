@@ -22,6 +22,7 @@ from .config import SystemConfig
 from .delivery import coded_delivery_rate
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
+from .pcd import unmatched_tail_term
 from .popularity import ZipfCatalog
 from .traffic import RequestProfile, first_in_file_order
 
@@ -101,7 +102,7 @@ def hcm_rate(config: SystemConfig, t: float) -> float:
     _check_slack(config, t)
     chi = compute_chi(config, t)
     N, M, K = config.N, config.M, config.K
-    unmatched = K ** (-t) / SQRT_TWO_PI
+    unmatched = unmatched_tail_term(K, t)
     if M >= math.ceil(N / chi):
         return unmatched
     if M == 0:

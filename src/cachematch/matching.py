@@ -11,23 +11,21 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, MissingCopyCount
 
 _INF = float("inf")
 
 
-def deal_round_robin(copies, d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(files on each cache, caches holding each file) after dealing copies[n]
-    copies of file n, in file order, round-robin to d caches."""
-    contents: list[list[int]] = [[] for _ in range(d)]
-    cache_sets: list[list[int]] = [[] for _ in range(len(copies))]
-    seq = [n for n, c in enumerate(copies) for _ in range(int(c))]
-    for r, n in enumerate(seq):
-        contents[r % d].append(n)
-    for k, files in enumerate(contents):
-        for n in files:
-            cache_sets[n].append(k)  # ascending k keeps each set sorted
-    return tuple(map(tuple, contents)), tuple(map(tuple, cache_sets))
+def deal_round_robin(copies, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cache_ids, cache_starts) after dealing copies[n] copies of file n, in
+    file order, round-robin to d caches: file n's caches, ascending, are
+    cache_ids[cache_starts[n]:cache_starts[n] + copies[n]]."""
+    owner = np.repeat(np.arange(len(copies)), copies)  # file behind each dealt copy
+    base = owner * d
+    cache_ids = np.sort(base + np.arange(owner.size) % d) - base
+    return cache_ids, np.cumsum(copies) - copies
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .config import SystemConfig, validate
 from .errors import DomainError, IncompatibleScheme
 from .hcm import build_color_plan, hcm_rate, hcm_simulate
 from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_placement
-from .pam_steep import build_knapsack, pam_steep_rate, pam_steep_serve, solve_fractional_knapsack
+from .pam_steep import build_knapsack, pam_steep_serve, solve_fractional_knapsack, steep_order_value
 from .pcd import pcd_rate_shallow, pcd_rate_steep, pcd_simulate
 from .popularity import ZipfCatalog, build_catalog
 from .traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
@@ -50,7 +50,7 @@ class Scheme:
     (rate, coded, unmatched), whose last two columns mean different things:
     - pcd, hcm: the coded term and the unmatched users; rate is their sum,
       clamped at the user count
-    - pam-shallow: 0 and the unmatched survivors of eviction (always 0)
+    - pam-shallow: 0 and 0, as every request that survives eviction matches
     - pam-steep: 0 and the unmatched requests
 
     Callees are looked up in this module at call time, so a wrapper put on
@@ -85,8 +85,7 @@ def _pcd_trial(profile, config, state, seed, trial):
 
 
 def _pam_shallow_trial(profile, config, placement, seed, trial):
-    out = pam_shallow_serve(profile, placement, config)
-    return out.rate, 0.0, float(out.unmatched_survivors)
+    return pam_shallow_serve(profile, placement, config).rate, 0.0, 0.0
 
 
 def _pam_steep_trial(profile, config, placement, seed, trial):
@@ -126,7 +125,7 @@ SCHEMES: dict[str, Scheme] = _SchemeTable((s.name, s) for s in (
     Scheme(
         PAM_STEEP_SCHEME,
         _steep_only,
-        lambda config, t: pam_steep_rate(config).order_value,
+        lambda config, t: steep_order_value(config),
         lambda config, catalog, t: solve_fractional_knapsack(build_knapsack(config, catalog)),
         _pam_steep_trial,
     ),

@@ -8,14 +8,17 @@ whole-file capacity.
 Delivery: a cache whose fractional load sum_n u_n/d_n exceeds 1 is violating;
 every request for any file stored on a violating cache is evicted to the
 server (one broadcast per distinct evicted file serves all its requesters,
-in every cluster).  Surviving requests admit a perfect matching to caches.
+in every cluster).  Survivors always match: with every load at most 1, sending
+1/d_n of each request for file n to each of its d_n caches is a fractional
+matching that covers them, and the bipartite matching polytope is integral.
+So serve stops after eviction; matched_requests runs Hopcroft-Karp only for
+the checks (verification's pam-feasible-all-matched, acceptance criterion 04).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -32,9 +35,7 @@ _LOAD_TOL = 1e-9  # float slack on the exact rational load threshold
 @dataclass(frozen=True)
 class ProportionalPlacement:
     copies: np.ndarray  # d_n per file, shape (N,), ints >= 1
-    cache_contents: tuple[tuple[int, ...], ...]  # files stored on each of d caches
-    cache_sets: tuple[tuple[int, ...], ...]  # caches storing each file, sorted
-    cache_ids: np.ndarray  # cache_sets flattened in file order, shape (copies.sum(),)
+    cache_ids: np.ndarray  # caches storing each file, ascending, in file order
     cache_starts: np.ndarray  # file n's caches start at cache_ids[cache_starts[n]]
 
 
@@ -74,13 +75,10 @@ def proportional_placement(
             copies[n] += 1
             leftover -= 1
 
-    contents, cache_sets = deal_round_robin(copies, d)
-    cache_ids = np.fromiter(chain.from_iterable(cache_sets), dtype=np.int64, count=int(copies.sum()))
-    cache_starts = np.cumsum(copies) - copies
+    cache_ids, cache_starts = deal_round_robin(copies, d)
     for array in (copies, cache_ids, cache_starts):
         array.setflags(write=False)
-    return ProportionalPlacement(copies=copies, cache_contents=contents, cache_sets=cache_sets,
-                                 cache_ids=cache_ids, cache_starts=cache_starts)
+    return ProportionalPlacement(copies=copies, cache_ids=cache_ids, cache_starts=cache_starts)
 
 
 def load_decay_exponent(rho: float, beta: float) -> float:
@@ -111,8 +109,7 @@ def pam_shallow_rate(config: SystemConfig) -> float:
 @dataclass(frozen=True)
 class ShallowServeOutcome:
     server_files: int  # distinct files broadcast by the server
-    matched_users: int
-    unmatched_survivors: int  # should be 0: survivors always match
+    matched_users: int  # every request that survives eviction
     evicted_requests: int
     all_feasible: bool  # no cache in any cluster was violating
     rate: float
@@ -150,27 +147,27 @@ def pam_shallow_serve(
     keep = np.ones(files.size, dtype=bool)
     keep[owner[_violating(loads)[slots]]] = False
     evicted_requests = int(files.size - np.count_nonzero(keep))
-    server = set(files[~keep].tolist())
-
-    survivors = files[keep].tolist()  # still sorted within each cluster
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(cluster[keep], minlength=clusters)))).tolist()
-    matched_users = 0
-    unmatched_survivors = 0
-    for c in range(clusters):
-        owners = survivors[bounds[c]:bounds[c + 1]]
-        adjacency = tuple([placement.cache_sets[n] for n in owners])
-        graph = ClusterBipartiteGraph(len(adjacency), d, adjacency)
-        outcome = max_matching(graph)
-        matched_users += outcome.size
-        unmatched_survivors += len(outcome.unmatched_left)
-        server.update(owners[user] for user in outcome.unmatched_left)  # defensive: theory says none
-
+    server_files = len(set(files[~keep].tolist()))
     return ShallowServeOutcome(
-        server_files=len(server),
-        matched_users=matched_users,
-        unmatched_survivors=unmatched_survivors,
+        server_files=server_files,
+        matched_users=int(files.size) - evicted_requests,
         evicted_requests=evicted_requests,
         all_feasible=evicted_requests == 0,
-        rate=float(len(server)),
+        rate=float(server_files),
     )
 
+
+def matched_requests(
+    profile: RequestProfile,
+    placement: ProportionalPlacement,
+    config: SystemConfig,
+) -> int:
+    """Requests Hopcroft-Karp matches to distinct caches of their cluster,
+    summed over clusters: the check that a feasible profile matches in full."""
+    ids, starts = placement.cache_ids.tolist(), placement.cache_starts.tolist()
+    ends = (placement.cache_starts + placement.copies).tolist()
+    matched = 0
+    for cluster_files in np.split(profile.files, profile.offsets[1:-1]):
+        adjacency = tuple([tuple(ids[starts[n]:ends[n]]) for n in cluster_files.tolist()])
+        matched += max_matching(ClusterBipartiteGraph(len(adjacency), config.d, adjacency)).size
+    return matched

@@ -22,7 +22,7 @@ import numpy as np
 from .config import SystemConfig
 from .errors import DomainError
 from .matching import deal_round_robin
-from .popularity import ZipfCatalog
+from .popularity import ZipfCatalog, build_catalog
 from .traffic import RequestProfile
 
 
@@ -39,10 +39,9 @@ class KnapsackInstance:
 @dataclass(frozen=True)
 class KsPlacement:
     x: np.ndarray  # fractional solution, x_n in [0, 1]
-    copies: np.ndarray  # c_n = w_n * floor(x_n)
-    cached: frozenset  # files with x_n == 1 (0-indexed)
-    cache_contents: tuple[tuple[int, ...], ...]
-    cache_sets: tuple[tuple[int, ...], ...]  # caches holding each file, sorted
+    copies: np.ndarray  # c_n = w_n * floor(x_n); 0 for an uncached file
+    cache_ids: np.ndarray  # caches holding each file, ascending, in file order
+    cache_starts: np.ndarray  # file n's caches start at cache_ids[cache_starts[n]]
 
 
 def build_knapsack(config: SystemConfig, catalog: ZipfCatalog) -> KnapsackInstance:
@@ -105,14 +104,10 @@ def solve_fractional_knapsack(instance: KnapsackInstance) -> KsPlacement:
             x[i] = remaining / float(w[i])
             remaining = 0.0
     copies = np.where(x == 1.0, w, 0).astype(np.int64)
-    cached = frozenset(int(i) for i in np.nonzero(x == 1.0)[0])
-
-    contents, cache_sets = deal_round_robin(copies, instance.cluster_size)
-    x.setflags(write=False)
-    copies.setflags(write=False)
-    return KsPlacement(
-        x=x, copies=copies, cached=cached, cache_contents=contents, cache_sets=cache_sets
-    )
+    cache_ids, cache_starts = deal_round_robin(copies, instance.cluster_size)
+    for array in (x, copies, cache_ids, cache_starts):
+        array.setflags(write=False)
+    return KsPlacement(x=x, copies=copies, cache_ids=cache_ids, cache_starts=cache_starts)
 
 
 @dataclass(frozen=True)
@@ -130,24 +125,24 @@ def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> Mlp
     over the sorted list of currently available caches holding its file;
     requests that find no available cache consume no draw.
     """
-    available = [True] * len(placement.cache_contents)
+    taken: set[int] = set()
     matched: list[tuple[int, int]] = []
     unmatched = 0
     server: list[int] = []
 
     for n in np.flatnonzero(requests)[::-1].tolist():
+        start = int(placement.cache_starts[n])
+        caches = placement.cache_ids[start:start + int(placement.copies[n])].tolist()
+        # filtered once: until the next file, only n's own matches retire caches
+        cand = [k for k in caches if k not in taken]
         r = int(requests[n])
-        served_short = False
-        for _ in range(r):
-            cand = [k for k in placement.cache_sets[n] if available[k]]
-            if not cand:
-                unmatched += 1
-                served_short = True
-                continue
-            k = cand[int(rng.integers(0, len(cand)))]
-            available[k] = False
+        served = min(r, len(cand))
+        for _ in range(served):
+            k = cand.pop(int(rng.integers(0, len(cand))))
+            taken.add(k)
             matched.append((n, k))
-        if served_short:
+        if served < r:
+            unmatched += r - served
             server.append(n)
 
     return MlpOutcome(
@@ -167,26 +162,24 @@ class RateEnvelope:
     constants_unverified: bool
 
 
-def pam_steep_rate(config: SystemConfig, catalog: ZipfCatalog | None = None) -> RateEnvelope:
+def steep_order_value(config: SystemConfig) -> float:
+    """min{K / (d*M)^(beta-1), K^(1/beta)}; K^(1/beta) alone when d*M <= 1."""
     if config.beta <= 1:
         raise DomainError("steep envelope requires beta > 1")
-    if catalog is None:
-        from .popularity import build_catalog
+    K, d, M, beta = config.K, config.d, config.M, config.beta
+    if M > 0 and d * M > 1:
+        return min(K / (d * M) ** (beta - 1.0), K ** (1.0 / beta))
+    return K ** (1.0 / beta)
 
+
+def pam_steep_rate(config: SystemConfig, catalog: ZipfCatalog | None = None) -> RateEnvelope:
+    order_value = steep_order_value(config)
+    if catalog is None:
         catalog = build_catalog(config.N, config.beta)
     placement = solve_fractional_knapsack(build_knapsack(config, catalog))
-    K, d, M, beta = config.K, config.d, config.M, config.beta
-
-    if M > 0 and d * M > 1:
-        order_value = min(K / (d * M) ** (beta - 1.0), K ** (1.0 / beta))
-    else:
-        order_value = K ** (1.0 / beta)
-    vanishing = d * M >= config.N * math.log(config.N)
-
-    mask = np.ones(config.N, dtype=bool)
-    if placement.cached:
-        mask[list(placement.cached)] = False
-    expected_uncached = float(np.sum(1.0 - (1.0 - catalog.p[mask]) ** K))
+    vanishing = config.d * config.M >= config.N * math.log(config.N)
+    uncached = catalog.p[placement.copies == 0]
+    expected_uncached = float(np.sum(1.0 - (1.0 - uncached) ** config.K))
 
     return RateEnvelope(
         order_value=order_value,
@@ -208,7 +201,7 @@ def pam_steep_serve(
     profile: RequestProfile, placement: KsPlacement, rng: np.random.Generator
 ) -> SteepServeOutcome:
     """Serve one profile: MLP per cluster (index order), shared draw stream."""
-    n_files = len(placement.cache_sets)
+    n_files = len(placement.copies)
     server_mask = np.zeros(n_files, dtype=bool)
     matched_users = 0
     unmatched = 0

@@ -31,7 +31,7 @@ class PcdRate:
     total: float
 
 
-def unmatched_tail_term(K: int, t: float) -> float:
+def unmatched_tail_term(K: float, t: float) -> float:
     """Expected-unmatched envelope K^(-t) / sqrt(2*pi)."""
     return K ** (-t) / SQRT_TWO_PI
 
@@ -44,7 +44,7 @@ def cluster_unmatched_bound(config: SystemConfig) -> float:
 
 def rate_shallow_formula(K: float, N: float, M: float, rho: float, t0: float) -> PcdRate:
     """min{rho*K, [N/M - 1]^+ + K^(-t0)/sqrt(2*pi)} with real-valued inputs."""
-    unmatched = K ** (-t0) / SQRT_TWO_PI
+    unmatched = unmatched_tail_term(K, t0)
     if M == 0:
         return PcdRate(math.inf, unmatched, rho * K)
     coded = max(N / M - 1.0, 0.0)
@@ -61,7 +61,7 @@ def rate_steep_formula(
     K: float, N: float, M: float, rho: float, beta: float, t0: float
 ) -> PcdRate:
     """Piecewise steep-popularity rate; min with the rho*K unicast fallback."""
-    unmatched = K ** (-t0) / SQRT_TWO_PI
+    unmatched = unmatched_tail_term(K, t0)
     if M < 1:
         coded = K ** (1.0 / beta)
         return PcdRate(coded, 0.0, min(rho * K, coded))

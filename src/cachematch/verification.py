@@ -28,7 +28,6 @@ from .config import SystemConfig, validate
 from .errors import DomainError, InsufficientMemory
 from .hcm import build_color_plan, hcm_rate, unmatched_chain_bound
 from .mathkit import (
-    SQRT_TWO_PI,
     conditional_mean_above,
     excess_stirling_bound,
     expected_excess,
@@ -44,9 +43,15 @@ from .montecarlo import (
     ExperimentSpec,
     collect_trials,
 )
-from .pam_shallow import memory_threshold, pam_shallow_serve, proportional_placement
+from .pam_shallow import (
+    load_decay_exponent,
+    matched_requests,
+    memory_threshold,
+    pam_shallow_serve,
+    proportional_placement,
+)
 from .pam_steep import build_knapsack, mlp_match, pam_steep_rate, solve_fractional_knapsack
-from .pcd import pcd_rate_shallow, unmatched_tail_term
+from .pcd import cluster_unmatched_bound, pcd_rate_shallow, unmatched_tail_term
 from .popularity import build_catalog, partial_sum_A, partial_sum_envelope
 from .traffic import MATCHING_ROLE, sample_profile, stream
 
@@ -186,7 +191,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
 
     def cluster_unmatched_analytic():
         exact = config.num_clusters * expected_excess(lam, config.d)
-        bound = config.K * (config.rho * math.e ** (1.0 - config.rho)) ** config.d / SQRT_TWO_PI
+        bound = cluster_unmatched_bound(config)
         return exact <= bound, f"exact E[U0] = {exact:.6g} vs factorial bound {bound:.6g}"
 
     suite.run("cluster-unmatched-analytic", cluster_unmatched_analytic)
@@ -259,8 +264,6 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
             return False, "below threshold but placement did not refuse"
 
         def load_decay_positive():
-            from .pam_shallow import load_decay_exponent
-
             z = load_decay_exponent(config.rho, config.beta)
             return z > 0, f"z = {z:.6g}"
 
@@ -282,9 +285,8 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
                 bad = 0
                 for trial in range(min(trials, 50)):
                     profile = sample_profile(config, catalog, seed, trial)
-                    out = pam_shallow_serve(profile, placement, config)
-                    if out.all_feasible and out.unmatched_survivors != 0:
-                        bad += 1
+                    if pam_shallow_serve(profile, placement, config).all_feasible:
+                        bad += matched_requests(profile, placement, config) != profile.total_users
                 return bad == 0, f"{bad} feasible trials with unmatched users"
 
             suite.run("pam-feasible-all-matched", pam_feasible_all_matched)
@@ -384,7 +386,8 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
                     if len(set(caches)) != len(caches):
                         return False, f"trial {trial} cluster {c}: a cache matched twice"
                     for n, k in out.matched:
-                        if k not in placement.cache_sets[n]:
+                        start = placement.cache_starts[n]
+                        if k not in placement.cache_ids[start:start + placement.copies[n]]:
                             return False, f"trial {trial}: matched cache lacks the file"
                     if len(out.matched) + out.unmatched_requests != int(req.sum()):
                         return False, f"trial {trial}: request conservation broken"

@@ -13,3 +13,18 @@ def make_config(**overrides):
     fields = dict(K=100, d=10, N=100, M=10.0, rho=0.25, beta=0.0, t0=1.0)
     fields.update(overrides)
     return SystemConfig(**fields)
+
+
+def python_deal_round_robin(copies, d):
+    """Caches holding each file, ascending, after dealing copies[n] copies of
+    file n, in file order, round-robin to d caches: the loop-based dealer
+    that matching.deal_round_robin's closed form replaced."""
+    contents = [[] for _ in range(d)]
+    cache_sets = [[] for _ in range(len(copies))]
+    seq = [n for n, c in enumerate(copies) for _ in range(int(c))]
+    for r, n in enumerate(seq):
+        contents[r % d].append(n)
+    for k, files in enumerate(contents):
+        for n in files:
+            cache_sets[n].append(k)  # ascending k keeps each set sorted
+    return cache_sets

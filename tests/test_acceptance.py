@@ -32,6 +32,7 @@ from cachematch.matching import ClusterBipartiteGraph, max_matching
 from cachematch.mathkit import conditional_mean_above, expected_excess, poisson_pmf
 from cachematch.montecarlo import ExperimentSpec, collect_trials, run_experiment
 from cachematch.pam_shallow import (
+    matched_requests,
     memory_threshold,
     pam_shallow_rate,
     pam_shallow_serve,
@@ -146,7 +147,7 @@ def test_criterion_04_pam_shallow_achievability():
                 rates[t] = out.rate
                 if out.all_feasible:
                     feasible_trials += 1
-                    assert out.unmatched_survivors == 0
+                    assert matched_requests(profile, placement, cfg) == profile.total_users
             assert feasible_trials > 0
         stderr = float(rates.std(ddof=1) / math.sqrt(trials))
         assert float(rates.mean()) <= analytic + 3.0 * stderr
@@ -220,14 +221,15 @@ def test_criterion_06_fractional_knapsack_optimal():
 
 def _reference_mlp(requests, placement, rng):
     """Step-by-step mirror of most-popular-last matching, set-based."""
-    available = set(range(len(placement.cache_contents)))
+    cache_sets = np.split(placement.cache_ids, placement.cache_starts[1:])
+    available = set(placement.cache_ids.tolist())
     matched: list[tuple[int, int]] = []
     server: list[int] = []
     unmatched = 0
-    for n in reversed(range(len(placement.cache_sets))):
+    for n in reversed(range(len(cache_sets))):
         short = False
         for _ in range(int(requests[n])):
-            cand = [k for k in placement.cache_sets[n] if k in available]
+            cand = [k for k in cache_sets[n].tolist() if k in available]
             if not cand:
                 unmatched += 1
                 short = True
@@ -251,12 +253,12 @@ def _random_small_placement(rng) -> KsPlacement:
     for k, files in enumerate(contents):
         for n in files:
             sets[n].append(k)
+    copies = np.array([len(s) for s in sets], dtype=np.int64)
     return KsPlacement(
         x=np.zeros(n_files),
-        copies=np.array([len(s) for s in sets], dtype=np.int64),
-        cached=frozenset(),
-        cache_contents=contents,
-        cache_sets=tuple(tuple(s) for s in sets),
+        copies=copies,
+        cache_ids=np.array([k for s in sets for k in s], dtype=np.int64),
+        cache_starts=np.cumsum(copies) - copies,
     )
 
 
@@ -265,9 +267,8 @@ def test_criterion_07_mlp_conformance():
     forced = KsPlacement(
         x=np.zeros(2),
         copies=np.array([1, 1]),
-        cached=frozenset(),
-        cache_contents=((0,), (1,)),
-        cache_sets=((0,), (1,)),
+        cache_ids=np.array([0, 1]),
+        cache_starts=np.array([0, 1]),
     )
     out = mlp_match([2, 1], forced, np.random.default_rng(SEED))
     assert out.matched == ((1, 1), (0, 0))
@@ -277,7 +278,7 @@ def test_criterion_07_mlp_conformance():
     gen = np.random.default_rng(SEED + 2)
     for i in range(50):
         placement = _random_small_placement(gen)
-        requests = [int(r) for r in gen.integers(0, 4, size=len(placement.cache_sets))]
+        requests = [int(r) for r in gen.integers(0, 4, size=len(placement.copies))]
         out = mlp_match(requests, placement, np.random.default_rng(SEED + 100 + i))
         ref = _reference_mlp(requests, placement, np.random.default_rng(SEED + 100 + i))
         assert out.matched == ref[0]

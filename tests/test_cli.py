@@ -141,6 +141,29 @@ def test_rate_curve_simulated_columns(tmp_path):
     assert all(r[5] != "" and r[7] != "" for r in rows.values())
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_rate_curve_leaves_cell_empty_without_whole_file_slots(tmp_path, workers):
+    # M = 3.6 clears the threshold 3.51, but 30 * floor(3.6) = 90 slots < N = 100
+    cfg = _write_config(tmp_path, k=30, d=30, n=100, m=3.6, rho=0.1, beta=0.05)
+    out = tmp_path / "curve.csv"
+    code = main(
+        [
+            "rate-curve", cfg,
+            "--param", "M",
+            "--start", "3.6", "--stop", "5.6", "--step", "1",
+            "--trials", "2", "--workers", workers,
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+    assert set(rows) == {"3.6", "4.6", "5.6"}
+    assert rows["3.6"][6] == ""
+    assert rows["4.6"][6] != ""
+    assert all(r[5] != "" and r[7] != "" for r in rows.values())
+
+
 def test_rate_curve_rejects_empty_sweep(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "curve.csv"

@@ -1,12 +1,20 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cachematch.config import load_config
 from cachematch.errors import DomainError, MissingCopyCount
 from cachematch.matching import (
     ClusterBipartiteGraph,
+    deal_round_robin,
     fractional_load,
     max_matching,
 )
+from cachematch.pam_shallow import proportional_placement
+from cachematch.pam_steep import build_knapsack, solve_fractional_knapsack
+from cachematch.popularity import build_catalog
+
+from conftest import make_config, python_deal_round_robin
 
 
 def kuhn_matching_size(num_left, num_right, adjacency):
@@ -117,3 +125,35 @@ def test_fractional_load():
     assert fractional_load([(0, 0.0)], [4], [0]) == 0.0
     with pytest.raises(MissingCopyCount):
         fractional_load([(0, 1.0)], [4], [0])
+
+
+def _assert_dealt_like_python(cache_ids, cache_starts, copies, d):
+    cache_sets = python_deal_round_robin(copies, d)
+    assert cache_ids.dtype == cache_starts.dtype == np.int64
+    assert cache_ids.tolist() == [k for caches in cache_sets for k in caches]
+    assert cache_starts.tolist() == np.concatenate(([0], np.cumsum(copies)[:-1])).tolist()
+
+
+def test_deal_round_robin_matches_python_dealer():
+    gen = np.random.default_rng(4)
+    for _ in range(2_000):
+        d = int(gen.integers(1, 13))
+        copies = gen.integers(0, d + 1, size=int(gen.integers(1, 25)))
+        copies[gen.random(copies.size) < 0.2] = 0
+        copies[gen.random(copies.size) < 0.2] = d
+        _assert_dealt_like_python(*deal_round_robin(copies, d), copies, d)
+    zeros = np.zeros(5, dtype=np.int64)
+    _assert_dealt_like_python(*deal_round_robin(zeros, 3), zeros, 3)
+    # replicated-shallow and steep-mlp benchmark placements, configs/steep.json, beta = 0.5
+    for config in (
+        make_config(K=1200, d=120, N=1200, M=16.0, rho=0.2),
+        make_config(K=600, d=60, N=600, M=24.0, rho=0.2, beta=0.5),
+        load_config("configs/steep.json"),
+        make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1),
+    ):
+        catalog = build_catalog(config.N, config.beta)
+        if config.beta < 1:
+            placement = proportional_placement(config, catalog)
+        else:
+            placement = solve_fractional_knapsack(build_knapsack(config, catalog))
+        _assert_dealt_like_python(placement.cache_ids, placement.cache_starts, placement.copies, config.d)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cachematch import pam_shallow
 from cachematch.errors import DomainError, InsufficientMemory
 from cachematch.matching import fractional_load
 from cachematch.pam_shallow import (
     load_decay_exponent,
+    matched_requests,
     memory_threshold,
     pam_shallow_rate,
     pam_shallow_serve,
@@ -20,6 +22,11 @@ from cachematch.traffic import RequestProfile, sample_profile
 from conftest import make_config
 
 
+def _cache_sets(placement):
+    """Caches holding each file, read off the flat arrays."""
+    return [s.tolist() for s in np.split(placement.cache_ids, placement.cache_starts[1:])]
+
+
 def test_memory_threshold(base_config):
     assert memory_threshold(base_config) == pytest.approx(10.0)
     assert memory_threshold(make_config(beta=0.5)) == pytest.approx(20.0)
@@ -29,8 +36,8 @@ def test_placement_uniform_hand_example():
     config = make_config(K=10, d=10, N=10, M=2.0)
     placement = proportional_placement(config, build_catalog(10, 0.0))
     assert np.array_equal(placement.copies, np.full(10, 2))
-    assert all(len(c) == 2 for c in placement.cache_contents)
-    assert all(len(s) == 2 for s in placement.cache_sets)
+    assert np.array_equal(np.bincount(placement.cache_ids, minlength=10), np.full(10, 2))
+    assert all(len(s) == 2 for s in _cache_sets(placement))
 
 
 def test_placement_below_threshold_raises(base_config):
@@ -69,9 +76,10 @@ def test_placement_invariants(d, beta, extra_memory):
     assert copies.max() <= d
     assert np.all(np.diff(copies) <= 0)  # popularity order is respected
     # round-robin deal: no cache exceeds its floor(M) whole-file slots
-    assert all(len(c) <= int(math.floor(M)) for c in placement.cache_contents)
+    per_cache = np.bincount(placement.cache_ids, minlength=d)
+    assert per_cache.size == d and per_cache.max() <= int(math.floor(M))
     # copies of one file land on distinct caches
-    assert all(len(set(s)) == len(s) == copies[n] for n, s in enumerate(placement.cache_sets))
+    assert all(len(set(s)) == len(s) == copies[n] for n, s in enumerate(_cache_sets(placement)))
     # leftover slots are exhausted unless every file is fully replicated
     if not np.all(copies == d):
         assert copies.sum() == slots
@@ -131,7 +139,6 @@ def test_serve_eviction_hand_example():
     assert whole.server_files == 1
     assert whole.rate == 1.0
     assert not whole.all_feasible
-    assert whole.unmatched_survivors == 0
 
 
 def test_serve_feasible_profile_needs_no_server():
@@ -148,15 +155,18 @@ def test_feasibility_flag_matches_load_helper():
     config = make_config(K=30, d=10, N=20, M=4.0, rho=0.3)
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
+    owner = np.repeat(np.arange(config.N), placement.copies)  # file behind each cache_ids entry
     for trial in range(40):
         profile = sample_profile(config, catalog, seed=9, trial=trial)
         outcome = pam_shallow_serve(profile, placement, config)
         loads = [
             fractional_load(
-                [(n, 1.0) for n in files], profile.counts[:, c], placement.copies
+                [(n, 1.0) for n in owner[placement.cache_ids == k]],
+                profile.counts[:, c],
+                placement.copies,
             )
             for c in range(config.num_clusters)
-            for files in placement.cache_contents
+            for k in range(config.d)
         ]
         assert outcome.all_feasible == all(load <= 1.0 + 1e-9 for load in loads)
 
@@ -168,23 +178,29 @@ def test_serve_request_accounting():
     for trial in range(30):
         profile = sample_profile(config, catalog, seed=17, trial=trial)
         outcome = pam_shallow_serve(profile, placement, config)
-        total = (
-            outcome.matched_users + outcome.evicted_requests + outcome.unmatched_survivors
-        )
+        total = outcome.matched_users + outcome.evicted_requests
         assert total == profile.total_users
         assert outcome.rate == outcome.server_files
         if outcome.all_feasible:
             assert outcome.evicted_requests == 0
-            assert outcome.unmatched_survivors == 0
+            assert matched_requests(profile, placement, config) == profile.total_users
             assert outcome.server_files == 0
 
 
-def test_survivors_always_match():
-    # the load condition guarantees a perfect matching of surviving requests
+def test_serve_never_runs_hopcroft_karp(monkeypatch):
     config = make_config(K=40, d=10, N=20, M=4.0, rho=0.3)
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
-    for trial in range(60):
-        profile = sample_profile(config, catalog, seed=23, trial=trial)
-        outcome = pam_shallow_serve(profile, placement, config)
-        assert outcome.unmatched_survivors == 0
+    profiles = [sample_profile(config, catalog, seed=23, trial=t) for t in range(30)]
+    feasible = [p for p in profiles if pam_shallow_serve(p, placement, config).all_feasible]
+    assert 0 < len(feasible) < len(profiles)  # both branches run below
+
+    def refuse(graph):
+        raise AssertionError("Hopcroft-Karp ran")
+
+    monkeypatch.setattr(pam_shallow, "max_matching", refuse)
+    for profile in profiles:
+        pam_shallow_serve(profile, placement, config)
+    # the checker, by contrast, calls it through pam_shallow's own name
+    with pytest.raises(AssertionError, match="Hopcroft-Karp ran"):
+        matched_requests(feasible[0], placement, config)

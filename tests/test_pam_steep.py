@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from cachematch import montecarlo, pam_steep
 from cachematch.config import load_config
 from cachematch.errors import DomainError
+from cachematch.montecarlo import PAM_STEEP_SCHEME, SCHEMES
 from cachematch.pam_steep import (
     KsPlacement,
     build_knapsack,
@@ -71,22 +73,23 @@ def test_greedy_solution_structure(steep_instance):
     assert int(np.sum((x > 0) & (x < 1))) <= 1  # at most one fractional file
     assert copies.sum() <= steep_instance.capacity
     assert copies.max() <= steep_instance.cluster_size
-    assert placement.cached == frozenset(
+    assert set(np.flatnonzero(placement.copies).tolist()) == set(
         [0, 1, 2, 3] + list(range(8, 21))
     )
     assert copies.sum() == 62
     # fully selected files form a prefix of the density order
     density = steep_instance.values / steep_instance.weights
     order = sorted(range(len(density)), key=lambda i: (-density[i], i))
-    chosen = {i for i in placement.cached}
+    chosen = set(np.flatnonzero(placement.copies).tolist())
     prefix = set(order[: len(chosen)])
     assert chosen == prefix
 
 
 def test_greedy_respects_per_cache_slots(steep_config, steep_instance):
     placement = solve_fractional_knapsack(steep_instance)
-    assert all(len(c) <= int(steep_config.M) for c in placement.cache_contents)
-    for n, caches in enumerate(placement.cache_sets):
+    per_cache = np.bincount(placement.cache_ids, minlength=steep_config.d)
+    assert per_cache.size == steep_config.d and per_cache.max() <= int(steep_config.M)
+    for n, caches in enumerate(np.split(placement.cache_ids, placement.cache_starts[1:])):
         assert len(set(caches)) == len(caches) == placement.copies[n]
 
 
@@ -97,9 +100,8 @@ def _manual_placement():
     return KsPlacement(
         x=x,
         copies=copies,
-        cached=frozenset({0, 1, 2}),
-        cache_contents=((0,), (0, 1), (2,)),
-        cache_sets=((0, 1), (1,), (2,)),
+        cache_ids=np.array([0, 1, 1, 2]),
+        cache_starts=np.array([0, 2, 3]),
     )
 
 
@@ -126,7 +128,7 @@ def test_mlp_draw_replay():
     rng = stream(42, 0, MATCHING_ROLE)
     outcome = mlp_match(requests, placement, rng)
     replay = stream(42, 0, MATCHING_ROLE)
-    want_cache = placement.cache_sets[0][int(replay.integers(0, 2))]
+    want_cache = placement.cache_ids[0:2][int(replay.integers(0, 2))]
     assert outcome.matched == ((0, want_cache),)
     assert outcome.unmatched_requests == 0
 
@@ -153,6 +155,25 @@ def test_envelope_order_value_branches():
     heavy = pam_steep_rate(make_config(K=16, d=4, N=16, M=64.0, beta=2.0))
     assert heavy.order_value == pytest.approx(16 / 256.0, rel=1e-13)
     assert heavy.vanishing_memory_met  # d*M = 256 >= N*log(N) ~ 44.4
+
+
+def test_scheme_analytic_builds_no_placement(monkeypatch):
+    configs = [
+        load_config("configs/steep.json"),
+        make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1),
+        make_config(K=16, d=4, N=16, M=0.25, beta=2.0),
+        make_config(K=16, d=4, N=16, M=64.0, beta=2.0),
+    ]
+    expected = [pam_steep_rate(config).order_value for config in configs]
+
+    def refuse(instance):
+        raise AssertionError("placement built")
+
+    monkeypatch.setattr(pam_steep, "solve_fractional_knapsack", refuse)
+    monkeypatch.setattr(montecarlo, "solve_fractional_knapsack", refuse)
+    for config, want in zip(configs, expected):
+        got = SCHEMES[PAM_STEEP_SCHEME].analytic(config, config.t0)
+        assert got.hex() == want.hex()
 
 
 def test_envelope_rejects_shallow(base_config):

@@ -1,10 +1,12 @@
 """Differential tests: pam-shallow serve on sparse per-request loads.
 
 The oracle below is the dense formulation: a d x N weight matrix per trial,
-one matrix-vector product per cluster over the full count column, and the
-whole-file eviction loop on dense per-file counts.
-pam_shallow_serve reads only the requested files; on the same counts both
-must give the same outcome, field by field.
+one matrix-vector product per cluster over the full count column, the
+whole-file eviction loop on dense per-file counts, and Hopcroft-Karp over the
+surviving requests.
+pam_shallow_serve reads only the requested files and stops after eviction; on
+the same counts both must give the same outcome, field by field, and the
+oracle must match every survivor.
 """
 
 import numpy as np
@@ -21,9 +23,9 @@ from cachematch.pam_shallow import (
 from cachematch.popularity import build_catalog
 from cachematch.traffic import RequestProfile, sample_profile
 
-from conftest import make_config
+from conftest import make_config, python_deal_round_robin
 
-PROFILES = 60  # random profiles per configuration
+PROFILES = 60  # profiles of each kind (drawn counts, sampled) per configuration
 
 
 def dense_serve(counts, placement, config):
@@ -32,9 +34,8 @@ def dense_serve(counts, placement, config):
     copies = placement.copies.astype(np.float64)
 
     weight = np.zeros((d, N))
-    for k, files in enumerate(placement.cache_contents):
-        idx = np.fromiter(files, dtype=np.int64, count=len(files))
-        weight[k, idx] = 1.0 / copies[idx]
+    owner = np.repeat(np.arange(N), placement.copies)  # file behind each cache_ids entry
+    weight[placement.cache_ids, owner] = 1.0 / copies[owner]
 
     server_mask = np.zeros(N, dtype=bool)
     matched_users = 0
@@ -51,7 +52,7 @@ def dense_serve(counts, placement, config):
         server_mask |= (u[:, c] - surviving > 0)
 
         owners = [n for n in np.flatnonzero(surviving).tolist() for _ in range(surviving[n])]
-        adjacency = tuple([placement.cache_sets[n] for n in owners])
+        adjacency = tuple([tuple(np.flatnonzero(weight[:, n]).tolist()) for n in owners])
         graph = ClusterBipartiteGraph(len(adjacency), d, adjacency)
         outcome = max_matching(graph)
         matched_users += outcome.size
@@ -60,14 +61,14 @@ def dense_serve(counts, placement, config):
             server_mask[owners[user]] = True
 
     rate = float(np.count_nonzero(server_mask))
-    return ShallowServeOutcome(
+    outcome = ShallowServeOutcome(
         server_files=int(np.count_nonzero(server_mask)),
         matched_users=matched_users,
-        unmatched_survivors=unmatched_survivors,
         evicted_requests=evicted_requests,
         all_feasible=not any_violation,
         rate=rate,
     )
+    return outcome, unmatched_survivors
 
 
 def _dense_evict_whole_files(req, weight, placement):
@@ -77,7 +78,7 @@ def _dense_evict_whole_files(req, weight, placement):
         return req.copy(), 0
     evict_files = np.zeros(req.shape[0], dtype=bool)
     for k in np.nonzero(bad)[0]:
-        evict_files[list(placement.cache_contents[k])] = True
+        evict_files[weight[k] > 0] = True
     surviving = np.where(evict_files, 0, req)
     return surviving, int(req[evict_files].sum())
 
@@ -101,14 +102,21 @@ CONFIGS = [
 @pytest.mark.parametrize("config", CONFIGS)
 def test_serve_matches_dense_oracle(config):
     assert config.M >= memory_threshold(config)
-    placement = proportional_placement(config, build_catalog(config.N, config.beta))
+    catalog = build_catalog(config.N, config.beta)
+    placement = proportional_placement(config, catalog)
     gen = np.random.default_rng(2026)
+    profiles = [
+        RequestProfile.from_counts(
+            _random_counts(gen, config, per_cluster=config.d * (0.3 + 0.4 * (i % 4))), config
+        )
+        for i in range(PROFILES)
+    ]
+    profiles += [sample_profile(config, catalog, seed=23, trial=t) for t in range(PROFILES)]
     evicting = feasible = 0
-    for i in range(PROFILES):
-        counts = _random_counts(gen, config, per_cluster=config.d * (0.3 + 0.4 * (i % 4)))
-        profile = RequestProfile.from_counts(counts, config)
-        expected = dense_serve(counts, placement, config)
+    for profile in profiles:
+        expected, unmatched_survivors = dense_serve(profile.counts, placement, config)
         assert pam_shallow_serve(profile, placement, config) == expected
+        assert unmatched_survivors == 0  # survivors always match
         evicting += expected.evicted_requests > 0
         feasible += expected.all_feasible
     assert evicting > 0 and feasible > 0  # both branches ran
@@ -118,7 +126,8 @@ def test_placement_flat_arrays_list_cache_sets():
     config = make_config(K=36, d=12, N=30, M=8.0, beta=0.6)
     placement = proportional_placement(config, build_catalog(config.N, config.beta))
     assert len(set(placement.copies.tolist())) > 1
-    for n, caches in enumerate(placement.cache_sets):
+    cache_sets = python_deal_round_robin(placement.copies, config.d)
+    for n, caches in enumerate(cache_sets):
         start = placement.cache_starts[n]
         assert placement.cache_ids[start:start + placement.copies[n]].tolist() == list(caches)
     assert placement.cache_ids.size == placement.copies.sum()
