@@ -204,3 +204,26 @@ def test_serve_never_runs_hopcroft_karp(monkeypatch):
     # the checker, by contrast, calls it through pam_shallow's own name
     with pytest.raises(AssertionError, match="Hopcroft-Karp ran"):
         matched_requests(feasible[0], placement, config)
+
+
+def test_survivors_always_match():
+    # the load condition guarantees a perfect matching of surviving requests
+    config = make_config(K=40, d=10, N=20, M=4.0, rho=0.3)
+    catalog = build_catalog(config.N, config.beta)
+    placement = proportional_placement(config, catalog)
+    cache_sets = _cache_sets(placement)
+    for trial in range(60):
+        profile = sample_profile(config, catalog, seed=23, trial=trial)
+        outcome = pam_shallow_serve(profile, placement, config)
+        survivors = profile.counts.copy()
+        for c in range(config.num_clusters):
+            for k in range(config.d):
+                stored = [n for n in range(config.N) if k in cache_sets[n]]
+                load = fractional_load(
+                    [(n, 1.0) for n in stored], profile.counts[:, c], placement.copies
+                )
+                if load > 1.0 + 1e-9:
+                    survivors[stored, c] = 0  # evict every file on a violating cache
+        surviving = RequestProfile.from_counts(survivors, config)
+        assert surviving.total_users == outcome.matched_users
+        assert matched_requests(surviving, placement, config) == surviving.total_users
