@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .config import SystemConfig
 from .errors import DomainError
 from .mathkit import bernoulli_kl
+from .pcd import pcd_rate_shallow
 
 DISTINCT_FRACTION = 1.0 - math.exp(-1.0) / 2.0  # 1 - e^(-1)/2
 
@@ -71,8 +72,6 @@ def gap_constant(config: SystemConfig) -> float:
 
 def optimality_gap(config: SystemConfig) -> float:
     """Ratio of the replication-free scheme's rate to the lower bound; <= C."""
-    from .pcd import pcd_rate_shallow
-
     a = DISTINCT_FRACTION
     if config.M >= a * config.N / (2.0 * config.d):
         raise DomainError("gap guarantee needs M < (1 - e^(-1)/2) * N / (2*d)")

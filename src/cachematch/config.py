@@ -26,6 +26,12 @@ from .errors import HardInvariantViolation
 CONFIG_KEYS = ("k", "d", "n", "m", "rho", "beta", "t0")
 
 
+def config_payload(config: SystemConfig) -> dict:
+    """The JSON object, keyed by CONFIG_KEYS, that load_config reads back as *config*."""
+    values = (config.K, config.d, config.N, config.M, config.rho, config.beta, config.t0)
+    return dict(zip(CONFIG_KEYS, values))
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     K: int  # number of caches; d must divide K
@@ -53,10 +59,6 @@ class SystemConfig:
     @property
     def meets_cluster_floor(self) -> bool:
         return self.d >= self.cluster_floor
-
-    @property
-    def expected_users(self) -> float:
-        return self.rho * self.K
 
 
 @dataclass(frozen=True)

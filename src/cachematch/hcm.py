@@ -22,7 +22,7 @@ from .config import SystemConfig
 from .delivery import coded_delivery_rate
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
-from .pcd import unmatched_tail_term
+from .pcd import PcdRate, unmatched_tail_term
 from .popularity import ZipfCatalog
 from .traffic import RequestProfile, first_in_file_order
 
@@ -61,8 +61,6 @@ def unicast_fallback(config: SystemConfig) -> bool:
 @dataclass(frozen=True)
 class ColorPlan:
     chi: int
-    t: float
-    gain: float  # g
     file_color: np.ndarray  # color of each file, 0-indexed, shape (N,)
     class_sizes: np.ndarray  # |W_x|, shape (chi,)
     class_mass: np.ndarray  # P_x, shape (chi,)
@@ -84,8 +82,6 @@ def build_color_plan(config: SystemConfig, catalog: ZipfCatalog, t: float) -> Co
         arr.setflags(write=False)
     return ColorPlan(
         chi=chi,
-        t=float(t),
-        gain=popularity_split_gain(config.beta),
         file_color=file_color,
         class_sizes=class_sizes,
         class_mass=class_mass,
@@ -121,16 +117,9 @@ def unmatched_chain_bound(plan: ColorPlan, config: SystemConfig) -> float:
     return config.K * float(terms.sum()) / SQRT_TWO_PI
 
 
-@dataclass(frozen=True)
-class HcmTrialRate:
-    coded_term: float
-    unmatched_term: float
-    total: float
-
-
 def hcm_simulate(
     profile: RequestProfile, plan: ColorPlan, config: SystemConfig
-) -> HcmTrialRate:
+) -> PcdRate:
     """One-trial empirical decomposition under the color plan."""
     files = profile.files
     chi = plan.chi
@@ -155,5 +144,5 @@ def hcm_simulate(
         )
 
     total = min(coded + unmatched, float(profile.total_users))
-    return HcmTrialRate(coded, float(unmatched), total)
+    return PcdRate(coded, float(unmatched), total)
 

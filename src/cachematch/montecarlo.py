@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import SystemConfig, validate
+from .config import SystemConfig, config_payload, validate
 from .errors import DomainError, IncompatibleScheme
 from .hcm import build_color_plan, hcm_rate, hcm_simulate
 from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_placement
@@ -175,15 +175,7 @@ class RateReport:
             "unmatched_mean": self.unmatched_mean,
             "analytic_rate": self.analytic_rate,
             "bound_satisfied": self.bound_satisfied,
-            "config": {
-                "k": config.K,
-                "d": config.d,
-                "n": config.N,
-                "m": config.M,
-                "rho": config.rho,
-                "beta": config.beta,
-                "t0": config.t0,
-            },
+            "config": config_payload(config),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

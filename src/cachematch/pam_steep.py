@@ -159,7 +159,6 @@ class RateEnvelope:
     order_value: float  # min{K / (d*M)^(beta-1), K^(1/beta)}
     vanishing_memory_met: bool  # d*M >= N*log(N): rate is o(1)
     expected_uncached: float  # exact E[# distinct uncached files requested by K users]
-    constants_unverified: bool
 
 
 def steep_order_value(config: SystemConfig) -> float:
@@ -185,7 +184,6 @@ def pam_steep_rate(config: SystemConfig, catalog: ZipfCatalog | None = None) -> 
         order_value=order_value,
         vanishing_memory_met=bool(vanishing),
         expected_uncached=expected_uncached,
-        constants_unverified=True,
     )
 
 

@@ -26,6 +26,8 @@ from .traffic import RequestProfile, first_in_file_order
 
 @dataclass(frozen=True)
 class PcdRate:
+    """A rate split into its coded-delivery and unmatched terms; hcm reports one too."""
+
     coded_term: float
     unmatched_term: float
     total: float

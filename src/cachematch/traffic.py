@@ -111,13 +111,7 @@ def first_in_file_order(files: np.ndarray, sizes: np.ndarray, limit: int) -> np.
     return files[rank < limit]
 
 
-def distinct_files(profile: RequestProfile, cluster_subset=None) -> int:
-    """Number of files with at least one request in the given clusters."""
-    files = profile.files
-    if cluster_subset is not None:
-        subset = sorted(set(int(c) for c in cluster_subset))
-        if subset and (subset[0] < 0 or subset[-1] >= profile.offsets.size - 1):
-            raise DomainError("cluster index out of range")
-        files = files[np.isin(profile.cluster_of_request(), subset)]
-    return len(set(files.tolist()))
+def distinct_files(profile: RequestProfile) -> int:
+    """Number of files with at least one request."""
+    return len(set(profile.files.tolist()))
 

@@ -2,11 +2,14 @@
 
 Each check evaluates one proved inequality (or structural property) at a
 concrete config, either in closed form or against a short Monte Carlo run
-with 3-sigma slack.  Checks whose preconditions the config does not meet are
-reported as SKIPPED, never silently dropped; in particular, when the config
-misses the cluster-size floor d >= (2*(1+t0)/alpha)*ln K, all checks that
-compare simulation against the t0-tail formulas are skipped because those
-formulas are only guaranteed above the floor.
+with 3-sigma slack.  The checks form one ordered table: each row is a check's
+name, its function, and the reason it is skipped at this config (None when it
+runs).  Checks whose preconditions the config does not meet are reported as
+SKIPPED, never silently dropped; in particular, when the config misses the
+cluster-size floor d >= (2*(1+t0)/alpha)*ln K, all checks that compare
+simulation against the t0-tail formulas are skipped because those formulas
+are only guaranteed above the floor.  A check that raises DomainError or
+InsufficientMemory is skipped with that message; any other exception fails it.
 """
 
 from __future__ import annotations
@@ -93,23 +96,14 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-class _Suite:
-    def __init__(self) -> None:
-        self.checks: list[CheckOutcome] = []
-
-    def run(self, name: str, fn) -> None:
-        try:
-            ok, detail = fn()
-        except (DomainError, InsufficientMemory) as exc:
-            self.checks.append(CheckOutcome(name, SKIPPED, str(exc)))
-            return
-        except Exception as exc:  # an unexpected crash is a failure, not a skip
-            self.checks.append(CheckOutcome(name, FAIL, f"raised {exc!r}"))
-            return
-        self.checks.append(CheckOutcome(name, PASS if ok else FAIL, detail))
-
-    def skip(self, name: str, reason: str) -> None:
-        self.checks.append(CheckOutcome(name, SKIPPED, reason))
+def _outcome(name: str, fn) -> CheckOutcome:
+    try:
+        ok, detail = fn()
+    except (DomainError, InsufficientMemory) as exc:
+        return CheckOutcome(name, SKIPPED, str(exc))
+    except Exception as exc:  # an unexpected crash is a failure, not a skip
+        return CheckOutcome(name, FAIL, f"raised {exc!r}")
+    return CheckOutcome(name, PASS if ok else FAIL, detail)
 
 
 def _mc_stats(rows: np.ndarray, col: int) -> tuple[float, float]:
@@ -137,11 +131,38 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     report = validate(config)
     stream(seed, 0)  # a bad seed fails here, not as per-check skips
     warnings = tuple(w.detail for w in report.warnings)
-    floor_met = config.meets_cluster_floor
-    suite = _Suite()
     catalog = build_catalog(config.N, config.beta)
     lam = config.rho * config.d  # mean requests per cluster
     shallow = 0 <= config.beta < 1
+
+    # --- skip reasons, None where the precondition holds -----------------
+    floor = None if config.meets_cluster_floor else "cluster floor not met"
+    tail_floor = floor and (
+        f"cluster floor not met (d = {config.d} < {config.cluster_floor:.4g}); "
+        "t0-tail formulas are not guaranteed"
+    )
+    not_shallow = None if shallow else "requires beta in [0, 1)"
+    above = shallow and config.M >= memory_threshold(config)
+    below = not_shallow or (None if above else "memory below replication threshold")
+    not_steep = None if config.beta > 1 and config.d >= 2 else "requires beta > 1 and d >= 2"
+
+    # --- state shared by several checks, built on first use --------------
+    @cache
+    def mc_rows(scheme):
+        return collect_trials(ExperimentSpec(config=config, scheme=scheme, trials=trials, seed=seed))
+
+    @cache
+    def replication():
+        return proportional_placement(config, catalog)
+
+    @cache
+    def plan():
+        return build_color_plan(config, catalog, config.t0)
+
+    @cache
+    def knapsack():
+        instance = build_knapsack(config, catalog)
+        return instance, solve_fractional_knapsack(instance)
 
     # --- scalar tail machinery -------------------------------------------
     def partial_sum_sandwich():
@@ -183,24 +204,12 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         rhs = excess_stirling_bound(config.d, config.rho)
         return lhs <= rhs, f"E[(Y-d)+] = {lhs:.6g} vs d*(rho*e^(1-rho))^d/sqrt(2pi) = {rhs:.6g}"
 
-    suite.run("partial-sum-sandwich", partial_sum_sandwich)
-    suite.run("poisson-excess-vs-mode", excess_vs_mode)
-    suite.run("poisson-conditional-mean", conditional_mean_identity)
-    suite.run("poisson-chernoff-tail", chernoff_tail)
-    suite.run("excess-factorial-bound", excess_factorial)
-
     def cluster_unmatched_analytic():
         exact = config.num_clusters * expected_excess(lam, config.d)
         bound = cluster_unmatched_bound(config)
         return exact <= bound, f"exact E[U0] = {exact:.6g} vs factorial bound {bound:.6g}"
 
-    suite.run("cluster-unmatched-analytic", cluster_unmatched_analytic)
-
     # --- Monte Carlo against the analytic rates --------------------------
-    @cache
-    def mc_rows(scheme):
-        return collect_trials(ExperimentSpec(config=config, scheme=scheme, trials=trials, seed=seed))
-
     def rate_mc(scheme):
         def check():
             mean, se = _mc_stats(mc_rows(scheme), 0)
@@ -210,24 +219,12 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
 
         return check
 
-    if floor_met:
-
-        def unmatched_tail_mc():
-            mean, se = _mc_stats(mc_rows(PCD_SCHEME), 2)
-            tail = unmatched_tail_term(config.K, config.t0)
-            exact = config.num_clusters * expected_excess(lam, config.d)
-            ok = mean <= tail + 3 * se and mean <= exact + 3 * se + 1e-12
-            return ok, f"mean U0 = {mean:.6g} (se {se:.3g}) vs K^-t0 tail {tail:.6g}"
-
-        suite.run("unmatched-tail-mc", unmatched_tail_mc)
-        suite.run("pcd-rate-mc", rate_mc(PCD_SCHEME))
-    else:
-        reason = (
-            f"cluster floor not met (d = {config.d} < {config.cluster_floor:.4g}); "
-            "t0-tail formulas are not guaranteed"
-        )
-        suite.skip("unmatched-tail-mc", reason)
-        suite.skip("pcd-rate-mc", reason)
+    def unmatched_tail_mc():
+        mean, se = _mc_stats(mc_rows(PCD_SCHEME), 2)
+        tail = unmatched_tail_term(config.K, config.t0)
+        exact = config.num_clusters * expected_excess(lam, config.d)
+        ok = mean <= tail + 3 * se and mean <= exact + 3 * se + 1e-12
+        return ok, f"mean U0 = {mean:.6g} (se {se:.3g}) vs K^-t0 tail {tail:.6g}"
 
     def distinct_coverage_tail():
         if config.beta != 0:
@@ -241,60 +238,34 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         bound = distinct_files_tail_bound(config.N, eps)
         return exact <= bound, f"exact miss tail {exact:.6g} vs KL bound {bound:.6g}"
 
-    suite.run("distinct-coverage-tail", distinct_coverage_tail)
-
     # --- replication scheme, shallow -------------------------------------
-    if shallow:
-        above = config.M >= memory_threshold(config)
-
-        def replication_threshold():
-            if above:
-                placement = proportional_placement(config, catalog)
-                copies = placement.copies
-                ok = (
-                    copies.min() >= 1
-                    and copies.max() <= config.d
-                    and int(copies.sum()) <= config.d * int(math.floor(config.M))
-                )
-                return ok, f"placement exists; copies sum {int(copies.sum())}, cap {config.d * int(math.floor(config.M))}"
-            try:
-                proportional_placement(config, catalog)
-            except InsufficientMemory as exc:
-                return True, f"below threshold, placement correctly refused: {exc}"
-            return False, "below threshold but placement did not refuse"
-
-        def load_decay_positive():
-            z = load_decay_exponent(config.rho, config.beta)
-            return z > 0, f"z = {z:.6g}"
-
-        suite.run("replication-threshold", replication_threshold)
-        suite.run("load-decay-positive", load_decay_positive)
-
-        if above and floor_met:
-            suite.run("pam-rate-mc", rate_mc(PAM_SHALLOW_SCHEME))
-        else:
-            suite.skip(
-                "pam-rate-mc",
-                "memory below replication threshold" if not above else "cluster floor not met",
-            )
-
+    def replication_threshold():
         if above:
+            copies = replication().copies
+            ok = (
+                copies.min() >= 1
+                and copies.max() <= config.d
+                and int(copies.sum()) <= config.d * int(math.floor(config.M))
+            )
+            return ok, f"placement exists; copies sum {int(copies.sum())}, cap {config.d * int(math.floor(config.M))}"
+        try:
+            replication()
+        except InsufficientMemory as exc:
+            return True, f"below threshold, placement correctly refused: {exc}"
+        return False, "below threshold but placement did not refuse"
 
-            def pam_feasible_all_matched():
-                placement = proportional_placement(config, catalog)
-                bad = 0
-                for trial in range(min(trials, 50)):
-                    profile = sample_profile(config, catalog, seed, trial)
-                    if pam_shallow_serve(profile, placement, config).all_feasible:
-                        bad += matched_requests(profile, placement, config) != profile.total_users
-                return bad == 0, f"{bad} feasible trials with unmatched users"
+    def load_decay_positive():
+        z = load_decay_exponent(config.rho, config.beta)
+        return z > 0, f"z = {z:.6g}"
 
-            suite.run("pam-feasible-all-matched", pam_feasible_all_matched)
-        else:
-            suite.skip("pam-feasible-all-matched", "memory below replication threshold")
-    else:
-        for name in ("replication-threshold", "load-decay-positive", "pam-rate-mc", "pam-feasible-all-matched"):
-            suite.skip(name, "requires beta in [0, 1)")
+    def pam_feasible_all_matched():
+        placement = replication()
+        bad = 0
+        for trial in range(min(trials, 50)):
+            profile = sample_profile(config, catalog, seed, trial)
+            if pam_shallow_serve(profile, placement, config).all_feasible:
+                bad += matched_requests(profile, placement, config) != profile.total_users
+        return bad == 0, f"{bad} feasible trials with unmatched users"
 
     # --- lower bounds and the gap -----------------------------------------
     def gap_ratio():
@@ -312,105 +283,105 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         ok = rep.closed_form <= worst and rep.best <= config.rho * config.K
         return ok, f"closed form {rep.closed_form:.6g} vs min achievable {worst:.6g}"
 
-    suite.run("gap-ratio", gap_ratio)
-    suite.run("lower-bound-consistency", lower_bound_consistency)
-
     # --- color plan -------------------------------------------------------
-    if shallow:
-        plan = build_color_plan(config, catalog, config.t0)
+    def hcm_dominance():
+        lhs = hcm_rate(config, config.t0)
+        rhs = pcd_rate_shallow(config).total
+        return lhs <= rhs, f"color-plan rate {lhs:.6g} vs replication-free {rhs:.6g}"
 
-        def hcm_dominance():
-            lhs = hcm_rate(config, config.t0)
-            rhs = pcd_rate_shallow(config).total
-            return lhs <= rhs, f"color-plan rate {lhs:.6g} vs replication-free {rhs:.6g}"
+    def hcm_exact_branch():
+        if config.M < math.ceil(config.N / plan().chi):
+            raise DomainError("memory below the exact-branch threshold ceil(N/chi)")
+        lhs = hcm_rate(config, config.t0)
+        rhs = unmatched_tail_term(config.K, config.t0)
+        return lhs == rhs, f"{lhs!r} == {rhs!r}"
 
-        def hcm_exact_branch():
-            if config.M < math.ceil(config.N / plan.chi):
-                raise DomainError("memory below the exact-branch threshold ceil(N/chi)")
-            lhs = hcm_rate(config, config.t0)
-            rhs = unmatched_tail_term(config.K, config.t0)
-            return lhs == rhs, f"{lhs!r} == {rhs!r}"
-
-        def hcm_chain():
-            if int(plan.caches_per_color.min()) < 1:
-                raise DomainError("chain bound needs every color to own a cache")
-            exact = 0.0
-            for x in range(plan.chi):
-                lam_x = config.rho * config.d * float(plan.class_mass[x])
-                exact += config.num_clusters * expected_excess(lam_x, int(plan.caches_per_color[x]))
-            bound = unmatched_chain_bound(plan, config)
-            return exact <= bound, f"exact unmatched {exact:.6g} vs chain bound {bound:.6g}"
-
-        suite.run("hcm-dominance", hcm_dominance)
-        suite.run("hcm-exact-branch", hcm_exact_branch)
-        suite.run("hcm-chain-bound", hcm_chain)
-
-        if floor_met:
-            suite.run("hcm-rate-mc", rate_mc(HCM_SCHEME))
-        else:
-            suite.skip("hcm-rate-mc", "cluster floor not met")
-    else:
-        for name in ("hcm-dominance", "hcm-exact-branch", "hcm-chain-bound", "hcm-rate-mc"):
-            suite.skip(name, "requires beta in [0, 1)")
+    def hcm_chain():
+        colors = plan()
+        if int(colors.caches_per_color.min()) < 1:
+            raise DomainError("chain bound needs every color to own a cache")
+        exact = 0.0
+        for x in range(colors.chi):
+            lam_x = config.rho * config.d * float(colors.class_mass[x])
+            exact += config.num_clusters * expected_excess(lam_x, int(colors.caches_per_color[x]))
+        bound = unmatched_chain_bound(colors, config)
+        return exact <= bound, f"exact unmatched {exact:.6g} vs chain bound {bound:.6g}"
 
     # --- steep replication ------------------------------------------------
-    if config.beta > 1 and config.d >= 2:
-        instance = build_knapsack(config, catalog)
-        placement = solve_fractional_knapsack(instance)
+    def knapsack_memory():
+        _, placement = knapsack()
+        total = int(placement.copies.sum())
+        ok = total <= config.d * config.M and int(placement.copies.max(initial=0)) <= config.d
+        return ok, f"copies total {total} within capacity {config.d * config.M:.6g}"
 
-        def knapsack_memory():
-            total = int(placement.copies.sum())
-            ok = total <= config.d * config.M and int(placement.copies.max(initial=0)) <= config.d
-            return ok, f"copies total {total} within capacity {config.d * config.M:.6g}"
+    def knapsack_density_prefix():
+        instance, placement = knapsack()
+        density = instance.values / instance.weights
+        order = sorted(range(config.N), key=lambda n: (-density[n], n))
+        seen_zero = False
+        for n in order:
+            if placement.x[n] == 0:
+                seen_zero = True
+            elif placement.x[n] == 1 and seen_zero:
+                return False, f"file {n} taken after a denser file was dropped"
+        return True, "greedy picks form a density-ordered prefix"
 
-        def knapsack_density_prefix():
-            density = instance.values / instance.weights
-            order = sorted(range(config.N), key=lambda n: (-density[n], n))
-            seen_zero = False
-            for n in order:
-                if placement.x[n] == 0:
-                    seen_zero = True
-                elif placement.x[n] == 1 and seen_zero:
-                    return False, f"file {n} taken after a denser file was dropped"
-            return True, "greedy picks form a density-ordered prefix"
+    def mlp_structural():
+        _, placement = knapsack()
+        for trial in range(min(trials, 20)):
+            profile = sample_profile(config, catalog, seed, trial)
+            rng = stream(seed, trial, MATCHING_ROLE)
+            for c in range(config.num_clusters):
+                lo, hi = profile.offsets[c], profile.offsets[c + 1]
+                req = np.bincount(profile.files[lo:hi], minlength=config.N)
+                out = mlp_match(req, placement, rng)
+                caches = [k for _, k in out.matched]
+                if len(set(caches)) != len(caches):
+                    return False, f"trial {trial} cluster {c}: a cache matched twice"
+                for n, k in out.matched:
+                    start = placement.cache_starts[n]
+                    if k not in placement.cache_ids[start:start + placement.copies[n]]:
+                        return False, f"trial {trial}: matched cache lacks the file"
+                if len(out.matched) + out.unmatched_requests != int(req.sum()):
+                    return False, f"trial {trial}: request conservation broken"
+        return True, "matchings feasible and request-conserving"
 
-        def mlp_structural():
-            for trial in range(min(trials, 20)):
-                profile = sample_profile(config, catalog, seed, trial)
-                rng = stream(seed, trial, MATCHING_ROLE)
-                for c in range(config.num_clusters):
-                    lo, hi = profile.offsets[c], profile.offsets[c + 1]
-                    req = np.bincount(profile.files[lo:hi], minlength=config.N)
-                    out = mlp_match(req, placement, rng)
-                    caches = [k for _, k in out.matched]
-                    if len(set(caches)) != len(caches):
-                        return False, f"trial {trial} cluster {c}: a cache matched twice"
-                    for n, k in out.matched:
-                        start = placement.cache_starts[n]
-                        if k not in placement.cache_ids[start:start + placement.copies[n]]:
-                            return False, f"trial {trial}: matched cache lacks the file"
-                    if len(out.matched) + out.unmatched_requests != int(req.sum()):
-                        return False, f"trial {trial}: request conservation broken"
-            return True, "matchings feasible and request-conserving"
+    def steep_envelope():
+        env = pam_steep_rate(config, catalog)
+        K, dM, beta = config.K, config.d * config.M, config.beta
+        # below one file per cluster only the K^(1/beta) branch exists
+        direct = K ** (1.0 / beta) if dM <= 1 else min(K / dM ** (beta - 1.0), K ** (1.0 / beta))
+        ok = env.order_value == direct and env.expected_uncached >= 0
+        ok = ok and env.vanishing_memory_met == (dM >= config.N * math.log(config.N))
+        return ok, f"order value {env.order_value:.6g}, E[uncached] {env.expected_uncached:.6g}"
 
-        def steep_envelope():
-            env = pam_steep_rate(config, catalog)
-            direct = min(
-                config.K / (config.d * config.M) ** (config.beta - 1.0),
-                config.K ** (1.0 / config.beta),
-            )
-            ok = env.order_value == direct and env.expected_uncached >= 0
-            ok = ok and env.vanishing_memory_met == (
-                config.d * config.M >= config.N * math.log(config.N)
-            )
-            return ok, f"order value {env.order_value:.6g}, E[uncached] {env.expected_uncached:.6g}"
-
-        suite.run("knapsack-memory", knapsack_memory)
-        suite.run("knapsack-density-prefix", knapsack_density_prefix)
-        suite.run("mlp-structural", mlp_structural)
-        suite.run("steep-envelope", steep_envelope)
-    else:
-        for name in ("knapsack-memory", "knapsack-density-prefix", "mlp-structural", "steep-envelope"):
-            suite.skip(name, "requires beta > 1 and d >= 2")
-
-    return VerificationReport(checks=tuple(suite.checks), warnings=warnings)
+    table = (
+        ("partial-sum-sandwich", partial_sum_sandwich, None),
+        ("poisson-excess-vs-mode", excess_vs_mode, None),
+        ("poisson-conditional-mean", conditional_mean_identity, None),
+        ("poisson-chernoff-tail", chernoff_tail, None),
+        ("excess-factorial-bound", excess_factorial, None),
+        ("cluster-unmatched-analytic", cluster_unmatched_analytic, None),
+        ("unmatched-tail-mc", unmatched_tail_mc, tail_floor),
+        ("pcd-rate-mc", rate_mc(PCD_SCHEME), tail_floor),
+        ("distinct-coverage-tail", distinct_coverage_tail, None),
+        ("replication-threshold", replication_threshold, not_shallow),
+        ("load-decay-positive", load_decay_positive, not_shallow),
+        ("pam-rate-mc", rate_mc(PAM_SHALLOW_SCHEME), below or floor),
+        ("pam-feasible-all-matched", pam_feasible_all_matched, below),
+        ("gap-ratio", gap_ratio, None),
+        ("lower-bound-consistency", lower_bound_consistency, None),
+        ("hcm-dominance", hcm_dominance, not_shallow),
+        ("hcm-exact-branch", hcm_exact_branch, not_shallow),
+        ("hcm-chain-bound", hcm_chain, not_shallow),
+        ("hcm-rate-mc", rate_mc(HCM_SCHEME), not_shallow or floor),
+        ("knapsack-memory", knapsack_memory, not_steep),
+        ("knapsack-density-prefix", knapsack_density_prefix, not_steep),
+        ("mlp-structural", mlp_structural, not_steep),
+        ("steep-envelope", steep_envelope, not_steep),
+    )
+    checks = tuple(
+        _outcome(name, fn) if reason is None else CheckOutcome(name, SKIPPED, reason)
+        for name, fn, reason in table
+    )
+    return VerificationReport(checks=checks, warnings=warnings)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cachematch import cli
 from cachematch.cli import main
 from cachematch.config import SystemConfig
 from cachematch.hcm import hcm_rate
@@ -162,6 +163,37 @@ def test_rate_curve_leaves_cell_empty_without_whole_file_slots(tmp_path, workers
     assert rows["3.6"][6] == ""
     assert rows["4.6"][6] != ""
     assert all(r[5] != "" and r[7] != "" for r in rows.values())
+
+
+def test_rate_curve_runs_each_scheme_once_per_row(tmp_path, monkeypatch):
+    # the benchmark times rate-curve's simulations through the name cli.run_experiment
+    calls = []
+    original = cli.run_experiment
+
+    def recording(spec, workers=1):
+        calls.append((spec.config.beta, spec.scheme, spec.trials, spec.seed, workers))
+        return original(spec, workers=workers)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    cfg = _write_config(tmp_path, m=10.0)
+    out = tmp_path / "curve.csv"
+    code = main(
+        [
+            "rate-curve", cfg,
+            "--param", "beta",
+            "--start", "0.5", "--stop", "1.5", "--step", "0.5",  # beta = 1 is dropped
+            "--trials", "3", "--seed", "4",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert calls == [
+        (0.5, "pcd", 3, 4, 1),
+        (0.5, "pam-shallow", 3, 4, 1),
+        (0.5, "hcm", 3, 4, 1),
+        (1.5, "pcd", 3, 4, 1),
+        (1.5, "pam-steep", 3, 4, 1),
+    ]
 
 
 def test_rate_curve_rejects_empty_sweep(tmp_path):

@@ -8,6 +8,7 @@ from cachematch.config import (
     CONFIG_KEYS,
     PolyKPoint,
     SystemConfig,
+    config_payload,
     load_config,
     validate,
 )
@@ -21,7 +22,7 @@ VALID_PAYLOAD = dict(k=600, d=60, n=600, m=2.0, rho=0.1, beta=0.0, t0=1.0)
 def test_properties(base_config):
     assert base_config.num_clusters == 10
     assert base_config.alpha == pytest.approx(0.1931471805599453, rel=1e-14)
-    assert base_config.expected_users == pytest.approx(25.0)
+    assert base_config.rho * base_config.K == pytest.approx(25.0)
     # floor = 2*(1+t0)/alpha * log K
     assert base_config.cluster_floor == pytest.approx(95.3709, rel=1e-4)
     assert not base_config.meets_cluster_floor
@@ -157,6 +158,11 @@ def test_load_config_round_trip_property(tmp_path_factory, payload, float_sizes)
     )
     assert all(type(size) is int for size in (config.K, config.d, config.N))
     assert validate(config).ok
+    # and back: the object written for a config loads as the same config
+    path.write_text(json.dumps(config_payload(config)))
+    assert load_config(str(path)) == config
+    canonical = {**payload, "m": float(payload["m"])}  # sizes int, the rest float
+    assert json.dumps(config_payload(config)) == json.dumps(canonical)
 
 
 def test_config_keys_frozen():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cachematch.delivery import coded_delivery_rate
-from cachematch.hcm import HcmTrialRate, build_color_plan, hcm_simulate
+from cachematch.hcm import build_color_plan, hcm_simulate
 from cachematch.pcd import PcdRate, coded_pool_size, pcd_simulate
 from cachematch.popularity import build_catalog
 from cachematch.traffic import RequestProfile, sample_profile
@@ -69,7 +69,7 @@ def dense_hcm_simulate(counts, plan, config):
         )
 
     total = min(coded + unmatched, float(u.sum()))
-    return HcmTrialRate(coded, float(unmatched), total)
+    return PcdRate(coded, float(unmatched), total)
 
 
 def _random_counts(gen, config, per_cluster):

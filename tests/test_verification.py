@@ -41,8 +41,112 @@ CHECK_NAMES = [
 ]
 
 
+STEEP_ONLY = dict.fromkeys(
+    ["knapsack-memory", "knapsack-density-prefix", "mlp-structural", "steep-envelope"],
+    "requires beta > 1 and d >= 2",
+)
+SHALLOW_ONLY = {
+    "partial-sum-sandwich": "sandwich envelope applies to beta in [0, 1)",
+    "distinct-coverage-tail": "coverage tail is proved for uniform popularity",
+    "gap-ratio": "shallow rate requires beta in [0, 1)",
+    "lower-bound-consistency": "lower-bound report requires beta in [0, 1)",
+    **dict.fromkeys(
+        [
+            "replication-threshold",
+            "load-decay-positive",
+            "pam-rate-mc",
+            "pam-feasible-all-matched",
+            "hcm-dominance",
+            "hcm-exact-branch",
+            "hcm-chain-bound",
+            "hcm-rate-mc",
+        ],
+        "requires beta in [0, 1)",
+    ),
+}
+BELOW_THRESHOLD = dict.fromkeys(
+    ["pam-rate-mc", "pam-feasible-all-matched"], "memory below replication threshold"
+)
+EXACT_BRANCH = {"hcm-exact-branch": "memory below the exact-branch threshold ceil(N/chi)"}
+
+
+def _tail_floor(d, floor):
+    reason = f"cluster floor not met (d = {d} < {floor}); t0-tail formulas are not guaranteed"
+    return dict.fromkeys(["unmatched-tail-mc", "pcd-rate-mc"], reason)
+
+
+def _steep(**overrides):
+    return dataclasses.replace(load_config("configs/steep.json"), **overrides)
+
+
 def _statuses(report):
     return {c.name: c.status for c in report.checks}
+
+
+@pytest.mark.parametrize(
+    "config, skipped",
+    [
+        pytest.param(
+            lambda: load_config("configs/default.json"),
+            {**BELOW_THRESHOLD, **EXACT_BRANCH, **STEEP_ONLY},
+            id="default",
+        ),
+        pytest.param(_steep, SHALLOW_ONLY, id="steep"),
+        pytest.param(
+            lambda: make_config(M=2.0),
+            {
+                **_tail_floor(10, 95.37),
+                **BELOW_THRESHOLD,
+                **EXACT_BRANCH,
+                "hcm-rate-mc": "cluster floor not met",
+                **STEEP_ONLY,
+            },
+            id="below-floor",
+        ),
+        pytest.param(
+            # above the replication threshold N/d = 10, so only the floor skips pam-rate-mc
+            make_config,
+            {
+                **_tail_floor(10, 95.37),
+                "pam-rate-mc": "cluster floor not met",
+                "gap-ratio": "gap guarantee needs M < (1 - e^(-1)/2) * N / (2*d)",
+                **EXACT_BRANCH,
+                "hcm-rate-mc": "cluster floor not met",
+                **STEEP_ONLY,
+            },
+            id="below-floor-above-threshold",
+        ),
+        pytest.param(
+            lambda: _steep(d=1),
+            {**SHALLOW_ONLY, **_tail_floor(1, 15.07), **STEEP_ONLY},
+            id="steep-d1",
+        ),
+    ],
+)
+def test_skipped_checks_and_their_reasons(config, skipped):
+    report = verify_config(config(), trials=10)
+    assert report.all_pass
+    assert {c.name: c.detail for c in report.checks if c.status == SKIPPED} == skipped
+
+
+def test_steep_envelope_at_zero_memory(monkeypatch):
+    # the envelope is K^(1/beta) = 16 once d*M <= 1; pcd-rate-mc is not asserted,
+    # as steep pcd bills out-of-pool users as unicasts below M = 1
+    def envelope():
+        report = verify_config(_steep(M=0.0), trials=10)
+        return next(c for c in report.checks if c.name == "steep-envelope")
+
+    outcome = envelope()
+    assert outcome.status == PASS
+    assert outcome.detail.startswith("order value 16, ")
+    # the check derives the order value itself, so a wrong envelope fails it
+    original = verification.pam_steep_rate
+    monkeypatch.setattr(
+        verification,
+        "pam_steep_rate",
+        lambda config, catalog: dataclasses.replace(original(config, catalog), order_value=15.0),
+    )
+    assert envelope().status == FAIL
 
 
 def test_default_config_has_no_failures():
