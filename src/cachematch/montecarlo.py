@@ -4,13 +4,15 @@ Every trial is keyed by its absolute index through the counter-based request
 stream, so a run is reproducible and independent of how trials are split
 across worker processes: serial and parallel runs of the same spec produce
 byte-identical reports.  Parallel runs share one worker pool per process,
-started on first use and replaced only to grow.
+started on first use and replaced only to grow; a run uses at most one worker
+per trial and per CPU.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -199,7 +201,8 @@ def _run_chunk(args: tuple[ExperimentSpec, int, int]) -> np.ndarray:
 
 def plan_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     """(start, count) of each worker's chunk, in trial order; at most
-    min(trials, workers) chunks."""
+    min(trials, workers, os.cpu_count()) chunks."""
+    workers = min(workers, trials, os.cpu_count() or 1)
     size = math.ceil(trials / workers)
     return [(start, min(size, trials - start)) for start in range(0, trials, size)]
 
@@ -236,7 +239,7 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     chunks = plan_chunks(spec.trials, workers)
     if len(chunks) == 1:
         return run_trials(spec, 0, spec.trials)
-    pool = _worker_pool(workers)
+    pool = _worker_pool(len(chunks))
     try:
         parts = list(pool.map(_run_chunk, [(spec, start, count) for start, count in chunks]))
     except BrokenProcessPool:

@@ -90,9 +90,8 @@ def build_knapsack(config: SystemConfig, catalog: ZipfCatalog) -> KnapsackInstan
 def solve_fractional_knapsack(instance: KnapsackInstance) -> KsPlacement:
     """Greedy ratio fill; exact for the fractional relaxation."""
     v, w = instance.values, instance.weights
-    n_files = len(v)
-    order = sorted(range(n_files), key=lambda i: (-(v[i] / w[i]), i))
-    x = np.zeros(n_files)
+    order = np.argsort(-(v / w), kind="stable")  # densest first, ties by index
+    x = np.zeros(len(v))
     remaining = instance.capacity
     for i in order:
         if remaining <= 0:
@@ -117,25 +116,26 @@ class MlpOutcome:
     server_files: tuple[int, ...]  # distinct files with unmatched requests, sorted
 
 
-def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> MlpOutcome:
-    """Most-popular-last matching for one cluster.
+def _match_runs(clusters, files, counts, placement: KsPlacement, rng: np.random.Generator):
+    """Most-popular-last matching of counts[i] requests for file files[i] in
+    cluster clusters[i], in scan order: each cluster's files from the least
+    popular (largest index) down, clusters one after another.
 
-    Requested files are scanned from the least popular (largest index) down to
-    the most popular.  Every matched request consumes exactly one uniform draw
-    over the sorted list of currently available caches holding its file;
-    requests that find no available cache consume no draw.
+    Every matched request consumes exactly one uniform draw over the sorted
+    list of currently available caches holding its file; requests that find
+    no available cache consume no draw.  Returns (matched, unmatched, server).
     """
-    taken: set[int] = set()
+    cache_ids = placement.cache_ids.tolist()
+    starts, sizes = placement.cache_starts[files].tolist(), placement.copies[files].tolist()
     matched: list[tuple[int, int]] = []
     unmatched = 0
     server: list[int] = []
-
-    for n in np.flatnonzero(requests)[::-1].tolist():
-        start = int(placement.cache_starts[n])
-        caches = placement.cache_ids[start:start + int(placement.copies[n])].tolist()
+    cluster = None
+    for c, n, r, start, size in zip(clusters.tolist(), files.tolist(), counts.tolist(), starts, sizes):
+        if c != cluster:
+            cluster, taken = c, set()
         # filtered once: until the next file, only n's own matches retire caches
-        cand = [k for k in caches if k not in taken]
-        r = int(requests[n])
+        cand = [k for k in cache_ids[start:start + size] if k not in taken]
         served = min(r, len(cand))
         for _ in range(served):
             k = cand.pop(int(rng.integers(0, len(cand))))
@@ -144,7 +144,16 @@ def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> Mlp
         if served < r:
             unmatched += r - served
             server.append(n)
+    return matched, unmatched, server
 
+
+def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> MlpOutcome:
+    """Most-popular-last matching for one cluster with requests[n] requests for
+    file n: a dense adapter over the run matcher of pam_steep_serve, so both
+    make the same draws."""
+    requests = np.asarray(requests, dtype=np.int64)
+    files = np.flatnonzero(requests)[::-1]
+    matched, unmatched, server = _match_runs(np.zeros_like(files), files, requests[files], placement, rng)
     return MlpOutcome(
         matched=tuple(matched),
         unmatched_requests=unmatched,
@@ -198,22 +207,21 @@ class SteepServeOutcome:
 def pam_steep_serve(
     profile: RequestProfile, placement: KsPlacement, rng: np.random.Generator
 ) -> SteepServeOutcome:
-    """Serve one profile: MLP per cluster (index order), shared draw stream."""
-    n_files = len(placement.copies)
-    server_mask = np.zeros(n_files, dtype=bool)
-    matched_users = 0
-    unmatched = 0
-    for cluster_files in np.split(profile.files, profile.offsets[1:-1]):
-        requests = np.bincount(cluster_files, minlength=n_files)
-        outcome = mlp_match(requests, placement, rng)
-        matched_users += len(outcome.matched)
-        unmatched += outcome.unmatched_requests
-        server_mask[list(outcome.server_files)] = True
-    distinct = int(np.count_nonzero(server_mask))
+    """Serve one profile: MLP per cluster (index order), shared draw stream.
+
+    Reads only the requests: the runs of equal file ids in profile.files,
+    each cluster's block reversed, are the (file, count) pairs that mlp_match
+    takes from each dense cluster column, matched with the same draws.
+    """
+    offsets, cluster = profile.offsets, profile.cluster_of_request()
+    files = profile.files[(offsets[1:] + offsets[:-1] - 1)[cluster] - np.arange(cluster.size)]
+    first = np.flatnonzero(np.diff(cluster * profile.config.N + files, prepend=-1))
+    counts = np.diff(first, append=files.size)
+    matched, unmatched, server = _match_runs(cluster[first], files[first], counts, placement, rng)
+    distinct = len(set(server))
     return SteepServeOutcome(
         server_files=distinct,
-        matched_users=matched_users,
+        matched_users=len(matched),
         unmatched_requests=unmatched,
         rate=float(distinct),
     )
-

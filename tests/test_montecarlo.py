@@ -203,6 +203,32 @@ def test_chunk_plans_cover_trials_in_order():
             assert np.array_equal(rows, full[:trials])
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 8, None])
+def test_chunk_plans_clamp_workers_to_trials_and_cpus(monkeypatch, cpus):
+    # a pure plan: no worker count here reaches a process pool
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    for trials in (1, 2, 7, 100, 10_001):
+        plan = plan_chunks(trials, 10_000)
+        assert 1 <= len(plan) <= min(trials, cpus or 1)
+        assert sum(count for _, count in plan) == trials
+
+
+def test_pool_is_sized_by_the_chunk_plan(monkeypatch):
+    asked = []
+
+    def record(workers):
+        asked.append(workers)
+        raise RuntimeError("stopped before any worker starts")
+
+    monkeypatch.setattr(montecarlo, "_worker_pool", record)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    spec = _spec(PCD_SCHEME, trials=6, **SMALL)
+    for workers in (3, 10_000):
+        with pytest.raises(RuntimeError, match="stopped"):
+            collect_trials(spec, workers=workers)
+    assert asked == [2, 2]
+
+
 @pytest.fixture
 def pool_starts(monkeypatch):
     """Count the pools collect_trials starts, from no cached pool."""
@@ -215,6 +241,8 @@ def pool_starts(monkeypatch):
 
     montecarlo._drop_pool()
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    # as on a 4-CPU machine, so a 3-worker call is not clamped to fewer
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     yield starts
     montecarlo._drop_pool()
 

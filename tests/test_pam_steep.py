@@ -7,7 +7,9 @@ from cachematch import montecarlo, pam_steep
 from cachematch.config import load_config
 from cachematch.errors import DomainError
 from cachematch.montecarlo import PAM_STEEP_SCHEME, SCHEMES
+from cachematch.matching import deal_round_robin
 from cachematch.pam_steep import (
+    KnapsackInstance,
     KsPlacement,
     build_knapsack,
     mlp_match,
@@ -222,3 +224,163 @@ def test_serve_is_reproducible(steep_config):
     first = pam_steep_serve(profile, placement, stream(5, 0, MATCHING_ROLE))
     second = pam_steep_serve(profile, placement, stream(5, 0, MATCHING_ROLE))
     assert first == second
+
+
+def _reference_dense_mlp(requests, placement, rng):
+    """Dense most-popular-last matching, written independently of the run
+    matcher: scan every file index from the last down, re-filter the free
+    caches before each request, and draw one uniform per matched request.
+    Returns (matched requests, unmatched requests, files sent by the server)."""
+    free = set(placement.cache_ids.tolist())
+    matched, unmatched, server = 0, 0, set()
+    for n in range(len(requests) - 1, -1, -1):
+        start = int(placement.cache_starts[n])
+        holders = placement.cache_ids[start:start + int(placement.copies[n])].tolist()
+        for _ in range(int(requests[n])):
+            cand = [k for k in holders if k in free]
+            if not cand:
+                unmatched += 1
+                server.add(n)
+                continue
+            free.discard(cand[int(rng.integers(0, len(cand)))])
+            matched += 1
+    return matched, unmatched, server
+
+
+def _random_placement(gen, n_files, d):
+    """Each file on 0, 1, a few or all d caches of the cluster."""
+    copies = np.minimum(gen.choice([0, 1, 2, 3, d], size=n_files, p=[0.3, 0.3, 0.15, 0.1, 0.15]), d)
+    sets = [np.sort(gen.choice(d, size=c, replace=False)) for c in copies]
+    return KsPlacement(
+        x=np.zeros(n_files),
+        copies=copies.astype(np.int64),
+        cache_ids=np.concatenate(sets).astype(np.int64),
+        cache_starts=np.cumsum(copies) - copies,
+    )
+
+
+def _state(rng):
+    """The bit generator's full state, with its arrays as lists."""
+    state = rng.bit_generator.state
+    flat = {**state, **state["state"]}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in flat.items() if k != "state"}
+
+
+def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
+    def refuse(profile):
+        raise AssertionError("dense counts built")
+
+    monkeypatch.setattr(RequestProfile, "counts", property(refuse))
+    gen = np.random.default_rng(2017)
+    seen = dict(empty_cluster=0, uncached_request=0, one_copy_request=0, crowded_file=0)
+    for i in range(240):
+        d = int(gen.integers(2, 9))
+        clusters = int(gen.integers(1, 6))
+        config = make_config(K=d * clusters, d=d, N=d * clusters + int(gen.integers(0, 12)),
+                             M=1.0, beta=2.0)
+        placement = _random_placement(gen, config.N, d)
+        counts = gen.poisson(gen.choice([0.05, 0.3, 1.5]), size=(config.N, clusters))
+        if gen.random() < 0.4:
+            counts[:, gen.integers(clusters)] = 0
+        profile = RequestProfile.from_counts(counts, config)
+
+        rng = stream(i, 3, MATCHING_ROLE)
+        served = pam_steep_serve(profile, placement, rng)
+
+        oracle_rng = stream(i, 3, MATCHING_ROLE)
+        matched, unmatched, server = 0, 0, set()
+        for column in counts.T:
+            m, u, files = _reference_dense_mlp(column, placement, oracle_rng)
+            matched, unmatched, server = matched + m, unmatched + u, server | files
+        assert (served.server_files, served.matched_users, served.unmatched_requests) == (
+            len(server), matched, unmatched)
+        assert served.rate == float(len(server))
+        assert _state(rng) == _state(oracle_rng)
+
+        # the dense adapter replays the same draws, cluster by cluster
+        adapter_rng = stream(i, 3, MATCHING_ROLE)
+        outcomes = [mlp_match(column, placement, adapter_rng) for column in counts.T]
+        assert sum(len(o.matched) for o in outcomes) == matched
+        assert sum(o.unmatched_requests for o in outcomes) == unmatched
+        assert {n for o in outcomes for n in o.server_files} == server
+        assert _state(adapter_rng) == _state(oracle_rng)
+
+        requested = counts.sum(axis=1)
+        seen["empty_cluster"] += bool((counts.sum(axis=0) == 0).any())
+        seen["uncached_request"] += bool(((requested > 0) & (placement.copies == 0)).any())
+        seen["one_copy_request"] += bool(((requested > 0) & (placement.copies == 1)).any())
+        crowded = (counts > placement.copies[:, None]) & (placement.copies[:, None] > 0)
+        seen["crowded_file"] += bool(crowded.any())
+    assert min(seen.values()) >= 20, seen
+
+
+def _sorted_greedy(instance):
+    """The greedy fill with its ratio order from Python's sorted(): the order
+    np.argsort(kind="stable") replaced."""
+    v, w = instance.values, instance.weights
+    order = sorted(range(len(v)), key=lambda i: (-(v[i] / w[i]), i))
+    x = np.zeros(len(v))
+    remaining = instance.capacity
+    for i in order:
+        if remaining <= 0:
+            break
+        if w[i] <= remaining:
+            x[i] = 1.0
+            remaining -= float(w[i])
+        else:
+            x[i] = remaining / float(w[i])
+            remaining = 0.0
+    copies = np.where(x == 1.0, w, 0).astype(np.int64)
+    return (x, copies) + deal_round_robin(copies, instance.cluster_size)
+
+
+def _instance(values, weights, capacity, d=4):
+    return KnapsackInstance(
+        values=np.asarray(values, dtype=np.float64),
+        weights=np.asarray(weights, dtype=np.int64),
+        capacity=float(capacity),
+        cluster_size=d,
+        n1=1,
+        n2=1,
+    )
+
+
+def _assert_same_greedy(instance):
+    placement = solve_fractional_knapsack(instance)
+    got = (placement.x, placement.copies, placement.cache_ids, placement.cache_starts)
+    for a, b in zip(got, _sorted_greedy(instance)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("capacity", [0, 4, 5, 4.5, 7, 100])
+def test_knapsack_order_matches_sorted_on_hand_instances(capacity):
+    # every ratio ties at 0.25, so index order decides; 5 fits 0-2 exactly,
+    # 4.5 leaves file 2 fractional, 0 selects nothing
+    _assert_same_greedy(_instance([0.5, 0.5, 0.25, 1.0], [2, 2, 1, 4], capacity))
+    # mixed ratios with a tie between files 1 and 3
+    _assert_same_greedy(_instance([0.9, 0.6, 0.1, 0.3, 0.7], [3, 2, 1, 1, 4], capacity))
+
+
+@pytest.mark.filterwarnings("ignore:split points crossed")
+def test_knapsack_order_matches_sorted_on_random_instances():
+    gen = np.random.default_rng(7)
+    fractional = exact = 0
+    for _ in range(150):
+        n_files, d = int(gen.integers(1, 40)), int(gen.integers(1, 9))
+        values = gen.choice([0.05, 0.1, 0.2, 0.4, 0.8, 1.0], size=n_files)  # many ties
+        if gen.random() < 0.5:
+            values = gen.random(n_files)
+        weights = gen.integers(1, d + 1, size=n_files)
+        prefix = np.cumsum(weights[np.argsort(-(values / weights), kind="stable")])
+        capacity = gen.choice([0.0, float(prefix[gen.integers(n_files)]),
+                               float(gen.uniform(0, weights.sum() + 2))])
+        placement = solve_fractional_knapsack(_instance(values, weights, capacity, d))
+        fractional += bool(((placement.x > 0) & (placement.x < 1)).any())
+        exact += placement.copies.sum() == capacity > 0
+        _assert_same_greedy(_instance(values, weights, capacity, d))
+    for _ in range(30):
+        d = int(gen.choice([2, 4, 8, 16]))
+        config = make_config(K=d * int(gen.integers(1, 9)), d=d, N=int(gen.integers(16, 300)),
+                             M=float(gen.choice([0.5, 1.0, 3.0, 8.0])), beta=float(gen.uniform(1.1, 3)))
+        _assert_same_greedy(build_knapsack(config, build_catalog(config.N, config.beta)))
+    assert fractional > 10 and exact > 10
