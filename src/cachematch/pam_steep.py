@@ -8,7 +8,9 @@ is dropped.  Copies are dealt to caches round-robin in file order.
 Delivery: requests are matched most-popular-last.  Scanning files from least
 to most popular, each request picks a uniformly random available cache holding
 its file and retires that cache.  Files whose requests cannot all be matched
-are broadcast from the server, one transmission per distinct file.
+are broadcast from the server, one transmission per distinct file.  A serve
+draws one uniform per request, all in one generator call, and the request at
+scan position i picks index floor(u[i] * #candidates) of its sorted list.
 """
 
 from __future__ import annotations
@@ -116,31 +118,35 @@ class MlpOutcome:
     server_files: tuple[int, ...]  # distinct files with unmatched requests, sorted
 
 
-def _match_runs(clusters, files, counts, placement: KsPlacement, rng: np.random.Generator):
+def _match_runs(clusters, files, counts, placement: KsPlacement, u: np.ndarray):
     """Most-popular-last matching of counts[i] requests for file files[i] in
     cluster clusters[i], in scan order: each cluster's files from the least
     popular (largest index) down, clusters one after another.
 
-    Every matched request consumes exactly one uniform draw over the sorted
-    list of currently available caches holding its file; requests that find
-    no available cache consume no draw.  Returns (matched, unmatched, server).
+    u holds one uniform in [0, 1) per request, in scan order.  A matched
+    request takes index int(u * len) of the sorted list of currently available
+    caches holding its file; a request that finds no available cache leaves
+    its uniform unused.  Returns (matched, unmatched, server).
     """
-    cache_ids = placement.cache_ids.tolist()
+    cache_ids, u = placement.cache_ids.tolist(), u.tolist()
     starts, sizes = placement.cache_starts[files].tolist(), placement.copies[files].tolist()
     matched: list[tuple[int, int]] = []
-    unmatched = 0
+    unmatched = pos = 0
     server: list[int] = []
     cluster = None
     for c, n, r, start, size in zip(clusters.tolist(), files.tolist(), counts.tolist(), starts, sizes):
         if c != cluster:
             cluster, taken = c, set()
         # filtered once: until the next file, only n's own matches retire caches
-        cand = [k for k in cache_ids[start:start + size] if k not in taken]
+        cand = cache_ids[start:start + size]
+        if not taken.isdisjoint(cand):
+            cand = [k for k in cand if k not in taken]
         served = min(r, len(cand))
-        for _ in range(served):
-            k = cand.pop(int(rng.integers(0, len(cand))))
+        for x in u[pos:pos + served]:
+            k = cand.pop(int(x * len(cand)))
             taken.add(k)
             matched.append((n, k))
+        pos += r
         if served < r:
             unmatched += r - served
             server.append(n)
@@ -149,11 +155,13 @@ def _match_runs(clusters, files, counts, placement: KsPlacement, rng: np.random.
 
 def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> MlpOutcome:
     """Most-popular-last matching for one cluster with requests[n] requests for
-    file n: a dense adapter over the run matcher of pam_steep_serve, so both
-    make the same draws."""
+    file n: a dense adapter over the run matcher of pam_steep_serve.  It draws
+    one uniform per request in one call, so calling it cluster by cluster
+    replays serve's draws and leaves rng in the same state."""
     requests = np.asarray(requests, dtype=np.int64)
     files = np.flatnonzero(requests)[::-1]
-    matched, unmatched, server = _match_runs(np.zeros_like(files), files, requests[files], placement, rng)
+    u = rng.random(int(requests.sum()))
+    matched, unmatched, server = _match_runs(np.zeros_like(files), files, requests[files], placement, u)
     return MlpOutcome(
         matched=tuple(matched),
         unmatched_requests=unmatched,
@@ -207,7 +215,8 @@ class SteepServeOutcome:
 def pam_steep_serve(
     profile: RequestProfile, placement: KsPlacement, rng: np.random.Generator
 ) -> SteepServeOutcome:
-    """Serve one profile: MLP per cluster (index order), shared draw stream.
+    """Serve one profile: MLP per cluster (index order), one uniform per
+    request, drawn in one call.
 
     Reads only the requests: the runs of equal file ids in profile.files,
     each cluster's block reversed, are the (file, count) pairs that mlp_match
@@ -217,7 +226,8 @@ def pam_steep_serve(
     files = profile.files[(offsets[1:] + offsets[:-1] - 1)[cluster] - np.arange(cluster.size)]
     first = np.flatnonzero(np.diff(cluster * profile.config.N + files, prepend=-1))
     counts = np.diff(first, append=files.size)
-    matched, unmatched, server = _match_runs(cluster[first], files[first], counts, placement, rng)
+    u = rng.random(files.size)
+    matched, unmatched, server = _match_runs(cluster[first], files[first], counts, placement, u)
     distinct = len(set(server))
     return SteepServeOutcome(
         server_files=distinct,

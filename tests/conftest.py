@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cachematch.config import SystemConfig
@@ -28,3 +29,10 @@ def python_deal_round_robin(copies, d):
         for n in files:
             cache_sets[n].append(k)  # ascending k keeps each set sorted
     return cache_sets
+
+
+def generator_state(rng):
+    """The bit generator's full state, with its arrays as lists."""
+    state = rng.bit_generator.state
+    flat = {**state, **state["state"]}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in flat.items() if k != "state"}

@@ -220,21 +220,24 @@ def test_criterion_06_fractional_knapsack_optimal():
 
 
 def _reference_mlp(requests, placement, rng):
-    """Step-by-step mirror of most-popular-last matching, set-based."""
+    """Step-by-step mirror of most-popular-last matching, set-based: one
+    uniform per request in scan order, drawn up front."""
     cache_sets = np.split(placement.cache_ids, placement.cache_starts[1:])
     available = set(placement.cache_ids.tolist())
     matched: list[tuple[int, int]] = []
     server: list[int] = []
     unmatched = 0
+    uniforms = iter(rng.random(int(sum(requests))))
     for n in reversed(range(len(cache_sets))):
         short = False
         for _ in range(int(requests[n])):
+            u = next(uniforms)
             cand = [k for k in cache_sets[n].tolist() if k in available]
             if not cand:
                 unmatched += 1
                 short = True
                 continue
-            k = cand[int(rng.integers(0, len(cand)))]
+            k = cand[int(u * len(cand))]
             available.discard(k)
             matched.append((n, k))
         if short:

@@ -11,6 +11,7 @@ from cachematch.matching import deal_round_robin
 from cachematch.pam_steep import (
     KnapsackInstance,
     KsPlacement,
+    _match_runs,
     build_knapsack,
     mlp_match,
     pam_steep_rate,
@@ -20,7 +21,7 @@ from cachematch.pam_steep import (
 from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
-from conftest import make_config
+from conftest import generator_state, make_config
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +125,94 @@ def test_mlp_forced_outcomes_ignore_seed():
 
 
 def test_mlp_draw_replay():
-    # the matcher spends exactly one uniform draw per matched request
+    # the matcher draws exactly one uniform per request
     placement = _manual_placement()
     requests = [1, 0, 0]
     rng = stream(42, 0, MATCHING_ROLE)
     outcome = mlp_match(requests, placement, rng)
     replay = stream(42, 0, MATCHING_ROLE)
-    want_cache = placement.cache_ids[0:2][int(replay.integers(0, 2))]
+    want_cache = placement.cache_ids[0:2][int(replay.random(1)[0] * 2)]
     assert outcome.matched == ((0, want_cache),)
     assert outcome.unmatched_requests == 0
+
+
+def _placement_of(cache_lists):
+    """One cluster's placement: file n on the caches cache_lists[n]."""
+    copies = np.array([len(caches) for caches in cache_lists], dtype=np.int64)
+    return KsPlacement(
+        x=np.zeros(len(cache_lists)),
+        copies=copies,
+        cache_ids=np.array([k for caches in cache_lists for k in caches], dtype=np.int64),
+        cache_starts=np.cumsum(copies) - copies,
+    )
+
+
+def _pick_shares(requests, placement, file, caches, streams=4000):
+    """Share of streams in which `file`'s request took each of `caches`."""
+    picks = np.zeros(caches, dtype=np.int64)
+    for seed in range(streams):
+        outcome = mlp_match(requests, placement, stream(seed, 0, MATCHING_ROLE))
+        (k,) = [k for n, k in outcome.matched if n == file]
+        picks[k] += 1
+    return picks / streams
+
+
+def test_single_request_picks_each_holder_uniformly():
+    shares = _pick_shares([1], _placement_of([[0, 1, 2, 3]]), file=0, caches=4)
+    se = math.sqrt(0.25 * 0.75 / 4000)
+    assert np.all(np.abs(shares - 0.25) <= 5 * se), shares
+
+
+def test_request_after_a_retired_cache_is_uniform_over_the_rest():
+    # file 1 is scanned first and retires cache 2; file 0 then picks among 0, 1, 3
+    shares = _pick_shares([1, 1], _placement_of([[0, 1, 2, 3], [2]]), file=0, caches=4)
+    se = math.sqrt(1 / 3 * 2 / 3 / 4000)
+    assert shares[2] == 0.0
+    assert np.all(np.abs(shares[[0, 1, 3]] - 1 / 3) <= 5 * se), shares
+
+
+def test_extreme_uniforms_pick_the_ends_of_every_list():
+    zero = np.array([0])  # cluster 0, file 0
+    for size in range(1, 65):
+        placement = _placement_of([list(range(size))])
+        # size + 1 requests: lists of every length size..1, then one unmatched
+        counts = np.array([size + 1])
+        top = np.full(size + 1, np.nextafter(1.0, 0.0))
+        matched, unmatched, server = _match_runs(zero, zero, counts, placement, top)
+        assert matched == [(0, k) for k in reversed(range(size))]
+        assert (unmatched, server) == (1, [0])
+        matched, _, _ = _match_runs(zero, zero, counts, placement, np.zeros(size + 1))
+        assert matched == [(0, k) for k in range(size)]
+
+
+class _CallRecorder:
+    """Passes every method call through to a generator, recording its name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def record(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return record
+
+
+def test_serve_draws_once_per_trial(steep_config):
+    catalog = build_catalog(steep_config.N, steep_config.beta)
+    placement = solve_fractional_knapsack(build_knapsack(steep_config, catalog))
+    matched = 0
+    for trial in range(25):
+        profile = sample_profile(steep_config, catalog, seed=12, trial=trial)
+        recorder = _CallRecorder(stream(12, trial, MATCHING_ROLE))
+        outcome = pam_steep_serve(profile, placement, recorder)
+        assert recorder.calls == ["random"]
+        assert outcome == pam_steep_serve(profile, placement, stream(12, trial, MATCHING_ROLE))
+        matched += outcome.matched_users
+    assert matched >= 100  # many matched requests, one draw call each trial
 
 
 def test_mlp_empty_requests():
@@ -229,20 +309,23 @@ def test_serve_is_reproducible(steep_config):
 def _reference_dense_mlp(requests, placement, rng):
     """Dense most-popular-last matching, written independently of the run
     matcher: scan every file index from the last down, re-filter the free
-    caches before each request, and draw one uniform per matched request.
+    caches before each request, and give each request its own uniform, all
+    drawn up front in scan order; an unmatched request's uniform goes unused.
     Returns (matched requests, unmatched requests, files sent by the server)."""
     free = set(placement.cache_ids.tolist())
     matched, unmatched, server = 0, 0, set()
+    uniforms = iter(rng.random(int(sum(requests))))
     for n in range(len(requests) - 1, -1, -1):
         start = int(placement.cache_starts[n])
         holders = placement.cache_ids[start:start + int(placement.copies[n])].tolist()
         for _ in range(int(requests[n])):
+            u = next(uniforms)
             cand = [k for k in holders if k in free]
             if not cand:
                 unmatched += 1
                 server.add(n)
                 continue
-            free.discard(cand[int(rng.integers(0, len(cand)))])
+            free.discard(cand[int(u * len(cand))])
             matched += 1
     return matched, unmatched, server
 
@@ -257,13 +340,6 @@ def _random_placement(gen, n_files, d):
         cache_ids=np.concatenate(sets).astype(np.int64),
         cache_starts=np.cumsum(copies) - copies,
     )
-
-
-def _state(rng):
-    """The bit generator's full state, with its arrays as lists."""
-    state = rng.bit_generator.state
-    flat = {**state, **state["state"]}
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in flat.items() if k != "state"}
 
 
 def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
@@ -295,7 +371,7 @@ def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
         assert (served.server_files, served.matched_users, served.unmatched_requests) == (
             len(server), matched, unmatched)
         assert served.rate == float(len(server))
-        assert _state(rng) == _state(oracle_rng)
+        assert generator_state(rng) == generator_state(oracle_rng)
 
         # the dense adapter replays the same draws, cluster by cluster
         adapter_rng = stream(i, 3, MATCHING_ROLE)
@@ -303,7 +379,7 @@ def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
         assert sum(len(o.matched) for o in outcomes) == matched
         assert sum(o.unmatched_requests for o in outcomes) == unmatched
         assert {n for o in outcomes for n in o.server_files} == server
-        assert _state(adapter_rng) == _state(oracle_rng)
+        assert generator_state(adapter_rng) == generator_state(oracle_rng)
 
         requested = counts.sum(axis=1)
         seen["empty_cluster"] += bool((counts.sum(axis=0) == 0).any())

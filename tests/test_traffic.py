@@ -15,7 +15,7 @@ from cachematch.traffic import (
     stream,
 )
 
-from conftest import make_config
+from conftest import generator_state, make_config
 
 
 def test_stream_deterministic():
@@ -32,6 +32,21 @@ def test_stream_separates_keys_and_roles():
         base, stream(7, 3, MATCHING_ROLE).integers(0, 1 << 30, 16)
     )
     assert MATCHING_ROLE != PROFILE_ROLE
+
+
+def test_stream_role_equals_jumped_philox():
+    # a role's stream is built at its counter, not by jumping; same state, same draws
+    top = (1 << 64) - 1
+    for seed in (0, 1, 7, 1 << 63, top):
+        for trial in (0, 3, top):
+            key = np.array([seed, trial], dtype=np.uint64)
+            plain = np.random.Generator(np.random.Philox(key=key))
+            assert generator_state(stream(seed, trial)) == generator_state(plain)
+            for role in (1, 2, 3):
+                want = np.random.Generator(np.random.Philox(key=key).jumped(role))
+                got = stream(seed, trial, role)
+                assert generator_state(got) == generator_state(want)
+                assert np.array_equal(got.random(5), want.random(5))
 
 
 def test_stream_rejects_negative_trial():
@@ -95,7 +110,7 @@ def test_sample_profile_mean_matches_intensity(base_config):
 def test_sampler_version_is_exported():
     import cachematch
 
-    assert cachematch.SAMPLER_VERSION == SAMPLER_VERSION == 2
+    assert cachematch.SAMPLER_VERSION == SAMPLER_VERSION == 3
 
 
 def test_from_counts_round_trips_sampled_profile(base_config):
