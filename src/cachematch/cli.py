@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .bounds import shallow_lower_bound
@@ -58,6 +59,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):  # the loop below would never end
+        raise DomainError(f"sweep bounds must be finite, got {start}, {stop}, {step}")
     if step <= 0:
         raise DomainError("sweep step must be > 0")
     if stop < start:

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import HardInvariantViolation
+from .errors import DomainError, HardInvariantViolation
 
 CONFIG_KEYS = ("k", "d", "n", "m", "rho", "beta", "t0")
 
@@ -191,11 +191,11 @@ class PolyKPoint:
     beta: float
 
     def __post_init__(self):
-        if self.nu < 1:
-            raise ValueError("nu must be >= 1 (catalog at least as large as caches)")
+        if not math.isfinite(self.nu) or self.nu < 1:
+            raise DomainError("nu must be finite and >= 1 (catalog at least as large as caches)")
         if not 0 < self.delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
+            raise DomainError("delta must lie in (0, 1]")
         if not 0 <= self.mu <= 1 or self.mu > self.nu:
-            raise ValueError("mu must lie in [0, 1] with mu <= nu")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+            raise DomainError("mu must lie in [0, 1] with mu <= nu")
+        if not math.isfinite(self.beta) or self.beta < 0:
+            raise DomainError("beta must be finite and >= 0")

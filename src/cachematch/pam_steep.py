@@ -11,6 +11,9 @@ its file and retires that cache.  Files whose requests cannot all be matched
 are broadcast from the server, one transmission per distinct file.  A serve
 draws one uniform per request, all in one generator call, and the request at
 scan position i picks index floor(u[i] * #candidates) of its sorted list.
+Serve reports only counts, so it reads only the uniforms whose picks a later
+run of the same cluster can see; the generator state, and every count, are
+those of matching every request.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ class MlpOutcome:
     server_files: tuple[int, ...]  # distinct files with unmatched requests, sorted
 
 
-def _match_runs(clusters, files, counts, placement: KsPlacement, u: np.ndarray):
+def _match_runs(clusters, files, counts, placement: KsPlacement, u: np.ndarray, pairs: bool = True):
     """Most-popular-last matching of counts[i] requests for file files[i] in
     cluster clusters[i], in scan order: each cluster's files from the least
     popular (largest index) down, clusters one after another.
@@ -126,27 +129,51 @@ def _match_runs(clusters, files, counts, placement: KsPlacement, u: np.ndarray):
     u holds one uniform in [0, 1) per request, in scan order.  A matched
     request takes index int(u * len) of the sorted list of currently available
     caches holding its file; a request that finds no available cache leaves
-    its uniform unused.  Returns (matched, unmatched, server).
+    its uniform unused.  Returns (matched, unmatched, server), where matched
+    is the list of (file, cache) pairs in match order.
+
+    With pairs=False, matched stays empty, and a pick is made only where a
+    later run of the same cluster can see it.  The
+    last cached run of a cluster serves min(r, free caches): nothing after it
+    reads the caches it retires, and taken starts empty in the next cluster.
+    A run that asks for at least as many caches as are free retires all of
+    them, whatever the order of its picks.  Neither reads its uniforms, and
+    the counts are those of the pairs mode.
     """
+    sizes = placement.copies[files]
+    cached = sizes > 0
+    unmatched = int(counts[~cached].sum())  # a file with no copy is never matched
+    server: list[int] = files[~cached].tolist()
+    positions = (np.cumsum(counts) - counts)[cached]  # each run's first uniform
+    clusters, files, counts, sizes = clusters[cached], files[cached], counts[cached], sizes[cached]
+    last = np.diff(clusters, append=-1) != 0  # nothing later in the cluster reads taken
     cache_ids, u = placement.cache_ids.tolist(), u.tolist()
-    starts, sizes = placement.cache_starts[files].tolist(), placement.copies[files].tolist()
+    starts = placement.cache_starts[files].tolist()
     matched: list[tuple[int, int]] = []
-    unmatched = pos = 0
-    server: list[int] = []
     cluster = None
-    for c, n, r, start, size in zip(clusters.tolist(), files.tolist(), counts.tolist(), starts, sizes):
+    runs = zip(clusters.tolist(), files.tolist(), counts.tolist(), starts, sizes.tolist(),
+               positions.tolist(), last.tolist())
+    for c, n, r, start, size, pos, final in runs:
         if c != cluster:
             cluster, taken = c, set()
-        # filtered once: until the next file, only n's own matches retire caches
-        cand = cache_ids[start:start + size]
-        if not taken.isdisjoint(cand):
-            cand = [k for k in cand if k not in taken]
-        served = min(r, len(cand))
-        for x in u[pos:pos + served]:
-            k = cand.pop(int(x * len(cand)))
-            taken.add(k)
-            matched.append((n, k))
-        pos += r
+        if final and not pairs:
+            free = size - len(taken)  # a lower bound: taken may hold others' caches
+            if free < r:
+                free = size - len(taken.intersection(cache_ids[start:start + size]))
+            served = min(r, free)
+        else:
+            # filtered once: until the next file, only n's own matches retire caches
+            cand = cache_ids[start:start + size]
+            if not taken.isdisjoint(cand):
+                cand = [k for k in cand if k not in taken]
+            served = min(r, len(cand))
+            if pairs or served < len(cand):
+                picks = [cand.pop(int(x * len(cand))) for x in u[pos:pos + served]]
+                taken.update(picks)
+                if pairs:
+                    matched += [(n, k) for k in picks]
+            else:
+                taken.update(cand)
         if served < r:
             unmatched += r - served
             server.append(n)
@@ -220,18 +247,21 @@ def pam_steep_serve(
 
     Reads only the requests: the runs of equal file ids in profile.files,
     each cluster's block reversed, are the (file, count) pairs that mlp_match
-    takes from each dense cluster column, matched with the same draws.
+    takes from each dense cluster column, matched with the same draws.  Only
+    counts are reported, so the matcher runs in count mode and skips the
+    picks no later run can see (a cluster's last run, and runs that take
+    every free cache); rng still advances by one uniform per request.
     """
     offsets, cluster = profile.offsets, profile.cluster_of_request()
     files = profile.files[(offsets[1:] + offsets[:-1] - 1)[cluster] - np.arange(cluster.size)]
     first = np.flatnonzero(np.diff(cluster * profile.config.N + files, prepend=-1))
     counts = np.diff(first, append=files.size)
     u = rng.random(files.size)
-    matched, unmatched, server = _match_runs(cluster[first], files[first], counts, placement, u)
+    _, unmatched, server = _match_runs(cluster[first], files[first], counts, placement, u, pairs=False)
     distinct = len(set(server))
     return SteepServeOutcome(
         server_files=distinct,
-        matched_users=len(matched),
+        matched_users=files.size - unmatched,
         unmatched_requests=unmatched,
         rate=float(distinct),
     )

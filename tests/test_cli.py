@@ -5,6 +5,7 @@ import pytest
 from cachematch import cli
 from cachematch.cli import main
 from cachematch.config import SystemConfig
+from cachematch.errors import DomainError
 from cachematch.hcm import hcm_rate
 from cachematch.pam_shallow import pam_shallow_rate
 from cachematch.pam_steep import pam_steep_rate
@@ -208,6 +209,43 @@ def test_rate_curve_rejects_empty_sweep(tmp_path):
         ]
     )
     assert code == 2
+    assert not out.exists()
+
+
+NON_FINITE_SWEEPS = [
+    ("1", "3", "nan"),
+    ("1", "inf", "1"),
+    ("1", "nan", "1"),
+    ("nan", "3", "1"),
+    ("-inf", "3", "1"),
+]
+
+
+@pytest.mark.parametrize("start, stop, step", NON_FINITE_SWEEPS)
+def test_sweep_values_rejects_non_finite_bounds(start, stop, step):
+    with pytest.raises(DomainError, match="finite"):
+        cli._sweep_values(float(start), float(stop), float(step))
+
+
+@pytest.mark.parametrize("start, stop, step", NON_FINITE_SWEEPS)
+def test_rate_curve_non_finite_sweep_exits_2(tmp_path, start, stop, step):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "curve.csv"
+    argv = ["rate-curve", cfg, "--param", "M", f"--start={start}", f"--stop={stop}",
+            f"--step={step}", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [["--beta", "nan"], ["--beta", "inf"], ["--beta", "-0.5"],
+     ["--beta", "2", "--nu", "nan"], ["--beta", "0.5", "--nu", "0.5"]],
+)
+def test_regime_map_bad_exponents_exit_2(tmp_path, capsys, exponents):
+    out = tmp_path / "map.csv"
+    assert main(["regime-map", *exponents, "--resolution", "2", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from cachematch.config import (
     load_config,
     validate,
 )
-from cachematch.errors import HardInvariantViolation
+from cachematch.errors import DomainError, HardInvariantViolation
 
 from conftest import make_config
 
@@ -184,3 +184,15 @@ def test_polyk_point():
         PolyKPoint(nu=2.0, delta=0.5, mu=1.2, beta=0.5)
     with pytest.raises(ValueError):
         PolyKPoint(nu=1.0, delta=0.5, mu=0.3, beta=-1.0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(nu=math.nan), dict(nu=math.inf), dict(nu=0.5),
+        dict(beta=math.nan), dict(beta=math.inf), dict(beta=-0.5),
+    ],
+)
+def test_polyk_point_rejects_bad_exponents_as_domain_errors(fields):
+    with pytest.raises(DomainError):
+        PolyKPoint(**{**dict(nu=1.0, delta=0.5, mu=0.3, beta=0.5), **fields})

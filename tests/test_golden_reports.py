@@ -7,6 +7,11 @@ pam-steep steep.json digest was re-recorded at SAMPLER_VERSION 3, when the
 matcher moved to one batched uniform draw per trial; the steep-mlp 4-trial
 report came out byte-identical under that change and kept its digest.
 
+The report counts almost never depend on which cache a request takes, so
+the matched (file, cache) pairs of mlp_match are pinned separately, cluster
+by cluster on one traffic.MATCHING_ROLE stream per trial: the same draws
+pam_steep_serve makes.
+
 A digest may change only together with a declared SAMPLER_VERSION or draw
 version (traffic.MATCHING_ROLE stream) bump, recorded in CHANGES.md.  Any
 other change to a digest is a regression.
@@ -15,6 +20,7 @@ other change to a digest is a regression.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from cachematch.config import SystemConfig, load_config
@@ -26,6 +32,9 @@ from cachematch.montecarlo import (
     ExperimentSpec,
     run_experiment,
 )
+from cachematch.pam_steep import build_knapsack, mlp_match, solve_fractional_knapsack
+from cachematch.popularity import build_catalog
+from cachematch.traffic import MATCHING_ROLE, sample_profile, stream
 
 SEED = 5
 DEFAULT = load_config("configs/default.json")
@@ -53,3 +62,27 @@ GOLDEN = [
 def test_report_digest_is_pinned(config, scheme, trials, digest):
     report = run_experiment(ExperimentSpec(config=config, scheme=scheme, trials=trials, seed=SEED))
     assert hashlib.sha256(report.to_json(config).encode()).hexdigest() == digest
+
+
+MATCHING_GOLDEN = [
+    (STEEP, 10, "10716c25e5a706d1cd693ab7c181ed887f2082ec652ddd8229693bd8aa1e3573"),
+    (STEEP_MLP, 4, "b1e2b9c316e5374dc0281d73598c064d43ca41985362ff622ddb57b6be8ade3f"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, trials, digest",
+    MATCHING_GOLDEN,
+    ids=[f"mlp-pairs-K{c.K}-M{c.M:g}-beta{c.beta:g}" for c, _, _ in MATCHING_GOLDEN],
+)
+def test_matched_pairs_digest_is_pinned(config, trials, digest):
+    catalog = build_catalog(config.N, config.beta)
+    placement = solve_fractional_knapsack(build_knapsack(config, catalog))
+    pairs = []
+    for trial in range(trials):
+        profile = sample_profile(config, catalog, SEED, trial)
+        rng = stream(SEED, trial, MATCHING_ROLE)
+        for start, stop in zip(profile.offsets[:-1], profile.offsets[1:]):
+            requests = np.bincount(profile.files[start:stop], minlength=config.N)
+            pairs.append(mlp_match(requests, placement, rng).matched)
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest

@@ -185,6 +185,25 @@ def test_extreme_uniforms_pick_the_ends_of_every_list():
         assert matched == [(0, k) for k in range(size)]
 
 
+def test_count_mode_reads_only_uniforms_a_later_run_can_see():
+    # cluster 0 scans file 4 (1 request, 1 cache) and file 3 (2 requests, caches
+    # 0 and 1), which take every free cache; file 2, which draws between caches
+    # 2 and 3; file 1, the last cached run, with one of its 4 caches free for 3
+    # requests; and file 0, which has no copy.  Cluster 1 scans file 3, which
+    # draws, then file 1 with 3 free caches for 2 requests.  int() raises on a
+    # NaN uniform, so only the uniforms a later run can see may be read.
+    placement = _placement_of([[], [0, 1, 2, 3], [2, 3], [0, 1], [4]])
+    clusters = np.array([0, 0, 0, 0, 0, 1, 1])
+    files = np.array([4, 3, 2, 1, 0, 3, 1])
+    counts = np.array([1, 2, 1, 3, 2, 1, 2])
+    nan = np.nan
+    poisoned = np.array([nan, nan, nan, 0.5, nan, nan, nan, nan, nan, 0.5, nan, nan])
+    matched, unmatched, server = _match_runs(clusters, files, counts, placement, poisoned, pairs=False)
+    assert (matched, unmatched, sorted(server)) == ([], 4, [0, 1])
+    pairs, unmatched, server = _match_runs(clusters, files, counts, placement, np.nan_to_num(poisoned))
+    assert (len(pairs), unmatched, sorted(server)) == (8, 4, [0, 1])
+
+
 class _CallRecorder:
     """Passes every method call through to a generator, recording its name."""
 
@@ -311,13 +330,23 @@ def _reference_dense_mlp(requests, placement, rng):
     matcher: scan every file index from the last down, re-filter the free
     caches before each request, and give each request its own uniform, all
     drawn up front in scan order; an unmatched request's uniform goes unused.
-    Returns (matched requests, unmatched requests, files sent by the server)."""
+    Returns (matched requests, unmatched requests, files sent by the server,
+    events): events names what happened to the requested cached files, the
+    last of which in scan order is the smallest such index: "short_last_run"
+    when that file has fewer free caches than requests, "took_every_free_cache"
+    when an earlier one asks for at least as many caches as it finds free."""
     free = set(placement.cache_ids.tolist())
-    matched, unmatched, server = 0, 0, set()
+    matched, unmatched, server, events = 0, 0, set(), set()
     uniforms = iter(rng.random(int(sum(requests))))
+    last = min((n for n in range(len(requests)) if requests[n] and placement.copies[n]), default=None)
     for n in range(len(requests) - 1, -1, -1):
         start = int(placement.cache_starts[n])
         holders = placement.cache_ids[start:start + int(placement.copies[n])].tolist()
+        free_now = sum(k in free for k in holders)
+        if n == last and free_now < requests[n]:
+            events.add("short_last_run")
+        if requests[n] and n != last and 0 < free_now <= requests[n]:
+            events.add("took_every_free_cache")
         for _ in range(int(requests[n])):
             u = next(uniforms)
             cand = [k for k in holders if k in free]
@@ -327,7 +356,7 @@ def _reference_dense_mlp(requests, placement, rng):
                 continue
             free.discard(cand[int(u * len(cand))])
             matched += 1
-    return matched, unmatched, server
+    return matched, unmatched, server, events
 
 
 def _random_placement(gen, n_files, d):
@@ -348,7 +377,8 @@ def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
 
     monkeypatch.setattr(RequestProfile, "counts", property(refuse))
     gen = np.random.default_rng(2017)
-    seen = dict(empty_cluster=0, uncached_request=0, one_copy_request=0, crowded_file=0)
+    seen = dict(empty_cluster=0, uncached_request=0, one_copy_request=0, crowded_file=0,
+                short_last_run=0, took_every_free_cache=0)
     for i in range(240):
         d = int(gen.integers(2, 9))
         clusters = int(gen.integers(1, 6))
@@ -364,10 +394,11 @@ def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
         served = pam_steep_serve(profile, placement, rng)
 
         oracle_rng = stream(i, 3, MATCHING_ROLE)
-        matched, unmatched, server = 0, 0, set()
+        matched, unmatched, server, events = 0, 0, set(), set()
         for column in counts.T:
-            m, u, files = _reference_dense_mlp(column, placement, oracle_rng)
+            m, u, files, happened = _reference_dense_mlp(column, placement, oracle_rng)
             matched, unmatched, server = matched + m, unmatched + u, server | files
+            events |= happened
         assert (served.server_files, served.matched_users, served.unmatched_requests) == (
             len(server), matched, unmatched)
         assert served.rate == float(len(server))
@@ -387,6 +418,8 @@ def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
         seen["one_copy_request"] += bool(((requested > 0) & (placement.copies == 1)).any())
         crowded = (counts > placement.copies[:, None]) & (placement.copies[:, None] > 0)
         seen["crowded_file"] += bool(crowded.any())
+        for event in events:
+            seen[event] += 1
     assert min(seen.values()) >= 20, seen
 
 
