@@ -80,13 +80,17 @@ def _row_config(base: SystemConfig, param: str, value: float) -> SystemConfig:
     if param == "M":
         return dataclasses.replace(base, M=float(value))
     if param == "d":
-        return dataclasses.replace(base, d=int(round(value)))
+        if not float(value).is_integer():  # rounding would alias it to a neighbouring row
+            raise DomainError(f"cluster size d = {value} is not an integer")
+        return dataclasses.replace(base, d=int(value))
     return dataclasses.replace(base, beta=float(value))
 
 
 def _cmd_rate_curve(args) -> int:
     if args.workers < 1:  # checked here too, as --trials 0 never reaches collect_trials
         raise DomainError(f"workers must be >= 1, got {args.workers}")
+    if args.trials < 0:  # 0 means analytic columns only
+        raise DomainError(f"trials must be >= 0, got {args.trials}")
     base = load_config(args.config)
     values = _sweep_values(args.start, args.stop, args.step)
     rows = []

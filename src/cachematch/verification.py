@@ -129,7 +129,10 @@ def _binomial_tail(n: int, q: float, k0: int) -> float:
 
 def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> VerificationReport:
     report = validate(config)
-    stream(seed, 0)  # a bad seed fails here, not as per-check skips
+    # a bad seed or trial count fails here, not as per-check skips or FAILs
+    stream(seed, 0)
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     warnings = tuple(w.detail for w in report.warnings)
     catalog = build_catalog(config.N, config.beta)
     lam = config.rho * config.d  # mean requests per cluster

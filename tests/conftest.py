@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cachematch import traffic
 from cachematch.config import SystemConfig
 
 
@@ -8,6 +9,14 @@ from cachematch.config import SystemConfig
 def base_config():
     """Small shallow system: floor warning only, every scheme applicable."""
     return SystemConfig(K=100, d=10, N=100, M=10.0, rho=0.25, beta=0.0, t0=1.0)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty profile memo in place of the process's one for this test."""
+    memo = traffic._ProfileMemo()
+    monkeypatch.setattr(traffic, "_memo", memo)
+    return memo
 
 
 def make_config(**overrides):

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from cachematch import cli
+from cachematch import cli, traffic
 from cachematch.cli import main
 from cachematch.config import SystemConfig
 from cachematch.errors import DomainError
@@ -195,6 +196,69 @@ def test_rate_curve_runs_each_scheme_once_per_row(tmp_path, monkeypatch):
         (1.5, "pcd", 3, 4, 1),
         (1.5, "pam-steep", 3, 4, 1),
     ]
+
+
+def test_rate_curve_draws_each_profile_once(tmp_path, monkeypatch, cold_memo):
+    # three rows and up to three schemes a row share the same five profiles
+    draws = Counter()
+    original = traffic.stream
+
+    def counting(seed, trial, role=traffic.PROFILE_ROLE):
+        if role == traffic.PROFILE_ROLE:
+            draws[seed, trial] += 1
+        return original(seed, trial, role)
+
+    monkeypatch.setattr(traffic, "stream", counting)
+    cfg = _write_config(tmp_path)
+    argv = ["rate-curve", cfg, "--param", "M", "--start", "0", "--stop", "20", "--step", "10",
+            "--trials", "5", "--seed", "4", "--workers", "1", "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    assert draws == {(4, trial): 1 for trial in range(5)}
+
+
+def test_rate_curve_bytes_match_across_warm_memos_and_workers(tmp_path, cold_memo):
+    cfg = _write_config(tmp_path)
+    texts = []
+    for run, workers in enumerate(["1", "2", "2", "1"]):  # later runs start warm
+        out = tmp_path / f"curve{run}.csv"
+        argv = ["rate-curve", cfg, "--param", "M", "--start", "0", "--stop", "20",
+                "--step", "5", "--trials", "6", "--seed", "3", "--workers", workers,
+                "--out", str(out)]
+        assert main(argv) == 0
+        texts.append(out.read_bytes())
+    assert texts.count(texts[0]) == 4
+
+
+def test_rate_curve_drops_fractional_d_rows(tmp_path):
+    # rounding used to give 9.5, 9.75, 10.25 and 10.5 the rates of d = 10
+    cfg = _write_config(tmp_path, k=40, n=40)
+    out = tmp_path / "curve.csv"
+    argv = ["rate-curve", cfg, "--param", "d", "--start", "9.5", "--stop", "10.5",
+            "--step", "0.25", "--out", str(out)]
+    assert main(argv) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["10"]
+
+
+def test_rate_curve_negative_trials_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "curve.csv"
+    argv = ["rate-curve", cfg, "--param", "M", "--start", "2", "--stop", "4", "--step", "1",
+            "--trials", "-4", "--out", str(out)]
+    assert main(argv) == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-4"])
+def test_verify_bounds_without_trials_exits_2(tmp_path, capsys, trials):
+    # used to report the Monte Carlo checks as FAIL and exit 1
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "verify.json"
+    assert main(["verify-bounds", cfg, "--trials", trials, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "trials" in captured.err and "FAIL" not in captured.out
+    assert not out.exists()
 
 
 def test_rate_curve_rejects_empty_sweep(tmp_path):

@@ -12,6 +12,10 @@ the matched (file, cache) pairs of mlp_match are pinned separately, cluster
 by cluster on one traffic.MATCHING_ROLE stream per trial: the same draws
 pam_steep_serve makes.
 
+The rate-curve memory sweeps are pinned as whole CSV files, serial and on two
+workers; their digests were recorded before profiles were reused across
+schemes and rows.
+
 A digest may change only together with a declared SAMPLER_VERSION or draw
 version (traffic.MATCHING_ROLE stream) bump, recorded in CHANGES.md.  Any
 other change to a digest is a regression.
@@ -23,6 +27,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cachematch.cli import main
 from cachematch.config import SystemConfig, load_config
 from cachematch.montecarlo import (
     HCM_SCHEME,
@@ -86,3 +91,25 @@ def test_matched_pairs_digest_is_pinned(config, trials, digest):
             requests = np.bincount(profile.files[start:stop], minlength=config.N)
             pairs.append(mlp_match(requests, placement, rng).matched)
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+
+SWEEP_GOLDEN = [
+    ("configs/default.json", ("2", "24", "2"),
+     "d0faa9e2e802f3a386e0035db529f8bd8e6c67557ee06b84d971d73887c15b31"),
+    ("configs/steep.json", ("0.5", "8", "0.5"),
+     "6e4605b81ace3597518abc017189ed971cb095e4d9adb5b698abe2195a72ae40"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "config, span, digest", SWEEP_GOLDEN, ids=["rate-curve-M-shallow", "rate-curve-M-steep"]
+)
+def test_rate_curve_sweep_digest_is_pinned(tmp_path, config, span, digest, workers):
+    start, stop, step = span
+    out = tmp_path / "curve.csv"
+    argv = ["rate-curve", config, "--param", "M", "--start", start, "--stop", stop,
+            "--step", step, "--trials", "5", "--seed", str(SEED), "--workers", workers,
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cachematch import traffic
 from cachematch.errors import DomainError
 from cachematch.popularity import build_catalog
 from cachematch.traffic import (
@@ -201,3 +203,121 @@ def test_distinct_files():
     assert distinct_files(profile) == 2
 
 
+
+
+# --- the per-process profile memo -----------------------------------------
+
+def _cold_draw(monkeypatch, config, seed, trial):
+    """The profile sample_profile draws with an empty memo."""
+    with monkeypatch.context() as m:
+        m.setattr(traffic, "_memo", traffic._ProfileMemo())
+        return sample_profile(config, build_catalog(config.N, config.beta), seed, trial)
+
+
+def _same_draw(a, b):
+    return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.files, b.files)
+
+
+def test_memo_hits_equal_cold_draws_across_key_changes(monkeypatch, cold_memo):
+    base = make_config(K=60, d=10, N=40, rho=0.3, beta=0.0)
+    keys = [
+        (base, 5),
+        (dataclasses.replace(base, N=50), 5),
+        (dataclasses.replace(base, beta=0.6), 5),
+        (dataclasses.replace(base, K=80), 5),
+        (dataclasses.replace(base, d=20), 5),
+        (dataclasses.replace(base, rho=0.45), 5),
+        (base, 6),
+        (base, 5),  # back to the first key after the memo has dropped it
+    ]
+    for config, seed in keys:
+        catalog = build_catalog(config.N, config.beta)
+        for trial in (0, 3, 1, 3, 0):
+            profile = sample_profile(config, catalog, seed, trial)
+            assert _same_draw(profile, _cold_draw(monkeypatch, config, seed, trial))
+            assert cold_memo.key == (config.N, config.K, config.d, config.rho, seed)
+        assert sorted(cold_memo.entries) == [0, 1, 3]
+        # a repeat call wraps the stored arrays: a hit, not a second draw
+        assert sample_profile(config, catalog, seed, 1).files is cold_memo.entries[1][1]
+
+
+def test_memo_stays_within_its_byte_budget(monkeypatch, cold_memo):
+    config = make_config(K=100, d=10, N=100, rho=0.25)
+    catalog = build_catalog(config.N, config.beta)
+    budget = 5000
+    monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", budget)
+    for trial in range(12):
+        profile = sample_profile(config, catalog, 9, trial)
+        charged = sum(
+            o.nbytes + f.nbytes + traffic.PROFILE_MEMO_ENTRY_BYTES
+            for o, f in cold_memo.entries.values()
+        )
+        assert cold_memo.charged == charged <= budget
+        assert _same_draw(profile, _cold_draw(monkeypatch, config, 9, trial))
+    stored = len(cold_memo.entries)
+    assert 0 < stored < 12
+    for trial in range(12):  # trials past the budget are drawn again, unchanged
+        assert _same_draw(sample_profile(config, catalog, 9, trial),
+                          _cold_draw(monkeypatch, config, 9, trial))
+    assert len(cold_memo.entries) == stored
+
+
+def test_memo_charge_covers_traced_memory_of_tiny_profiles(monkeypatch, cold_memo):
+    # K = d and rho small: most profiles hold no request, so the entry
+    # overhead is nearly all an entry costs
+    config = make_config(K=10, d=10, N=10, rho=0.01)
+    catalog = build_catalog(config.N, config.beta)
+    monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", 200_000)
+    sample_profile(config, catalog, 3, 0)  # first-call imports stay out of the trace
+    charged = cold_memo.charged
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for trial in range(1, 1000):
+            sample_profile(config, catalog, 3, trial)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 200 < len(cold_memo.entries) < 1000
+    assert grown <= cold_memo.charged - charged
+    assert cold_memo.charged <= 200_000
+
+
+def test_memo_hit_carries_the_callers_config_and_no_counts(cold_memo):
+    first = make_config(M=2.0)
+    second = dataclasses.replace(first, M=16.0, t0=0.5)  # neither enters the draw
+    catalog = build_catalog(first.N, first.beta)
+    a = sample_profile(first, catalog, 4, 2)
+    a.counts  # built on the first caller's profile only
+    b = sample_profile(second, catalog, 4, 2)
+    assert b.files is a.files and b.offsets is a.offsets
+    assert b.config is second and a.config is first
+    assert "counts" in vars(a) and "counts" not in vars(b)
+    assert not b.files.flags.writeable and not b.offsets.flags.writeable
+
+
+def test_memo_tells_catalogs_apart_by_their_cdf(monkeypatch, cold_memo):
+    config = make_config(K=100, d=10, N=100, rho=0.25)
+    built = build_catalog(config.N, config.beta)
+    halved = dataclasses.replace(built, cdf=built.cdf * 0.5)  # same N and beta
+    frozen = dataclasses.replace(built, cdf=built.cdf * 0.5)
+    frozen.cdf.setflags(write=False)
+
+    def fresh(catalog):
+        with monkeypatch.context() as m:
+            m.setattr(traffic, "_memo", traffic._ProfileMemo())
+            return sample_profile(config, catalog, 3, 0)
+
+    for order in ([built, halved, frozen, built], [frozen, halved, built, frozen]):
+        for catalog in order:
+            profile = sample_profile(config, catalog, 3, 0)
+            assert _same_draw(profile, fresh(catalog))
+    assert not _same_draw(fresh(built), fresh(halved))
+    assert _same_draw(fresh(halved), fresh(frozen))
+    # a writable cdf could change after the call, so its draws are never kept
+    assert cold_memo.cdf is frozen.cdf and sorted(cold_memo.entries) == [0]
+    sample_profile(config, halved, 3, 1)
+    assert cold_memo.cdf is frozen.cdf and sorted(cold_memo.entries) == [0]
+    # a catalog built again has an equal cdf, so it hits the first one's entries
+    first = sample_profile(config, build_catalog(config.N, config.beta), 3, 0)
+    assert sample_profile(config, build_catalog(config.N, config.beta), 3, 0).files is first.files
