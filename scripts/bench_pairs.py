@@ -1,0 +1,113 @@
+"""Paired benchmark runs of two checkouts, summarised in one JSON file.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR \\
+        --workload replicated-shallow --seeds 31-40,20261017 --seconds 20 \\
+        --out BENCH.json
+
+For each seed, runs `perfbench/run.py --trace 0` once in each checkout,
+alternating which side runs first, and keeps the end-to-end metrics of the
+last output line.  The file at --out is rewritten after every pair, and runs
+of other workloads already in it are kept, so one file can gather several
+workloads run one after another.  Each workload gets, per metric, the median
+and quartiles of both sides, the change of the median relative to the
+parent's, and the number of pairs the change won (ties count for neither).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"failed": last["failed"], "attempted": last["attempted"], "correct": last["correct"],
+            **{name: m["value"] for name, m in last["metrics"].items()}}
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for name, direction in better.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        par, chg = _spread(parent), _spread(change)
+        out[name] = {
+            "better": direction,
+            "parent": par,
+            "change": chg,
+            "median_change_frac": chg["median"] / par["median"] - 1.0,
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "gap_exceeds_parent_iqr": sign * (chg["median"] - par["median"]) > par["iqr"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--parent-label", default="parent", help="e.g. the parent's commit id")
+    parser.add_argument("--change-label", default="change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=_seeds, required=True, help="e.g. 31-40,20261017")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    better = {m["name"]: m["better"]
+              for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.update({
+        "parent": args.parent_label,
+        "change": args.change_label,
+        "nproc": len(os.sched_getaffinity(0)),
+        "numpy": np.__version__,
+        "python": sys.version.split()[0],
+        "seconds": args.seconds,
+    })
+    workloads = doc.setdefault("workloads", {})
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            checkout = args.parent if side == "parent" else args.change
+            pair[side] = _run(checkout, args.workload, seed, args.seconds)
+        pairs.append(pair)
+        workloads[args.workload] = {"pairs": pairs, "summary": summarise(pairs, better) if len(pairs) > 1 else {}}
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(args.workload, seed, {s: pair[s]["trials_per_s.pcd"] for s in order}, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

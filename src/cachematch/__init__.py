@@ -15,7 +15,6 @@ from .errors import (
     HardInvariantViolation,
     IncompatibleScheme,
     InsufficientMemory,
-    MissingCopyCount,
 )
 from .hcm import build_color_plan, compute_chi, hcm_rate, hcm_simulate
 from .montecarlo import (
@@ -46,7 +45,6 @@ __all__ = [
     "HardInvariantViolation",
     "IncompatibleScheme",
     "InsufficientMemory",
-    "MissingCopyCount",
     "PAM_SHALLOW_SCHEME",
     "PAM_STEEP_SCHEME",
     "PCD_SCHEME",

@@ -17,10 +17,6 @@ class HardInvariantViolation(ValueError):
         self.report = report
 
 
-class MissingCopyCount(ValueError):
-    """A stored file has copy count zero, so per-copy load is undefined."""
-
-
 class InsufficientMemory(ValueError):
     """Cluster memory cannot accommodate the requested placement."""
 

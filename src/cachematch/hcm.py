@@ -9,6 +9,14 @@ delivery across the clusters.  Unmatched users are unicast.
 The color count chi = floor(alpha * g * d / (2 * (1 + t) * log K)) uses the
 popularity split gain g = (3^(1-beta) - 1) / 4^(1-beta); when log K < 2*g*alpha
 the plan degenerates to a single color.
+
+A trial is accounted in one pass over all colors at once.  Each request gets
+the key (color, cluster); a bincount over the keys gives every block's
+request count and so the unmatched users.  Only when some block exceeds its
+color's m_x does a stable sort by key line the blocks up for a rank mask;
+otherwise every request is matched.  The distinct matched files come from
+one sort, and a bincount of their colors gives each color's distinct count
+for its own coded delivery round.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ def popularity_split_gain(beta: float) -> float:
     return (3.0**e - 1.0) / 4.0**e
 
 
-def _check_slack(config: SystemConfig, t: float) -> None:
+def check_slack(config: SystemConfig, t: float) -> None:
     if not 0 <= t <= config.t0:
         raise DomainError(f"t = {t} must lie in [0, t0 = {config.t0}]")
 
@@ -44,7 +52,7 @@ def compute_chi(config: SystemConfig, t: float) -> int:
     """Color count; returns 1 when K is too small for a multi-color plan."""
     if not 0 <= config.beta < 1:
         raise DomainError("color plans require beta in [0, 1)")
-    _check_slack(config, t)
+    check_slack(config, t)
     if unicast_fallback(config):
         return 1
     g = popularity_split_gain(config.beta)
@@ -95,7 +103,7 @@ def hcm_rate(config: SystemConfig, t: float) -> float:
     """Analytic expected rate of the color plan at slack t."""
     if not 0 <= config.beta < 1:
         raise DomainError("color-plan rate requires beta in [0, 1)")
-    _check_slack(config, t)
+    check_slack(config, t)
     chi = compute_chi(config, t)
     N, M, K = config.N, config.M, config.K
     unmatched = unmatched_tail_term(K, t)
@@ -122,27 +130,30 @@ def hcm_simulate(
 ) -> PcdRate:
     """One-trial empirical decomposition under the color plan."""
     files = profile.files
-    chi = plan.chi
     clusters = config.num_clusters
+    caps = plan.caches_per_color
 
-    # requests of one color stay cluster-major and file-sorted, so each color
-    # matches its first m_x requests per cluster like pcd matches its first d
-    color = plan.file_color[files]
-    key = color * clusters + profile.cluster_of_request()
-    color_totals = np.bincount(key, minlength=chi * clusters).reshape(chi, clusters)
-    unmatched = int(np.maximum(color_totals - plan.caches_per_color[:, None], 0).sum())
+    # block (x, c) holds cluster c's requests for color x; it matches its first
+    # m_x requests in file order, as a pcd cluster matches its first d
+    key = plan.file_color[files] * clusters + profile.cluster_of_request()
+    block_totals = np.bincount(key, minlength=plan.chi * clusters)
+    block_caps = np.repeat(caps, clusters)
+    unmatched = int(np.maximum(block_totals - block_caps, 0).sum())
+    matched = files
+    if unmatched:
+        # a stable sort by block keeps each block file-sorted
+        order = np.argsort(key, kind="stable")
+        matched = first_in_file_order(files[order], block_totals, block_caps)
+    # distinct matched files by a sort, whose cost does not grow with N
+    ids = np.sort(matched)
+    seen = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=seen[1:])
+    distinct = np.bincount(plan.file_color[ids[seen]], minlength=plan.chi)
 
     coded = 0.0
-    for x in range(chi):
-        m_x = int(plan.caches_per_color[x])
-        if m_x == 0:
-            continue  # no caches for this color; its users are all unmatched
-        matched = first_in_file_order(files[color == x], color_totals[x], m_x)
-        distinct = len(set(matched.tolist()))
-        coded += coded_delivery_rate(
-            m_x * clusters, config.M, int(plan.class_sizes[x]), distinct
-        )
+    for m_x, size, n in zip(caps.tolist(), plan.class_sizes.tolist(), distinct.tolist()):
+        if m_x:  # a color without caches delivers nothing; its users are unmatched
+            coded += coded_delivery_rate(m_x * clusters, config.M, size, n)
 
     total = min(coded + unmatched, float(profile.total_users))
     return PcdRate(coded, float(unmatched), total)
-

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MissingCopyCount
+from .errors import DomainError
 
 _INF = float("inf")
 
@@ -102,21 +102,3 @@ def max_matching(graph: ClusterBipartiteGraph) -> MatchingOutcome:
     unmatched = tuple(u for u in range(nl) if match_l[u] == -1)
     return MatchingOutcome(pairs=pairs, unmatched_left=unmatched)
 
-
-def fractional_load(placement_at_cache, requests, copies) -> float:
-    """Load sum_n u_n / d_n of one cache over its stored files.
-
-    placement_at_cache lists (file, stored fraction) pairs; entries with zero
-    fraction are ignored.  requests and copies are indexable by file id.
-    Raises MissingCopyCount when a stored file has copy count zero.
-    """
-    load = 0.0
-    for entry in placement_at_cache:
-        n, frac = entry
-        if frac <= 0:
-            continue
-        d_n = copies[n]
-        if d_n == 0:
-            raise MissingCopyCount(f"file {n} is stored but has copy count 0")
-        load += requests[n] / d_n
-    return load

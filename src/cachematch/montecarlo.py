@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import SystemConfig, config_payload, validate
 from .errors import DomainError, IncompatibleScheme
-from .hcm import build_color_plan, hcm_rate, hcm_simulate
+from .hcm import build_color_plan, check_slack, hcm_rate, hcm_simulate
 from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_placement
 from .pam_steep import build_knapsack, pam_steep_serve, solve_fractional_knapsack, steep_order_value
 from .pcd import pcd_rate_shallow, pcd_rate_steep, pcd_simulate
@@ -236,6 +236,7 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
         raise DomainError(f"workers must be >= 1, got {workers}")
     validate(spec.config)
     SCHEMES[spec.scheme].check(spec.config)
+    check_slack(spec.config, spec.slack)  # every scheme, though only hcm reads it
     chunks = plan_chunks(spec.trials, workers)
     if len(chunks) == 1:
         return run_trials(spec, 0, spec.trials)

@@ -27,7 +27,7 @@ from .errors import DomainError, InsufficientMemory
 from .matching import ClusterBipartiteGraph, deal_round_robin, max_matching
 from .mathkit import cramer_h
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile
+from .traffic import RequestProfile, distinct_count
 
 _LOAD_TOL = 1e-9  # float slack on the exact rational load threshold
 
@@ -147,7 +147,7 @@ def pam_shallow_serve(
     keep = np.ones(files.size, dtype=bool)
     keep[owner[_violating(loads)[slots]]] = False
     evicted_requests = int(files.size - np.count_nonzero(keep))
-    server_files = len(set(files[~keep].tolist()))
+    server_files = distinct_count(files[~keep])
     return ShallowServeOutcome(
         server_files=server_files,
         matched_users=int(files.size) - evicted_requests,

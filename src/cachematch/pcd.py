@@ -8,6 +8,13 @@ delivery round then serves all matched users across all K caches.
 
 For steep popularity (beta > 1) only the most popular floor((K*M)^(1/beta))
 files enter the placement; requests for the remaining files are unicast.
+
+A trial is accounted in a few vector operations over the profile's sorted
+request list.  When no cluster holds more than d requests, which is almost
+every trial, all requests are matched and no rank is computed; otherwise a
+rank mask keeps the first d of each cluster.  One compare splits the matched
+files into pool and overflow, and a bincount counts the distinct pool files
+that the coded round must deliver.
 """
 
 from __future__ import annotations
@@ -15,13 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import SystemConfig
 from .delivery import coded_delivery_rate
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
-from .traffic import RequestProfile, first_in_file_order
+from .traffic import RequestProfile, distinct_count, first_in_file_order
 
 
 @dataclass(frozen=True)
@@ -93,21 +98,16 @@ def coded_pool_size(config: SystemConfig) -> int:
 
 def pcd_simulate(profile: RequestProfile, config: SystemConfig) -> PcdRate:
     """One-trial empirical rate decomposition."""
-    K, d, M = config.K, config.d, config.M
     pool = coded_pool_size(config)
+    users = profile.total_users
+    matched = first_in_file_order(profile.files, profile.cluster_totals(), config.d)
+    unmatched_users = users - matched.size
 
-    # requests ranked in file-index order; the first d per cluster are matched
-    matched = first_in_file_order(profile.files, profile.cluster_totals(), d)
-    unmatched_users = profile.total_users - matched.size
-
+    in_pool = matched[matched < pool]
+    coded = 0.0
     if pool > 0:
-        distinct_matched = len(set(matched[matched < pool].tolist()))
-        coded = coded_delivery_rate(K, M, pool, distinct_matched)
-    else:
-        coded = 0.0
+        coded = coded_delivery_rate(config.K, config.M, pool, distinct_count(in_pool))
     # matched users demanding files outside the pool gain nothing from caches
-    overflow_unicasts = int(np.count_nonzero(matched >= pool))
-
-    coded_term = coded + overflow_unicasts
-    total = min(coded_term + unmatched_users, float(profile.total_users))
+    coded_term = coded + (matched.size - in_pool.size)
+    total = min(coded_term + unmatched_users, float(users))
     return PcdRate(coded_term, float(unmatched_users), float(total))

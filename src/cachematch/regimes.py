@@ -79,15 +79,6 @@ def classify_steep(point: PolyKPoint) -> RegimeVerdict:
     return RegimeVerdict(winner, float(sigma_pcd), float(sigma_pam))
 
 
-def steep_pcd_region(point: PolyKPoint) -> bool:
-    """Closed-form region test: mu <= min{nu - delta, (1 - beta*delta)/(beta - 1)}."""
-    if point.beta <= 1:
-        raise DomainError("steep region requires beta > 1")
-    b = Fraction(point.beta)
-    nu, delta, mu = Fraction(point.nu), Fraction(point.delta), Fraction(point.mu)
-    return mu <= min(nu - delta, (1 - b * delta) / (b - 1))
-
-
 @dataclass(frozen=True)
 class MapCell:
     delta: float

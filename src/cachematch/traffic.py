@@ -66,7 +66,7 @@ class RequestProfile:
 
     def cluster_totals(self) -> np.ndarray:
         """Y(c) = total requests per cluster, shape (num_clusters,)."""
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     def cluster_of_request(self) -> np.ndarray:
         """Cluster index of each entry of files."""
@@ -146,27 +146,35 @@ def sample_profile(
     arrays = _memo.get(key, catalog.cdf, trial) if kept else None
     if arrays is None:
         rng = stream(seed, trial, PROFILE_ROLE)
-        totals = rng.poisson(config.rho * config.d, size=config.num_clusters)
+        clusters = config.num_clusters
+        totals = rng.poisson(config.rho * config.d, size=clusters)
+        offsets = np.zeros(clusters + 1, dtype=np.int64)
+        np.cumsum(totals, out=offsets[1:])
         # searching cdf[:-1] keeps ids below N even when the cdf ends short of 1
-        files = np.searchsorted(catalog.cdf[:-1], rng.random(totals.sum()), side="right")
+        files = np.searchsorted(catalog.cdf[:-1], rng.random(offsets[-1]), side="right")
         # sort within clusters: cluster-major keys never cross cluster blocks
-        base = np.repeat(np.arange(config.num_clusters) * config.N, totals)
-        keys = np.sort(files + base)
-        arrays = (np.concatenate(([0], np.cumsum(totals))), keys - base)
+        base = np.repeat(np.arange(0, clusters * config.N, config.N), totals)
+        files += base
+        files.sort()
+        files -= base
+        arrays = (offsets, files)
         if kept:
             _memo.put(trial, arrays)
     return RequestProfile(*arrays, config)
 
 
-def first_in_file_order(files: np.ndarray, sizes: np.ndarray, limit: int) -> np.ndarray:
-    """Files of the first `limit` requests of each cluster, for `files` listed
-    cluster by cluster, `sizes[c]` of them for cluster c, each block sorted."""
+def first_in_file_order(files: np.ndarray, sizes: np.ndarray, limit: int | np.ndarray) -> np.ndarray:
+    """Files of the first `limit` requests of each block, for `files` listed
+    block by block, `sizes[b]` of them in block b, each block sorted.  `limit`
+    is one cap for every block or an array of one cap per block; when no
+    block exceeds its cap, `files` itself is returned."""
+    if (sizes <= limit).all():
+        return files
     starts = np.cumsum(sizes) - sizes
     rank = np.arange(files.size) - np.repeat(starts, sizes)
-    return files[rank < limit]
+    return files[rank < np.repeat(np.broadcast_to(limit, sizes.shape), sizes)]
 
 
-def distinct_files(profile: RequestProfile) -> int:
-    """Number of files with at least one request."""
-    return len(set(profile.files.tolist()))
-
+def distinct_count(files: np.ndarray) -> int:
+    """Number of distinct ids in `files`, a nonnegative integer array."""
+    return int(np.count_nonzero(np.bincount(files)))

@@ -54,7 +54,9 @@ from cachematch.pcd import (
 )
 from cachematch.popularity import build_catalog, partial_sum_A, partial_sum_envelope
 from cachematch.regimes import classify_shallow, classify_steep, regime_map
-from cachematch.traffic import distinct_files, sample_profile
+from cachematch.traffic import sample_profile
+
+from oracles import distinct_files
 
 SEED = 8191
 

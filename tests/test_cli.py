@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -69,6 +70,49 @@ def test_workers_below_one_exits_2(tmp_path, command):
     argv = [a.format(cfg=cfg, out=out) for a in command]
     assert main(argv + ["--workers", "0"]) == 2
     assert not out.exists()
+
+
+SCHEME_CONFIGS = {
+    "pcd": {},
+    "pam-shallow": {},  # M = 2 meets the replication threshold N / d = 2
+    "pam-steep": {"beta": 2.0},
+}
+
+
+@pytest.mark.parametrize("t_param", ["99", "nan", "-0.5", "1.0000001"])
+@pytest.mark.parametrize("scheme", list(SCHEME_CONFIGS))
+def test_simulate_rejects_slack_outside_zero_to_t0(tmp_path, capsys, scheme, t_param):
+    # only hcm reads the slack, but every scheme refuses one it could not take
+    cfg = _write_config(tmp_path, **SCHEME_CONFIGS[scheme])
+    argv = ["simulate", cfg, "--scheme", scheme, "--trials", "3", "--t-param", t_param]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must lie in [0, t0 = 1.0]" in captured.err
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_CONFIGS))
+def test_simulate_report_ignores_a_slack_in_range(tmp_path, capsys, scheme):
+    cfg = _write_config(tmp_path, **SCHEME_CONFIGS[scheme])
+    reports = []
+    for extra in ([], ["--t-param", "0"], ["--t-param", "0.5"], ["--t-param", "1"]):
+        assert main(["simulate", cfg, "--scheme", scheme, "--trials", "4", *extra]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1:] == reports[:1] * 3
+
+
+def test_simulate_hcm_slack_report_bytes(tmp_path, capsys):
+    # chi is 4 at t = 0.5 and 3 at t0 = 1; both digests were recorded before
+    # collect_trials checked the slack for every scheme
+    cfg = _write_config(tmp_path, k=2000, d=1000, n=2000)
+    digests = []
+    for extra in (["--t-param", "0.5"], []):
+        assert main(["simulate", cfg, "--scheme", "hcm", "--trials", "20", "--seed", "5", *extra]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+    assert digests == [
+        "66a2d1c3cc2448bc7095d0689db43fd304e84fb8b3be91281a5f30f398115d64",
+        "c4a1e349d30cbb63b865cb3e0f674ef629bdb1ea0efae57e3f108e80efc9b3c8",
+    ]
 
 
 def test_simulate_rejects_bad_scheme(tmp_path):

@@ -1,8 +1,11 @@
 """Differential tests: first-d matching on sorted request lists.
 
-The oracles below are the dense formulations, cumulative sums over the full
-N x K/d count matrix.  The simulators read the sparse profile instead; on the
-same counts both must give bitwise-equal rates.
+Two kinds of oracle.  The dense ones are cumulative sums over the full
+N x K/d count matrix.  The reference kernels are the per-trial accounting
+that the vector kernels replaced: a rank mask for every cluster, one mask,
+rank and Python set per hcm color, a set of evicted files in pam-shallow,
+and a sampler that concatenates its offsets and sorts into a new array.  On
+the same input every kernel must give bitwise-equal results and draws.
 """
 
 import dataclasses
@@ -12,9 +15,15 @@ import pytest
 
 from cachematch.delivery import coded_delivery_rate
 from cachematch.hcm import build_color_plan, hcm_simulate
+from cachematch.pam_shallow import (
+    ShallowServeOutcome,
+    _violating,
+    pam_shallow_serve,
+    proportional_placement,
+)
 from cachematch.pcd import PcdRate, coded_pool_size, pcd_simulate
 from cachematch.popularity import build_catalog
-from cachematch.traffic import RequestProfile, sample_profile
+from cachematch.traffic import PROFILE_ROLE, RequestProfile, sample_profile, stream
 
 from conftest import make_config
 
@@ -134,3 +143,178 @@ def test_simulators_never_build_dense_counts():
     pcd_simulate(profile, config)
     hcm_simulate(profile, plan, config)
     assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt
+
+
+def reference_first_d(files, sizes, limit):
+    """Files of the first `limit` requests of each block, by a rank mask."""
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(files.size) - np.repeat(starts, sizes)
+    return files[rank < limit]
+
+
+def reference_pcd_simulate(profile, config):
+    K, d, M = config.K, config.d, config.M
+    pool = coded_pool_size(config)
+    matched = reference_first_d(profile.files, np.diff(profile.offsets), d)
+    unmatched_users = profile.total_users - matched.size
+    if pool > 0:
+        distinct_matched = len(set(matched[matched < pool].tolist()))
+        coded = coded_delivery_rate(K, M, pool, distinct_matched)
+    else:
+        coded = 0.0
+    overflow_unicasts = int(np.count_nonzero(matched >= pool))
+    coded_term = coded + overflow_unicasts
+    total = min(coded_term + unmatched_users, float(profile.total_users))
+    return PcdRate(coded_term, float(unmatched_users), float(total))
+
+
+def reference_hcm_simulate(profile, plan, config):
+    files = profile.files
+    chi = plan.chi
+    clusters = config.num_clusters
+    color = plan.file_color[files]
+    key = color * clusters + profile.cluster_of_request()
+    color_totals = np.bincount(key, minlength=chi * clusters).reshape(chi, clusters)
+    unmatched = int(np.maximum(color_totals - plan.caches_per_color[:, None], 0).sum())
+    coded = 0.0
+    for x in range(chi):
+        m_x = int(plan.caches_per_color[x])
+        if m_x == 0:
+            continue
+        matched = reference_first_d(files[color == x], color_totals[x], m_x)
+        distinct = len(set(matched.tolist()))
+        coded += coded_delivery_rate(m_x * clusters, config.M, int(plan.class_sizes[x]), distinct)
+    total = min(coded + unmatched, float(profile.total_users))
+    return PcdRate(coded, float(unmatched), total)
+
+
+def reference_pam_shallow_serve(profile, placement, config):
+    d, clusters = config.d, config.num_clusters
+    files = profile.files
+    cluster = profile.cluster_of_request()
+    reps = placement.copies[files]
+    owner = np.repeat(np.arange(files.size), reps)
+    rank = np.arange(owner.size) - (np.cumsum(reps) - reps)[owner]
+    slots = cluster[owner] * d + placement.cache_ids[placement.cache_starts[files[owner]] + rank]
+    loads = np.bincount(slots, weights=1.0 / reps[owner], minlength=clusters * d)
+    keep = np.ones(files.size, dtype=bool)
+    keep[owner[_violating(loads)[slots]]] = False
+    evicted_requests = int(files.size - np.count_nonzero(keep))
+    server_files = len(set(files[~keep].tolist()))
+    return ShallowServeOutcome(
+        server_files=server_files,
+        matched_users=int(files.size) - evicted_requests,
+        evicted_requests=evicted_requests,
+        all_feasible=evicted_requests == 0,
+        rate=float(server_files),
+    )
+
+
+def reference_draw(config, catalog, seed, trial):
+    """(offsets, files) of one profile, drawn as SAMPLER_VERSION 3 defines it."""
+    rng = stream(seed, trial, PROFILE_ROLE)
+    totals = rng.poisson(config.rho * config.d, size=config.num_clusters)
+    files = np.searchsorted(catalog.cdf[:-1], rng.random(totals.sum()), side="right")
+    base = np.repeat(np.arange(config.num_clusters) * config.N, totals)
+    keys = np.sort(files + base)
+    return np.concatenate(([0], np.cumsum(totals))), keys - base
+
+
+REFERENCE_PROFILES = 150  # random profiles per configuration, at least 700 in all
+
+
+def _varied_counts(gen, config, i, per_cluster):
+    """Counts whose crowding varies with i.  Every 25th profile holds no
+    request; past one cluster, one random cluster of each profile is empty."""
+    shape = (config.N, config.num_clusters)
+    if i % 25 == 0:
+        return np.zeros(shape, dtype=np.int64)
+    scale = per_cluster * (0.25 + i % 4 / 2)
+    counts = gen.poisson(gen.uniform(0.0, 2.0 * scale / config.N, size=(config.N, 1)), size=shape)
+    if config.num_clusters > 1:
+        counts[:, gen.integers(config.num_clusters)] = 0
+    return counts
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        make_config(K=40, d=4, N=12, M=2.0),
+        make_config(K=30, d=10, N=25, M=0.0),
+        make_config(K=16, d=4, N=64, M=1.0, beta=2.0),  # pool 4 < N
+        make_config(K=16, d=4, N=64, M=0.5, beta=2.0),  # pool 0
+        make_config(K=8, d=8, N=20, M=3.0),  # K = d: a single cluster
+    ],
+)
+def test_pcd_matches_reference_kernel(config):
+    gen = np.random.default_rng(7)
+    crowded = roomy = 0
+    for i in range(REFERENCE_PROFILES):
+        counts = _varied_counts(gen, config, i, config.d)
+        profile = RequestProfile.from_counts(counts, config)
+        assert pcd_simulate(profile, config) == reference_pcd_simulate(profile, config)
+        over = (counts.sum(axis=0) > config.d).any()
+        crowded += over
+        roomy += not over
+    assert crowded > 0 and roomy > 0  # both the rank mask and the pass-through ran
+
+
+@pytest.mark.parametrize("zero_color", [None, 0, 2])
+def test_hcm_matches_reference_kernel(zero_color):
+    # few files per color, so small random caps bind
+    config = make_config(K=3000, d=1000, N=60, M=2.0, rho=0.25)
+    plan = build_color_plan(config, build_catalog(config.N, config.beta), t=0.5)
+    assert plan.chi == 4
+    gen = np.random.default_rng(11)
+    crowded = roomy = 0
+    for i in range(REFERENCE_PROFILES):
+        slots = gen.integers(1, 6, size=plan.chi)
+        if zero_color is not None:
+            slots[zero_color] = 0  # that color's users all go unmatched
+        trial_plan = dataclasses.replace(plan, caches_per_color=slots)
+        counts = _varied_counts(gen, config, i, int(slots.sum()))
+        profile = RequestProfile.from_counts(counts, config)
+        expected = reference_hcm_simulate(profile, trial_plan, config)
+        assert hcm_simulate(profile, trial_plan, config) == expected
+        crowded += expected.unmatched_term > 0
+        roomy += expected.unmatched_term == 0
+    assert crowded > 0 and roomy > 0
+
+
+def test_pam_shallow_serve_matches_reference_kernel():
+    config = make_config(K=40, d=4, N=12, M=6.0, beta=0.5)
+    placement = proportional_placement(config, build_catalog(config.N, config.beta))
+    gen = np.random.default_rng(13)
+    feasible = evicting = 0
+    for i in range(REFERENCE_PROFILES):
+        counts = _varied_counts(gen, config, i, config.d)
+        profile = RequestProfile.from_counts(counts, config)
+        expected = reference_pam_shallow_serve(profile, placement, config)
+        assert pam_shallow_serve(profile, placement, config) == expected
+        feasible += expected.all_feasible
+        evicting += expected.server_files > 1
+    assert feasible > 0 and evicting > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        make_config(),
+        make_config(K=10, d=10, N=10, rho=0.01),  # K = d, and most trials draw nothing
+        make_config(K=64, d=4, N=300, rho=0.45, beta=0.8),
+        make_config(K=40, d=10, N=5, rho=0.45),  # neighbouring clusters ask for files N-1 and 0
+        make_config(K=256, d=16, N=256, M=4.0, rho=0.1, beta=2.0),
+    ],
+)
+def test_sampler_draws_match_reference(cold_memo, config):
+    catalog = build_catalog(config.N, config.beta)
+    empty = 0
+    for seed in (0, 5, 2**63 + 1):
+        for trial in range(12):
+            offsets, files = reference_draw(config, catalog, seed, trial)
+            profile = sample_profile(config, catalog, seed, trial)
+            for got, want in ((profile.offsets, offsets), (profile.files, files)):
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
+            empty += profile.total_users == 0
+    assert empty > 0 or config.rho > 0.01

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachematch.config import load_config
-from cachematch.errors import DomainError, MissingCopyCount
+from cachematch.errors import DomainError
 from cachematch.matching import (
     ClusterBipartiteGraph,
     deal_round_robin,
-    fractional_load,
     max_matching,
 )
 from cachematch.pam_shallow import proportional_placement
@@ -15,6 +14,7 @@ from cachematch.pam_steep import build_knapsack, solve_fractional_knapsack
 from cachematch.popularity import build_catalog
 
 from conftest import make_config, python_deal_round_robin
+from oracles import MissingCopyCount, fractional_load
 
 
 def kuhn_matching_size(num_left, num_right, adjacency):

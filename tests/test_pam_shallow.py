@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cachematch import pam_shallow
 from cachematch.errors import DomainError, InsufficientMemory
-from cachematch.matching import fractional_load
 from cachematch.pam_shallow import (
     load_decay_exponent,
     matched_requests,
@@ -20,6 +19,7 @@ from cachematch.popularity import build_catalog
 from cachematch.traffic import RequestProfile, sample_profile
 
 from conftest import make_config
+from oracles import fractional_load
 
 
 def _cache_sets(placement):

@@ -15,8 +15,9 @@ from cachematch.regimes import (
     classify_steep,
     regime_map,
     steep_exponents,
-    steep_pcd_region,
 )
+
+from oracles import steep_pcd_region
 
 
 def _point(nu, delta, mu, beta):

@@ -12,12 +12,12 @@ from cachematch.traffic import (
     PROFILE_ROLE,
     SAMPLER_VERSION,
     RequestProfile,
-    distinct_files,
     sample_profile,
     stream,
 )
 
 from conftest import generator_state, make_config
+from oracles import distinct_files
 
 
 def test_stream_deterministic():
