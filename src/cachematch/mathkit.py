@@ -18,6 +18,14 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _REL_TAIL = 1e-17
 
 
+def power_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent for base > 0, or its limit +inf where that overflows a double."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def cramer_h(x: float) -> float:
     """Rate function h(x) = x*log(x) + 1 - x of a unit-mean Poisson variable.
 

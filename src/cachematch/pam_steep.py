@@ -27,6 +27,7 @@ import numpy as np
 from .config import SystemConfig
 from .errors import DomainError
 from .matching import deal_round_robin
+from .mathkit import power_or_inf
 from .popularity import ZipfCatalog, build_catalog
 from .traffic import RequestProfile
 
@@ -206,12 +207,13 @@ class RateEnvelope:
 
 
 def steep_order_value(config: SystemConfig) -> float:
-    """min{K / (d*M)^(beta-1), K^(1/beta)}; K^(1/beta) alone when d*M <= 1."""
+    """min{K / (d*M)^(beta-1), K^(1/beta)}; K^(1/beta) alone when d*M <= 1.
+    A power too large for a double takes its limit, so the first term is 0."""
     if config.beta <= 1:
         raise DomainError("steep envelope requires beta > 1")
     K, d, M, beta = config.K, config.d, config.M, config.beta
     if M > 0 and d * M > 1:
-        return min(K / (d * M) ** (beta - 1.0), K ** (1.0 / beta))
+        return min(K / power_or_inf(d * M, beta - 1.0), K ** (1.0 / beta))
     return K ** (1.0 / beta)
 
 

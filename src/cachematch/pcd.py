@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .config import SystemConfig
 from .delivery import coded_delivery_rate
 from .errors import DomainError
-from .mathkit import SQRT_TWO_PI
+from .mathkit import SQRT_TWO_PI, power_or_inf
 from .traffic import RequestProfile, distinct_count, first_in_file_order
 
 
@@ -72,7 +72,7 @@ def rate_steep_formula(
     if M < 1:
         coded = K ** (1.0 / beta)
         return PcdRate(coded, 0.0, min(rho * K, coded))
-    if M < N**beta / K:
+    if M < power_or_inf(N, beta) / K:
         coded = max((K * M) ** (1.0 / beta) / M - 1.0, 0.0)
     else:
         coded = max(N / M - 1.0, 0.0)

@@ -101,8 +101,8 @@ class _ProfileMemo:
         self.charged = 0  # bytes, entry overhead included
 
     def get(self, key: tuple, cdf: np.ndarray, trial: int) -> tuple[np.ndarray, np.ndarray] | None:
-        # each run builds its own catalog, so a new cdf object is compared by
-        # value once, and the same object again is taken as is
+        # build_catalog hands every run of one (N, beta) the same catalog, so
+        # its cdf is taken as is; another cdf object is compared by value
         if key != self.key or not (cdf is self.cdf or np.array_equal(cdf, self.cdf)):
             self.key, self.entries, self.charged = key, {}, 0
         self.cdf = cdf
@@ -124,7 +124,9 @@ def sample_profile(
     """Draw u[n, c] ~ Poisson(rho * d * p_n), independent across (n, c).
 
     Poisson splitting: cluster c draws Y_c ~ Poisson(rho * d) requests, each
-    for file n with probability p_n, found by inverse-CDF search.
+    for file n with probability p_n, found by the catalog's guide-table
+    inverse-CDF lookup: one table read and one compare per request, and a
+    search only for the uniforms in the few buckets of packed breakpoints.
 
     The draw is a pure function of its inputs, so its read-only arrays are
     kept in a per-process memo, and a repeat call wraps them in a fresh
@@ -137,9 +139,9 @@ def sample_profile(
     """
     if catalog.N != config.N:
         raise DomainError(f"catalog size {catalog.N} != config N {config.N}")
-    # the draw reads the catalog through its cdf alone, which the memo
-    # compares by value; only a read-only cdf is kept, so none can change
-    # under the entries drawn from it
+    # the draw reads the catalog through the guide derived from its cdf,
+    # which the memo compares by value; only a read-only cdf is kept, so none
+    # can change under the entries drawn from it
     key = (config.N, config.K, config.d, config.rho, operator.index(seed))
     trial = operator.index(trial)
     kept = not catalog.cdf.flags.writeable
@@ -150,8 +152,7 @@ def sample_profile(
         totals = rng.poisson(config.rho * config.d, size=clusters)
         offsets = np.zeros(clusters + 1, dtype=np.int64)
         np.cumsum(totals, out=offsets[1:])
-        # searching cdf[:-1] keeps ids below N even when the cdf ends short of 1
-        files = np.searchsorted(catalog.cdf[:-1], rng.random(offsets[-1]), side="right")
+        files = catalog.file_ids(rng.random(offsets[-1]))
         # sort within clusters: cluster-major keys never cross cluster blocks
         base = np.repeat(np.arange(0, clusters * config.N, config.N), totals)
         files += base

@@ -37,6 +37,7 @@ from .mathkit import (
     poisson_pmf,
     poisson_tail,
     poisson_upper_tail_bound,
+    power_or_inf,
 )
 from .montecarlo import (
     HCM_SCHEME,
@@ -353,7 +354,9 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         env = pam_steep_rate(config, catalog)
         K, dM, beta = config.K, config.d * config.M, config.beta
         # below one file per cluster only the K^(1/beta) branch exists
-        direct = K ** (1.0 / beta) if dM <= 1 else min(K / dM ** (beta - 1.0), K ** (1.0 / beta))
+        direct = K ** (1.0 / beta)
+        if dM > 1:
+            direct = min(K / power_or_inf(dM, beta - 1.0), direct)
         ok = env.order_value == direct and env.expected_uncached >= 0
         ok = ok and env.vanishing_memory_met == (dM >= config.N * math.log(config.N))
         return ok, f"order value {env.order_value:.6g}, E[uncached] {env.expected_uncached:.6g}"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from cachematch.errors import DomainError
 from cachematch.hcm import hcm_rate
 from cachematch.pam_shallow import pam_shallow_rate
 from cachematch.pam_steep import pam_steep_rate
-from cachematch.pcd import pcd_rate_shallow, pcd_rate_steep
+from cachematch.pcd import pcd_rate_shallow, pcd_rate_steep, unmatched_tail_term
 
 VALID = {"k": 20, "d": 10, "n": 20, "m": 2.0, "rho": 0.25, "beta": 0.0, "t0": 1.0}
 
@@ -391,6 +392,33 @@ def test_verify_bounds_cli(tmp_path, capsys):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["failed"] == 0
     assert payload["passed"] + payload["skipped"] == len(payload["checks"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in the report")
+
+
+@pytest.mark.parametrize("beta", [400.0, 1e300])
+def test_steep_formulas_take_the_limit_of_huge_beta(tmp_path, capsys, beta):
+    # N**beta and (d*M)**(beta - 1) overflow a double: the steep pcd threshold
+    # becomes infinite and the pam-steep head term K / (d*M)**(beta - 1) zero
+    cfg = _write_config(tmp_path, beta=beta)
+    limits = {"pcd": unmatched_tail_term(20, 1.0), "pam-steep": 0.0}  # K = 20, t0 = 1
+    for scheme in limits:
+        assert main(["simulate", cfg, "--scheme", scheme, "--trials", "5", "--seed", "2"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["bound_satisfied"]
+        assert report["analytic_rate"] == limits[scheme]
+    out = tmp_path / "curve.csv"
+    argv = ["rate-curve", cfg, "--param", "M", "--start", "0", "--stop", "4", "--step", "2",
+            "--trials", "3", "--out", str(out)]
+    assert main(argv) == 0
+    for line in out.read_text(encoding="utf-8").splitlines()[1:]:
+        assert all(math.isfinite(float(cell)) for cell in line.split(","))
+    capsys.readouterr()
+    assert main(["verify-bounds", cfg, "--trials", "5"]) == 0
+    stdout = capsys.readouterr().out
+    assert "0 failed" in stdout and "PASS    steep-envelope" in stdout
 
 
 @pytest.mark.parametrize(

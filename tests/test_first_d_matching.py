@@ -211,13 +211,15 @@ def reference_pam_shallow_serve(profile, placement, config):
 
 
 def reference_draw(config, catalog, seed, trial):
-    """(offsets, files) of one profile, drawn as SAMPLER_VERSION 3 defines it."""
+    """(offsets, files) of one profile, drawn as SAMPLER_VERSION 3 defines it,
+    and the uniforms its file ids were searched for."""
     rng = stream(seed, trial, PROFILE_ROLE)
     totals = rng.poisson(config.rho * config.d, size=config.num_clusters)
-    files = np.searchsorted(catalog.cdf[:-1], rng.random(totals.sum()), side="right")
+    u = rng.random(totals.sum())
+    files = np.searchsorted(catalog.cdf[:-1], u, side="right")
     base = np.repeat(np.arange(config.num_clusters) * config.N, totals)
     keys = np.sort(files + base)
-    return np.concatenate(([0], np.cumsum(totals))), keys - base
+    return np.concatenate(([0], np.cumsum(totals))), keys - base, u
 
 
 REFERENCE_PROFILES = 150  # random profiles per configuration, at least 700 in all
@@ -304,17 +306,22 @@ def test_pam_shallow_serve_matches_reference_kernel():
         make_config(K=64, d=4, N=300, rho=0.45, beta=0.8),
         make_config(K=40, d=10, N=5, rho=0.45),  # neighbouring clusters ask for files N-1 and 0
         make_config(K=256, d=16, N=256, M=4.0, rho=0.1, beta=2.0),
+        # steep tails pack several breakpoints into one guide bucket
+        make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1),
+        make_config(K=512, d=16, N=2048, M=2.0, rho=0.25, beta=3.0),
     ],
 )
 def test_sampler_draws_match_reference(cold_memo, config):
     catalog = build_catalog(config.N, config.beta)
-    empty = 0
+    empty = searched = 0
     for seed in (0, 5, 2**63 + 1):
         for trial in range(12):
-            offsets, files = reference_draw(config, catalog, seed, trial)
+            offsets, files, u = reference_draw(config, catalog, seed, trial)
+            searched += np.count_nonzero(catalog.crowded[(u * catalog.guide.size).astype(np.intp)])
             profile = sample_profile(config, catalog, seed, trial)
             for got, want in ((profile.offsets, offsets), (profile.files, files)):
                 assert got.dtype == want.dtype == np.int64
                 assert np.array_equal(got, want)
             empty += profile.total_users == 0
     assert empty > 0 or config.rho > 0.01
+    assert searched > 0 or config.beta == 0  # the crowded-bucket search ran

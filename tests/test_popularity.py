@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cachematch.errors import DomainError
 from cachematch.popularity import build_catalog, partial_sum_A, partial_sum_envelope
@@ -25,8 +27,52 @@ def test_build_catalog_rejects():
 
 def test_catalog_is_read_only():
     cat = build_catalog(5, 0.5)
-    with pytest.raises(ValueError):
-        cat.p[0] = 0.9
+    for array in (cat.p, cat.cdf, cat.guide, cat.crowded, cat.breaks):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_catalog_is_built_once_per_size_and_exponent():
+    build_catalog.cache_clear()
+    first = build_catalog(300, 0.5)
+    assert build_catalog(300, 0.5) is first
+    assert build_catalog(300, 0.6) is not first and build_catalog(301, 0.5) is not first
+    assert build_catalog.cache_info().hits == 1
+    for _ in range(2):  # a rejected exponent is never cached
+        with pytest.raises(DomainError):
+            build_catalog(300, 1.0)
+    maxsize = build_catalog.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 8
+    for N in range(1, maxsize + 10):
+        build_catalog(N, 0.5)
+    assert build_catalog.cache_info().currsize == maxsize
+
+
+def _lookup_keys(cdf):
+    """Uniforms in [0, 1) at, and one double either side of, every breakpoint
+    cdf[:-1], plus 0 and the largest double below 1."""
+    breaks = cdf[:-1]
+    u = np.concatenate((breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)]))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5000),
+    st.one_of(st.floats(min_value=0.0, max_value=0.95), st.floats(min_value=1.05, max_value=3.0)),
+)
+def test_guide_lookup_equals_a_search_of_the_cdf(N, beta):
+    built = build_catalog(N, beta)
+    # a cdf ending short of 1 gets a guide of its own
+    for cat in (built, dataclasses.replace(built, cdf=built.cdf * 0.5)):
+        u = _lookup_keys(cat.cdf)
+        want = np.searchsorted(cat.cdf[:-1], u, side="right")
+        got = cat.file_ids(u)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        guide_bytes = cat.guide.nbytes + cat.crowded.nbytes + cat.breaks.nbytes
+        assert guide_bytes <= 32 * N + 64
 
 
 @given(
