@@ -2,7 +2,6 @@
 
 from .bounds import (
     DISTINCT_FRACTION,
-    cutset_bound_uniform,
     gap_constant,
     lower_bound_report,
     optimality_gap,
@@ -59,7 +58,6 @@ __all__ = [
     "classify_shallow",
     "classify_steep",
     "compute_chi",
-    "cutset_bound_uniform",
     "gap_constant",
     "hcm_rate",
     "hcm_simulate",

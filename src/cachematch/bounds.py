@@ -24,17 +24,6 @@ def _per_cluster_cutset(rho: float, d: float, N: float, M: float, s: int) -> flo
     return max(0.0, 0.25 * rho * s * d * slack)
 
 
-def cutset_bound_uniform(config: SystemConfig, s: int) -> float:
-    """Cut over s clusters, uniform popularity: (1/4)*rho*s*d*[1 - e^(-1)/2 - s*d*M/N]^+."""
-    if config.beta != 0:
-        raise DomainError("uniform cut-set bound requires beta = 0")
-    if config.N < 10:
-        raise DomainError("cut-set bound is proved for N >= 10")
-    if not 1 <= s <= config.num_clusters:
-        raise DomainError(f"s = {s} must lie in [1, K/d = {config.num_clusters}]")
-    return _per_cluster_cutset(config.rho, config.d, config.N, config.M, s)
-
-
 def shallow_lower_bound(config: SystemConfig) -> float:
     """Closed form ((1-beta)*rho*a/48) * min{a*N/M - d, K}, a = 1 - e^(-1)/2."""
     if not 0 <= config.beta < 1:

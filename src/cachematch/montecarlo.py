@@ -190,7 +190,7 @@ def run_trials(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
     state = scheme.prepare(config, catalog, spec.slack)
     rows = np.empty((count, 3), dtype=np.float64)
     for i, trial in enumerate(range(start, start + count)):
-        profile = sample_profile(config, catalog, spec.seed, trial)
+        profile = sample_profile(config, spec.seed, trial=trial)
         rows[i] = scheme.trial(profile, config, state, spec.seed, trial)
     return rows
 
@@ -249,13 +249,17 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RateReport:
-    rows = collect_trials(spec, workers)
-    rates = rows[:, 0]
-    mean = float(rates.mean())
-    stderr = 0.0 if spec.trials == 1 else float(rates.std(ddof=1) / math.sqrt(spec.trials))
+def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error is 0 for one value."""
+    n = len(values)
+    stderr = 0.0 if n < 2 else float(values.std(ddof=1) / math.sqrt(n))
+    return float(values.mean()), stderr
+
+
+def summarize(spec: ExperimentSpec, rows: np.ndarray) -> RateReport:
+    """The report of `spec` from its per-trial rows, as collect_trials gives them."""
+    mean, stderr = mean_and_stderr(rows[:, 0])
     analytic = SCHEMES[spec.scheme].analytic(spec.config, spec.slack)
-    satisfied = bool(mean <= analytic + 3.0 * stderr)
     return RateReport(
         scheme=spec.scheme,
         trials=spec.trials,
@@ -265,5 +269,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RateReport:
         coded_mean=float(rows[:, 1].mean()),
         unmatched_mean=float(rows[:, 2].mean()),
         analytic_rate=analytic,
-        bound_satisfied=satisfied,
+        bound_satisfied=bool(mean <= analytic + 3.0 * stderr),
     )
+
+
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RateReport:
+    return summarize(spec, collect_trials(spec, workers))

@@ -217,10 +217,9 @@ def steep_order_value(config: SystemConfig) -> float:
     return K ** (1.0 / beta)
 
 
-def pam_steep_rate(config: SystemConfig, catalog: ZipfCatalog | None = None) -> RateEnvelope:
+def pam_steep_rate(config: SystemConfig) -> RateEnvelope:
     order_value = steep_order_value(config)
-    if catalog is None:
-        catalog = build_catalog(config.N, config.beta)
+    catalog = build_catalog(config.N, config.beta)
     placement = solve_fractional_knapsack(build_knapsack(config, catalog))
     vanishing = config.d * config.M >= config.N * math.log(config.N)
     uncached = catalog.p[placement.copies == 0]

@@ -7,9 +7,10 @@ stream draws the request profile; role 1 feeds any randomized matcher run on
 the same trial.
 
 Profiles are drawn by Poisson splitting and store only their requests, so
-memory per trial grows with the number of requests, not with N * K/d.  Each
+memory per trial grows with the number of requests, not with N * K/d.  A
+profile is a pure function of (N, K, d, rho, beta, seed, trial), and each
 process keeps the arrays it has drawn, up to a byte budget, so the schemes,
-sweep rows and checks that ask for the same (seed, trial) share one draw.
+sweep rows and checks that ask for the same numbers share one draw.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .errors import DomainError
-from .popularity import ZipfCatalog
+from .popularity import build_catalog
 
 SAMPLER_VERSION = 3  # bumped whenever the same seed starts giving other draws
 
@@ -91,21 +92,17 @@ PROFILE_MEMO_ENTRY_BYTES = 512
 
 
 class _ProfileMemo:
-    """The (offsets, files) arrays drawn for one key and catalog cdf, by
-    trial.  Not locked: trials run in worker processes, never in threads."""
+    """The (offsets, files) arrays drawn for one (N, K, d, rho, beta, seed),
+    by trial.  Not locked: trials run in worker processes, never in threads."""
 
     def __init__(self) -> None:
         self.key: tuple | None = None
-        self.cdf: np.ndarray | None = None  # the cdf the entries were drawn from
         self.entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.charged = 0  # bytes, entry overhead included
 
-    def get(self, key: tuple, cdf: np.ndarray, trial: int) -> tuple[np.ndarray, np.ndarray] | None:
-        # build_catalog hands every run of one (N, beta) the same catalog, so
-        # its cdf is taken as is; another cdf object is compared by value
-        if key != self.key or not (cdf is self.cdf or np.array_equal(cdf, self.cdf)):
+    def get(self, key: tuple, trial: int) -> tuple[np.ndarray, np.ndarray] | None:
+        if key != self.key:
             self.key, self.entries, self.charged = key, {}, 0
-        self.cdf = cdf
         return self.entries.get(trial)
 
     def put(self, trial: int, arrays: tuple[np.ndarray, np.ndarray]) -> None:
@@ -118,49 +115,40 @@ class _ProfileMemo:
 _memo = _ProfileMemo()
 
 
-def sample_profile(
-    config: SystemConfig, catalog: ZipfCatalog, seed: int, trial: int = 0
-) -> RequestProfile:
+def sample_profile(config: SystemConfig, seed: int, trial: int = 0) -> RequestProfile:
     """Draw u[n, c] ~ Poisson(rho * d * p_n), independent across (n, c).
 
     Poisson splitting: cluster c draws Y_c ~ Poisson(rho * d) requests, each
-    for file n with probability p_n, found by the catalog's guide-table
-    inverse-CDF lookup: one table read and one compare per request, and a
-    search only for the uniforms in the few buckets of packed breakpoints.
+    for file n with probability p_n, found by the guide-table inverse-CDF
+    lookup of build_catalog(N, beta): one table read and one compare per
+    request, and a search only in the few buckets of packed breakpoints.
 
-    The draw is a pure function of its inputs, so its read-only arrays are
-    kept in a per-process memo, and a repeat call wraps them in a fresh
-    profile that carries the caller's config.  The memo is module state
-    because pool workers outlive each experiment and must keep profiles from
-    one sweep row to the next.  It holds one key and catalog cdf at a time,
-    dropping every entry when either changes, and at most PROFILE_MEMO_BYTES: past that,
-    trials are drawn and not kept, so memory stays bounded for any trial
-    count.
+    The draw is a pure function of the key (N, K, d, rho, beta, seed) and
+    the trial, so its read-only arrays are kept in a per-process memo, and a
+    repeat call wraps them in a fresh profile that carries the caller's
+    config.  The memo is module state because pool workers outlive each
+    experiment and must keep profiles from one sweep row to the next.  It
+    holds one key at a time, dropping every entry when the key changes, and
+    at most PROFILE_MEMO_BYTES: past that, trials are drawn and not kept, so
+    memory stays bounded for any trial count.
     """
-    if catalog.N != config.N:
-        raise DomainError(f"catalog size {catalog.N} != config N {config.N}")
-    # the draw reads the catalog through the guide derived from its cdf,
-    # which the memo compares by value; only a read-only cdf is kept, so none
-    # can change under the entries drawn from it
-    key = (config.N, config.K, config.d, config.rho, operator.index(seed))
+    key = (config.N, config.K, config.d, config.rho, config.beta, operator.index(seed))
     trial = operator.index(trial)
-    kept = not catalog.cdf.flags.writeable
-    arrays = _memo.get(key, catalog.cdf, trial) if kept else None
+    arrays = _memo.get(key, trial)
     if arrays is None:
         rng = stream(seed, trial, PROFILE_ROLE)
         clusters = config.num_clusters
         totals = rng.poisson(config.rho * config.d, size=clusters)
         offsets = np.zeros(clusters + 1, dtype=np.int64)
         np.cumsum(totals, out=offsets[1:])
-        files = catalog.file_ids(rng.random(offsets[-1]))
+        files = build_catalog(config.N, config.beta).file_ids(rng.random(offsets[-1]))
         # sort within clusters: cluster-major keys never cross cluster blocks
         base = np.repeat(np.arange(0, clusters * config.N, config.N), totals)
         files += base
         files.sort()
         files -= base
         arrays = (offsets, files)
-        if kept:
-            _memo.put(trial, arrays)
+        _memo.put(trial, arrays)
     return RequestProfile(*arrays, config)
 
 

@@ -46,6 +46,8 @@ from .montecarlo import (
     SCHEMES,
     ExperimentSpec,
     collect_trials,
+    mean_and_stderr,
+    summarize,
 )
 from .pam_shallow import (
     load_decay_exponent,
@@ -107,13 +109,6 @@ def _outcome(name: str, fn) -> CheckOutcome:
     return CheckOutcome(name, PASS if ok else FAIL, detail)
 
 
-def _mc_stats(rows: np.ndarray, col: int) -> tuple[float, float]:
-    vals = rows[:, col]
-    n = len(vals)
-    se = 0.0 if n < 2 else float(vals.std(ddof=1) / math.sqrt(n))
-    return float(vals.mean()), se
-
-
 def _binomial_tail(n: int, q: float, k0: int) -> float:
     """Exact Pr{Bin(n, q) >= k0} via log-space summation."""
     if k0 <= 0:
@@ -152,8 +147,10 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
 
     # --- state shared by several checks, built on first use --------------
     @cache
-    def mc_rows(scheme):
-        return collect_trials(ExperimentSpec(config=config, scheme=scheme, trials=trials, seed=seed))
+    def mc_run(scheme):  # (per-trial rows, their RateReport)
+        spec = ExperimentSpec(config=config, scheme=scheme, trials=trials, seed=seed)
+        rows = collect_trials(spec)
+        return rows, summarize(spec, rows)
 
     @cache
     def replication():
@@ -216,15 +213,14 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     # --- Monte Carlo against the analytic rates --------------------------
     def rate_mc(scheme):
         def check():
-            mean, se = _mc_stats(mc_rows(scheme), 0)
-            analytic = SCHEMES[scheme].analytic(config, config.t0)
-            ok = mean <= analytic + 3 * se
-            return ok, f"mean rate {mean:.6g} (se {se:.3g}) vs analytic {analytic:.6g}"
+            r = mc_run(scheme)[1]
+            detail = f"mean rate {r.mean_rate:.6g} (se {r.stderr:.3g}) vs analytic {r.analytic_rate:.6g}"
+            return r.bound_satisfied, detail
 
         return check
 
     def unmatched_tail_mc():
-        mean, se = _mc_stats(mc_rows(PCD_SCHEME), 2)
+        mean, se = mean_and_stderr(mc_run(PCD_SCHEME)[0][:, 2])
         tail = unmatched_tail_term(config.K, config.t0)
         exact = config.num_clusters * expected_excess(lam, config.d)
         ok = mean <= tail + 3 * se and mean <= exact + 3 * se + 1e-12
@@ -266,7 +262,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         placement = replication()
         bad = 0
         for trial in range(min(trials, 50)):
-            profile = sample_profile(config, catalog, seed, trial)
+            profile = sample_profile(config, seed, trial)
             if pam_shallow_serve(profile, placement, config).all_feasible:
                 bad += matched_requests(profile, placement, config) != profile.total_users
         return bad == 0, f"{bad} feasible trials with unmatched users"
@@ -333,7 +329,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     def mlp_structural():
         _, placement = knapsack()
         for trial in range(min(trials, 20)):
-            profile = sample_profile(config, catalog, seed, trial)
+            profile = sample_profile(config, seed, trial)
             rng = stream(seed, trial, MATCHING_ROLE)
             for c in range(config.num_clusters):
                 lo, hi = profile.offsets[c], profile.offsets[c + 1]
@@ -351,7 +347,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         return True, "matchings feasible and request-conserving"
 
     def steep_envelope():
-        env = pam_steep_rate(config, catalog)
+        env = pam_steep_rate(config)
         K, dM, beta = config.K, config.d * config.M, config.beta
         # below one file per cluster only the K^(1/beta) branch exists
         direct = K ** (1.0 / beta)

@@ -135,7 +135,7 @@ def test_criterion_04_pam_shallow_achievability():
             # cacheless fallback broadcasts every distinct requested file
             rates = np.array(
                 [
-                    float(distinct_files(sample_profile(cfg, catalog, SEED, trial=t)))
+                    float(distinct_files(sample_profile(cfg, SEED, trial=t)))
                     for t in range(trials)
                 ]
             )
@@ -144,7 +144,7 @@ def test_criterion_04_pam_shallow_achievability():
             rates = np.empty(trials)
             feasible_trials = 0
             for t in range(trials):
-                profile = sample_profile(cfg, catalog, SEED, trial=t)
+                profile = sample_profile(cfg, SEED, trial=t)
                 out = pam_shallow_serve(profile, placement, cfg)
                 rates[t] = out.rate
                 if out.all_feasible:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cachematch.bounds import (
     DISTINCT_FRACTION,
-    cutset_bound_uniform,
     distinct_files_tail_bound,
     gap_constant,
     lower_bound_report,
@@ -29,7 +28,7 @@ def test_distinct_fraction_frozen():
 def test_cutset_frozen_example():
     # zero memory, one cluster: (1/4) * 0.4 * 10 * (1 - e^(-1)/2)
     config = make_config(K=100, d=10, N=100, M=0.0, rho=0.4)
-    assert cutset_bound_uniform(config, 1) == pytest.approx(
+    assert lower_bound_report(config).per_s[0] == pytest.approx(
         0.8160602794142788, rel=1e-12
     )
 
@@ -37,21 +36,18 @@ def test_cutset_frozen_example():
 def test_cutset_memory_slack():
     config = make_config(M=2.0)  # K=100, d=10, N=100, rho=0.25
     want = 0.25 * 0.25 * 10 * (DISTINCT_FRACTION - 10 * 2.0 / 100)
-    assert cutset_bound_uniform(config, 1) == pytest.approx(want, rel=1e-12)
+    per_s = lower_bound_report(config).per_s
+    assert per_s[0] == pytest.approx(want, rel=1e-12)
     # large s drives the slack negative; the bound clamps at zero
-    assert cutset_bound_uniform(config, 10) == 0.0
+    assert per_s[9] == 0.0
 
 
 def test_cutset_domain():
+    # the cut is taken over s = 1..K/d clusters, and only for N >= 10
+    assert len(lower_bound_report(make_config()).per_s) == 10
+    assert len(lower_bound_report(make_config(d=50)).per_s) == 2
     with pytest.raises(DomainError):
-        cutset_bound_uniform(make_config(beta=0.5), 1)
-    with pytest.raises(DomainError):
-        cutset_bound_uniform(make_config(K=8, d=4, N=8), 1)  # N < 10
-    config = make_config()
-    with pytest.raises(DomainError):
-        cutset_bound_uniform(config, 0)
-    with pytest.raises(DomainError):
-        cutset_bound_uniform(config, 11)  # K/d = 10
+        lower_bound_report(make_config(K=8, d=4, N=8))
 
 
 def test_closed_form_values():
@@ -129,9 +125,7 @@ def test_report_structure():
     assert report.gap_constant == gap_constant(config)
     # shallow Zipf reduces to uniform at intensity (1 - beta) * rho
     half = make_config(M=2.0, rho=0.125)
-    assert report.per_s == pytest.approx(
-        [cutset_bound_uniform(half, s) for s in range(1, 11)], rel=1e-12
-    )
+    assert report.per_s == pytest.approx(lower_bound_report(half).per_s, rel=1e-12)
 
 
 def test_report_domain():
@@ -157,6 +151,7 @@ def test_bound_below_scheme_rates(mem, rho, beta):
 
 def test_cutset_linear_in_s_at_zero_memory():
     config = make_config(M=0.0, rho=0.4)
-    values = [cutset_bound_uniform(config, s) for s in (1, 2, 4)]
+    per_s = lower_bound_report(config).per_s
+    values = [per_s[s - 1] for s in (1, 2, 4)]
     assert values[1] == pytest.approx(2 * values[0], rel=1e-12)
     assert values[2] == pytest.approx(4 * values[0], rel=1e-12)

@@ -139,7 +139,7 @@ def test_simulators_never_build_dense_counts():
     config = make_config(K=1200, d=400, N=10, M=2.0)
     catalog = build_catalog(config.N, config.beta)
     plan = build_color_plan(config, catalog, t=0.0)
-    profile = sample_profile(config, catalog, seed=1, trial=0)
+    profile = sample_profile(config, seed=1, trial=0)
     pcd_simulate(profile, config)
     hcm_simulate(profile, plan, config)
     assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt
@@ -318,7 +318,7 @@ def test_sampler_draws_match_reference(cold_memo, config):
         for trial in range(12):
             offsets, files, u = reference_draw(config, catalog, seed, trial)
             searched += np.count_nonzero(catalog.crowded[(u * catalog.guide.size).astype(np.intp)])
-            profile = sample_profile(config, catalog, seed, trial)
+            profile = sample_profile(config, seed, trial)
             for got, want in ((profile.offsets, offsets), (profile.files, files)):
                 assert got.dtype == want.dtype == np.int64
                 assert np.array_equal(got, want)

@@ -85,7 +85,7 @@ def test_matched_pairs_digest_is_pinned(config, trials, digest):
     placement = solve_fractional_knapsack(build_knapsack(config, catalog))
     pairs = []
     for trial in range(trials):
-        profile = sample_profile(config, catalog, SEED, trial)
+        profile = sample_profile(config, SEED, trial)
         rng = stream(SEED, trial, MATCHING_ROLE)
         for start, stop in zip(profile.offsets[:-1], profile.offsets[1:]):
             requests = np.bincount(profile.files[start:stop], minlength=config.N)

@@ -147,7 +147,7 @@ def test_single_color_simulation_matches_cluster_scheme():
     assert plan.chi == 1
     assert np.array_equal(plan.caches_per_color, [2])
     for trial in range(20):
-        profile = sample_profile(config, catalog, seed=13, trial=trial)
+        profile = sample_profile(config, seed=13, trial=trial)
         color = hcm_simulate(profile, plan, config)
         cluster = pcd_simulate(profile, config)
         assert color.total == pytest.approx(cluster.total, rel=1e-12)

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
@@ -8,7 +9,7 @@ from multiprocessing.connection import wait
 import numpy as np
 import pytest
 
-from cachematch import montecarlo
+from cachematch import montecarlo, traffic
 from cachematch.config import load_config
 from cachematch.errors import DomainError, HardInvariantViolation, IncompatibleScheme
 from cachematch.hcm import hcm_rate
@@ -117,6 +118,23 @@ def test_reports_identical_across_workers():
     a = run_experiment(spec, workers=1).to_json(spec.config)
     b = run_experiment(spec, workers=2).to_json(spec.config)
     assert a == b
+
+
+def test_consecutive_experiments_draw_each_profile_once(monkeypatch, cold_memo):
+    # pcd then hcm at one seed, as a benchmark pass runs them: the second
+    # experiment takes every profile from the memo
+    draws = Counter()
+    original = traffic.stream
+
+    def counting(seed, trial, role=traffic.PROFILE_ROLE):
+        if role == traffic.PROFILE_ROLE:
+            draws[seed, trial] += 1
+        return original(seed, trial, role)
+
+    monkeypatch.setattr(traffic, "stream", counting)
+    for scheme in (PCD_SCHEME, HCM_SCHEME):
+        run_experiment(_spec(scheme, trials=6, seed=4, **SMALL))
+    assert draws == {(4, trial): 1 for trial in range(6)}
 
 
 def test_report_recomputes_from_rows():

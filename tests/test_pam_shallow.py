@@ -157,7 +157,7 @@ def test_feasibility_flag_matches_load_helper():
     placement = proportional_placement(config, catalog)
     owner = np.repeat(np.arange(config.N), placement.copies)  # file behind each cache_ids entry
     for trial in range(40):
-        profile = sample_profile(config, catalog, seed=9, trial=trial)
+        profile = sample_profile(config, seed=9, trial=trial)
         outcome = pam_shallow_serve(profile, placement, config)
         loads = [
             fractional_load(
@@ -176,7 +176,7 @@ def test_serve_request_accounting():
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
     for trial in range(30):
-        profile = sample_profile(config, catalog, seed=17, trial=trial)
+        profile = sample_profile(config, seed=17, trial=trial)
         outcome = pam_shallow_serve(profile, placement, config)
         total = outcome.matched_users + outcome.evicted_requests
         assert total == profile.total_users
@@ -191,7 +191,7 @@ def test_serve_never_runs_hopcroft_karp(monkeypatch):
     config = make_config(K=40, d=10, N=20, M=4.0, rho=0.3)
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
-    profiles = [sample_profile(config, catalog, seed=23, trial=t) for t in range(30)]
+    profiles = [sample_profile(config, seed=23, trial=t) for t in range(30)]
     feasible = [p for p in profiles if pam_shallow_serve(p, placement, config).all_feasible]
     assert 0 < len(feasible) < len(profiles)  # both branches run below
 
@@ -213,7 +213,7 @@ def test_survivors_always_match():
     placement = proportional_placement(config, catalog)
     cache_sets = _cache_sets(placement)
     for trial in range(60):
-        profile = sample_profile(config, catalog, seed=23, trial=trial)
+        profile = sample_profile(config, seed=23, trial=trial)
         outcome = pam_shallow_serve(profile, placement, config)
         survivors = profile.counts.copy()
         for c in range(config.num_clusters):

@@ -225,7 +225,7 @@ def test_serve_draws_once_per_trial(steep_config):
     placement = solve_fractional_knapsack(build_knapsack(steep_config, catalog))
     matched = 0
     for trial in range(25):
-        profile = sample_profile(steep_config, catalog, seed=12, trial=trial)
+        profile = sample_profile(steep_config, seed=12, trial=trial)
         recorder = _CallRecorder(stream(12, trial, MATCHING_ROLE))
         outcome = pam_steep_serve(profile, placement, recorder)
         assert recorder.calls == ["random"]
@@ -296,7 +296,7 @@ def test_serve_request_accounting(steep_config):
     catalog = build_catalog(steep_config.N, steep_config.beta)
     placement = solve_fractional_knapsack(build_knapsack(steep_config, catalog))
     for trial in range(25):
-        profile = sample_profile(steep_config, catalog, seed=31, trial=trial)
+        profile = sample_profile(steep_config, seed=31, trial=trial)
         outcome = pam_steep_serve(profile, placement, stream(31, trial, MATCHING_ROLE))
         assert outcome.matched_users + outcome.unmatched_requests == profile.total_users
         assert outcome.server_files <= outcome.unmatched_requests
@@ -307,7 +307,7 @@ def test_serve_equals_mlp_over_dense_columns(steep_config):
     catalog = build_catalog(steep_config.N, steep_config.beta)
     placement = solve_fractional_knapsack(build_knapsack(steep_config, catalog))
     for trial in range(10):
-        profile = sample_profile(steep_config, catalog, seed=8, trial=trial)
+        profile = sample_profile(steep_config, seed=8, trial=trial)
         rng = stream(8, trial, MATCHING_ROLE)
         outcomes = [mlp_match(column, placement, rng) for column in profile.counts.T]
         served = pam_steep_serve(profile, placement, stream(8, trial, MATCHING_ROLE))
@@ -319,7 +319,7 @@ def test_serve_equals_mlp_over_dense_columns(steep_config):
 def test_serve_is_reproducible(steep_config):
     catalog = build_catalog(steep_config.N, steep_config.beta)
     placement = solve_fractional_knapsack(build_knapsack(steep_config, catalog))
-    profile = sample_profile(steep_config, catalog, seed=5, trial=0)
+    profile = sample_profile(steep_config, seed=5, trial=0)
     first = pam_steep_serve(profile, placement, stream(5, 0, MATCHING_ROLE))
     second = pam_steep_serve(profile, placement, stream(5, 0, MATCHING_ROLE))
     assert first == second

@@ -17,7 +17,6 @@ from cachematch.pcd import (
     rate_steep_formula,
     unmatched_tail_term,
 )
-from cachematch.popularity import build_catalog
 from cachematch.traffic import RequestProfile, sample_profile
 
 from conftest import make_config
@@ -159,9 +158,8 @@ def test_simulate_empty_profile():
 
 def test_simulate_mean_below_analytic(base_config):
     # cheap seeded check; the acceptance suite runs the full-size version
-    cat = build_catalog(base_config.N, base_config.beta)
     totals = [
-        pcd_simulate(sample_profile(base_config, cat, seed=3, trial=t), base_config).total
+        pcd_simulate(sample_profile(base_config, seed=3, trial=t), base_config).total
         for t in range(200)
     ]
     mean = float(np.mean(totals))

@@ -111,7 +111,7 @@ def test_serve_matches_dense_oracle(config):
         )
         for i in range(PROFILES)
     ]
-    profiles += [sample_profile(config, catalog, seed=23, trial=t) for t in range(PROFILES)]
+    profiles += [sample_profile(config, seed=23, trial=t) for t in range(PROFILES)]
     evicting = feasible = 0
     for profile in profiles:
         expected, unmatched_survivors = dense_serve(profile.counts, placement, config)
@@ -137,6 +137,6 @@ def test_serve_never_builds_dense_counts():
     config = CONFIGS[0]
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
-    profile = sample_profile(config, catalog, seed=3, trial=0)
+    profile = sample_profile(config, seed=3, trial=0)
     pam_shallow_serve(profile, placement, config)
     assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt

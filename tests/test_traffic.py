@@ -75,33 +75,25 @@ def test_stream_accepts_both_ends_of_the_key_range():
 
 
 def test_sample_profile_shape_and_determinism(base_config):
-    cat = build_catalog(base_config.N, base_config.beta)
-    profile = sample_profile(base_config, cat, seed=5, trial=2)
+    profile = sample_profile(base_config, seed=5, trial=2)
     assert profile.counts.shape == (base_config.N, base_config.num_clusters)
     assert profile.counts.dtype == np.int64
-    again = sample_profile(base_config, cat, seed=5, trial=2)
+    again = sample_profile(base_config, seed=5, trial=2)
     assert np.array_equal(profile.counts, again.counts)
-    other = sample_profile(base_config, cat, seed=5, trial=3)
+    other = sample_profile(base_config, seed=5, trial=3)
     assert not np.array_equal(profile.counts, other.counts)
 
 
 def test_sample_profile_is_read_only(base_config):
-    cat = build_catalog(base_config.N, base_config.beta)
-    profile = sample_profile(base_config, cat, seed=0)
+    profile = sample_profile(base_config, seed=0)
     with pytest.raises(ValueError):
         profile.counts[0, 0] = 3
 
 
-def test_sample_profile_rejects_catalog_mismatch(base_config):
-    with pytest.raises(DomainError):
-        sample_profile(base_config, build_catalog(base_config.N + 1, 0.0), seed=0)
-
-
 def test_sample_profile_mean_matches_intensity(base_config):
     # mean of total_users over trials should sit near rho*K = 25
-    cat = build_catalog(base_config.N, base_config.beta)
     totals = [
-        sample_profile(base_config, cat, seed=11, trial=t).total_users
+        sample_profile(base_config, seed=11, trial=t).total_users
         for t in range(80)
     ]
     mean = float(np.mean(totals))
@@ -116,9 +108,8 @@ def test_sampler_version_is_exported():
 
 
 def test_from_counts_round_trips_sampled_profile(base_config):
-    cat = build_catalog(base_config.N, base_config.beta)
     for trial in range(5):
-        profile = sample_profile(base_config, cat, seed=9, trial=trial)
+        profile = sample_profile(base_config, seed=9, trial=trial)
         again = RequestProfile.from_counts(profile.counts, base_config)
         assert np.array_equal(again.offsets, profile.offsets)
         assert np.array_equal(again.files, profile.files)
@@ -126,8 +117,7 @@ def test_from_counts_round_trips_sampled_profile(base_config):
 
 
 def test_files_sorted_within_each_cluster(base_config):
-    cat = build_catalog(base_config.N, 0.6)
-    profile = sample_profile(base_config, cat, seed=4, trial=1)
+    profile = sample_profile(dataclasses.replace(base_config, beta=0.6), seed=4, trial=1)
     offsets = profile.offsets
     assert offsets[0] == 0 and offsets.size == base_config.num_clusters + 1
     for c in range(base_config.num_clusters):
@@ -137,8 +127,7 @@ def test_files_sorted_within_each_cluster(base_config):
 
 
 def test_counts_view_is_dense_read_only_int64(base_config):
-    cat = build_catalog(base_config.N, base_config.beta)
-    profile = sample_profile(base_config, cat, seed=2, trial=0)
+    profile = sample_profile(base_config, seed=2, trial=0)
     counts = profile.counts
     assert counts.shape == (base_config.N, base_config.num_clusters)
     assert counts.dtype == np.int64
@@ -166,7 +155,7 @@ def test_sampler_matches_poisson_splitting_law():
     totals = []
     pooled = np.zeros(config.N)
     for t in range(trials):
-        profile = sample_profile(config, cat, seed=17, trial=t)
+        profile = sample_profile(config, seed=17, trial=t)
         totals.append(profile.cluster_totals())
         pooled += np.bincount(profile.files, minlength=config.N)
     totals = np.concatenate(totals)
@@ -175,15 +164,6 @@ def test_sampler_matches_poisson_splitting_law():
     assert abs(totals.var(ddof=1) - lam) <= 5 * np.sqrt((lam + 2 * lam**2) / totals.size)
     expected = trials * config.K * config.rho * cat.p
     assert np.all(np.abs(pooled - expected) <= 5 * np.sqrt(expected))
-
-
-def test_sampler_never_returns_file_n(base_config):
-    # a cdf ending far short of 1 sends every draw above its end to file N - 1
-    cat = build_catalog(base_config.N, base_config.beta)
-    short = dataclasses.replace(cat, cdf=cat.cdf * 0.5)
-    profile = sample_profile(base_config, short, seed=3, trial=0)
-    assert profile.files.max() == base_config.N - 1
-    assert np.count_nonzero(profile.files == base_config.N - 1) > profile.total_users / 4
 
 
 def _tiny_profile():
@@ -211,7 +191,7 @@ def _cold_draw(monkeypatch, config, seed, trial):
     """The profile sample_profile draws with an empty memo."""
     with monkeypatch.context() as m:
         m.setattr(traffic, "_memo", traffic._ProfileMemo())
-        return sample_profile(config, build_catalog(config.N, config.beta), seed, trial)
+        return sample_profile(config, seed, trial)
 
 
 def _same_draw(a, b):
@@ -222,8 +202,8 @@ def test_memo_hits_equal_cold_draws_across_key_changes(monkeypatch, cold_memo):
     base = make_config(K=60, d=10, N=40, rho=0.3, beta=0.0)
     keys = [
         (base, 5),
+        (dataclasses.replace(base, beta=0.6), 5),  # beta alone changes the draw
         (dataclasses.replace(base, N=50), 5),
-        (dataclasses.replace(base, beta=0.6), 5),
         (dataclasses.replace(base, K=80), 5),
         (dataclasses.replace(base, d=20), 5),
         (dataclasses.replace(base, rho=0.45), 5),
@@ -231,23 +211,23 @@ def test_memo_hits_equal_cold_draws_across_key_changes(monkeypatch, cold_memo):
         (base, 5),  # back to the first key after the memo has dropped it
     ]
     for config, seed in keys:
-        catalog = build_catalog(config.N, config.beta)
-        for trial in (0, 3, 1, 3, 0):
-            profile = sample_profile(config, catalog, seed, trial)
+        for i, trial in enumerate((0, 3, 1, 3, 0)):
+            profile = sample_profile(config, seed, trial)
             assert _same_draw(profile, _cold_draw(monkeypatch, config, seed, trial))
-            assert cold_memo.key == (config.N, config.K, config.d, config.rho, seed)
+            assert cold_memo.key == (config.N, config.K, config.d, config.rho, config.beta, seed)
+            if i == 0:  # each key differs from the last, whose entries all went
+                assert sorted(cold_memo.entries) == [0]
         assert sorted(cold_memo.entries) == [0, 1, 3]
         # a repeat call wraps the stored arrays: a hit, not a second draw
-        assert sample_profile(config, catalog, seed, 1).files is cold_memo.entries[1][1]
+        assert sample_profile(config, seed, 1).files is cold_memo.entries[1][1]
 
 
 def test_memo_stays_within_its_byte_budget(monkeypatch, cold_memo):
     config = make_config(K=100, d=10, N=100, rho=0.25)
-    catalog = build_catalog(config.N, config.beta)
     budget = 5000
     monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", budget)
     for trial in range(12):
-        profile = sample_profile(config, catalog, 9, trial)
+        profile = sample_profile(config, 9, trial)
         charged = sum(
             o.nbytes + f.nbytes + traffic.PROFILE_MEMO_ENTRY_BYTES
             for o, f in cold_memo.entries.values()
@@ -257,7 +237,7 @@ def test_memo_stays_within_its_byte_budget(monkeypatch, cold_memo):
     stored = len(cold_memo.entries)
     assert 0 < stored < 12
     for trial in range(12):  # trials past the budget are drawn again, unchanged
-        assert _same_draw(sample_profile(config, catalog, 9, trial),
+        assert _same_draw(sample_profile(config, 9, trial),
                           _cold_draw(monkeypatch, config, 9, trial))
     assert len(cold_memo.entries) == stored
 
@@ -266,15 +246,14 @@ def test_memo_charge_covers_traced_memory_of_tiny_profiles(monkeypatch, cold_mem
     # K = d and rho small: most profiles hold no request, so the entry
     # overhead is nearly all an entry costs
     config = make_config(K=10, d=10, N=10, rho=0.01)
-    catalog = build_catalog(config.N, config.beta)
     monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", 200_000)
-    sample_profile(config, catalog, 3, 0)  # first-call imports stay out of the trace
+    sample_profile(config, 3, 0)  # first-call imports stay out of the trace
     charged = cold_memo.charged
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for trial in range(1, 1000):
-            sample_profile(config, catalog, 3, trial)
+            sample_profile(config, 3, trial)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -286,38 +265,10 @@ def test_memo_charge_covers_traced_memory_of_tiny_profiles(monkeypatch, cold_mem
 def test_memo_hit_carries_the_callers_config_and_no_counts(cold_memo):
     first = make_config(M=2.0)
     second = dataclasses.replace(first, M=16.0, t0=0.5)  # neither enters the draw
-    catalog = build_catalog(first.N, first.beta)
-    a = sample_profile(first, catalog, 4, 2)
+    a = sample_profile(first, 4, 2)
     a.counts  # built on the first caller's profile only
-    b = sample_profile(second, catalog, 4, 2)
+    b = sample_profile(second, 4, 2)
     assert b.files is a.files and b.offsets is a.offsets
     assert b.config is second and a.config is first
     assert "counts" in vars(a) and "counts" not in vars(b)
     assert not b.files.flags.writeable and not b.offsets.flags.writeable
-
-
-def test_memo_tells_catalogs_apart_by_their_cdf(monkeypatch, cold_memo):
-    config = make_config(K=100, d=10, N=100, rho=0.25)
-    built = build_catalog(config.N, config.beta)
-    halved = dataclasses.replace(built, cdf=built.cdf * 0.5)  # same N and beta
-    frozen = dataclasses.replace(built, cdf=built.cdf * 0.5)
-    frozen.cdf.setflags(write=False)
-
-    def fresh(catalog):
-        with monkeypatch.context() as m:
-            m.setattr(traffic, "_memo", traffic._ProfileMemo())
-            return sample_profile(config, catalog, 3, 0)
-
-    for order in ([built, halved, frozen, built], [frozen, halved, built, frozen]):
-        for catalog in order:
-            profile = sample_profile(config, catalog, 3, 0)
-            assert _same_draw(profile, fresh(catalog))
-    assert not _same_draw(fresh(built), fresh(halved))
-    assert _same_draw(fresh(halved), fresh(frozen))
-    # a writable cdf could change after the call, so its draws are never kept
-    assert cold_memo.cdf is frozen.cdf and sorted(cold_memo.entries) == [0]
-    sample_profile(config, halved, 3, 1)
-    assert cold_memo.cdf is frozen.cdf and sorted(cold_memo.entries) == [0]
-    # a catalog built again has an equal cdf, so it hits the first one's entries
-    first = sample_profile(config, build_catalog(config.N, config.beta), 3, 0)
-    assert sample_profile(config, build_catalog(config.N, config.beta), 3, 0).files is first.files

@@ -8,7 +8,6 @@ from cachematch import verification
 from cachematch.config import load_config
 from cachematch.errors import HardInvariantViolation
 from cachematch.montecarlo import ExperimentSpec, run_experiment
-from cachematch.popularity import build_catalog
 from cachematch.traffic import sample_profile
 from cachematch.verification import FAIL, PASS, SKIPPED, verify_config
 
@@ -144,7 +143,7 @@ def test_steep_envelope_at_zero_memory(monkeypatch):
     monkeypatch.setattr(
         verification,
         "pam_steep_rate",
-        lambda config, catalog: dataclasses.replace(original(config, catalog), order_value=15.0),
+        lambda config: dataclasses.replace(original(config), order_value=15.0),
     )
     assert envelope().status == FAIL
 
@@ -225,10 +224,9 @@ def test_mlp_structural_matches_each_clusters_requests(monkeypatch):
 
     monkeypatch.setattr(verification, "mlp_match", recording)
     assert verify_config(config, seed=4, trials=3).all_pass
-    catalog = build_catalog(config.N, config.beta)
     # the oracle is the dense count view, one column per cluster
     expected = [
-        sample_profile(config, catalog, 4, trial).counts[:, c]
+        sample_profile(config, 4, trial).counts[:, c]
         for trial in range(3)
         for c in range(config.num_clusters)
     ]
