@@ -230,10 +230,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (HardInvariantViolation, DomainError, IncompatibleScheme, InsufficientMemory) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (
+        HardInvariantViolation,
+        DomainError,
+        IncompatibleScheme,
+        InsufficientMemory,
+        OSError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,96 +61,35 @@ class SystemConfig:
         return self.d >= self.cluster_floor
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    severity: str  # "error" or "warning"
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def hard_failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed and c.severity == "error")
-
-    @property
-    def warnings(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed and c.severity == "warning")
-
-    @property
-    def ok(self) -> bool:
-        return not self.hard_failures
-
-
-def validate(config: SystemConfig) -> ValidationReport:
+def validate(config: SystemConfig) -> tuple[str, ...]:
     """Check every structural invariant of *config*.
 
-    Returns the full pass/fail report when no hard invariant is broken
-    (soft failures appear as warnings).  Raises HardInvariantViolation,
-    carrying the report, when any hard invariant fails.
+    Raises HardInvariantViolation, naming each broken hard invariant on
+    ``.failed``, when any fails.  Otherwise returns the warning texts: the
+    cluster floor's, when d is below it.
     """
-    checks = []
-
-    def check(name, passed, severity, detail):
-        checks.append(CheckResult(name, bool(passed), severity, detail))
-
     ints_ok = all(isinstance(v, int) for v in (config.K, config.d, config.N))
-    check("integer_sizes", ints_ok, "error", "K, d, N must be integers")
     positive = ints_ok and config.K >= 1 and config.d >= 1 and config.N >= 1
-    check("positive_sizes", positive, "error", "K, d, N must be >= 1")
-    check(
-        "memory_nonnegative",
-        isinstance(config.M, (int, float)) and config.M >= 0 and math.isfinite(config.M),
-        "error",
-        "M must be a finite nonnegative real",
+    hard = {
+        "integer_sizes": ints_ok,
+        "positive_sizes": positive,
+        "memory_nonnegative": isinstance(config.M, (int, float)) and 0 <= config.M < math.inf,
+        "cluster_divides": positive and config.K % config.d == 0,
+        "catalog_covers_caches": positive and config.N >= config.K,
+        # alpha rounds to 0 within ~1e-8 of 1/2
+        "intensity_range": 0.0 < config.rho < 0.5 and config.alpha > 0,
+        "zipf_exponent": 0 <= config.beta < math.inf and config.beta != 1.0,
+        "tail_slack": 0 < config.t0 < math.inf,
+    }
+    failed = tuple(name for name, passed in hard.items() if not passed)
+    if failed:
+        raise HardInvariantViolation(f"hard invariant(s) failed: {', '.join(failed)}", failed)
+    if config.meets_cluster_floor:
+        return ()
+    return (
+        "d = %d is below the proof floor %.4g; analytic tail bounds are "
+        "outside their proven regime" % (config.d, config.cluster_floor),
     )
-    check(
-        "cluster_divides",
-        positive and config.K % config.d == 0,
-        "error",
-        f"d = {config.d} must divide K = {config.K}",
-    )
-    check(
-        "catalog_covers_caches",
-        positive and config.N >= config.K,
-        "error",
-        f"N = {config.N} must be >= K = {config.K}",
-    )
-    check(
-        "intensity_range",
-        0.0 < config.rho < 0.5 and config.alpha > 0,  # alpha rounds to 0 within ~1e-8 of 1/2
-        "error",
-        f"rho = {config.rho} must lie in (0, 1/2) with alpha > 0",
-    )
-    check(
-        "zipf_exponent",
-        0 <= config.beta < math.inf and config.beta != 1.0,
-        "error",
-        f"beta = {config.beta} must be finite, >= 0 and != 1 (unit exponent unsupported)",
-    )
-    check(
-        "tail_slack", 0 < config.t0 < math.inf, "error", f"t0 = {config.t0} must be finite and > 0"
-    )
-
-    hard_ok = all(c.passed for c in checks)
-    if hard_ok:
-        check(
-            "cluster_floor",
-            config.meets_cluster_floor,
-            "warning",
-            "d = %d is below the proof floor %.4g; analytic tail bounds are "
-            "outside their proven regime" % (config.d, config.cluster_floor),
-        )
-
-    report = ValidationReport(tuple(checks))
-    if not report.ok:
-        names = ", ".join(c.name for c in report.hard_failures)
-        raise HardInvariantViolation(f"hard invariant(s) failed: {names}", report)
-    return report
 
 
 def load_config(path: str) -> SystemConfig:

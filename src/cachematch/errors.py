@@ -8,13 +8,13 @@ class DomainError(ValueError):
 class HardInvariantViolation(ValueError):
     """A structural system constraint is broken; the configuration is unusable.
 
-    Carries the full validation report on ``.report`` when raised by
+    Names the broken invariants on ``.failed`` when raised by
     ``cachematch.config.validate``.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, failed=()):
         super().__init__(message)
-        self.report = report
+        self.failed = tuple(failed)
 
 
 class InsufficientMemory(ValueError):

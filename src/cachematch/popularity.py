@@ -33,7 +33,6 @@ class ZipfCatalog:
     N: int
     beta: float
     p: np.ndarray  # shape (N,), nonincreasing, sums to 1
-    norm: float  # A_N = sum_{n=1}^{N} n^(-beta)
     cdf: np.ndarray  # cumulative sums of p, for inverse-CDF request sampling
     # the guide table, derived from cdf on construction; all read-only
     guide: np.ndarray = field(init=False, repr=False, compare=False)  # (G,) int64
@@ -78,7 +77,7 @@ def build_catalog(N: int, beta: float) -> ZipfCatalog:
     cdf = np.cumsum(p)
     p.setflags(write=False)
     cdf.setflags(write=False)
-    return ZipfCatalog(N=N, beta=float(beta), p=p, norm=norm, cdf=cdf)
+    return ZipfCatalog(N=N, beta=float(beta), p=p, cdf=cdf)
 
 
 def partial_sum_A(m: int, beta: float) -> float:

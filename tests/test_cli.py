@@ -440,6 +440,14 @@ def test_invalid_intensity_exits_2(tmp_path, argv):
     assert main(argv) == 2
 
 
+def test_every_broken_invariant_is_named_on_stderr(tmp_path, capsys):
+    cfg = _write_config(tmp_path, d=7, rho=0.6)  # 7 does not divide K = 20
+    assert main(["simulate", cfg, "--scheme", "pcd", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hard invariant(s) failed: cluster_divides, intensity_range\n"
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

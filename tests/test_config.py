@@ -30,26 +30,32 @@ def test_properties(base_config):
 
 def test_validate_clean():
     config = SystemConfig(K=600, d=60, N=600, M=2.0, rho=0.1, beta=0.0, t0=1.0)
-    report = validate(config)
-    assert report.ok
-    assert report.warnings == ()
-    assert report.hard_failures == ()
-    assert {c.name for c in report.checks} >= {
+    assert validate(config) == ()
+
+
+def test_validate_floor_warning(base_config):
+    assert validate(base_config) == (
+        "d = 10 is below the proof floor 95.37; analytic tail bounds are "
+        "outside their proven regime",
+    )
+
+
+def test_validate_names_every_failed_invariant_in_order():
+    config = make_config(K=100.0, d=7, N=50, M=-1.0, rho=0.6, beta=1.0, t0=0.0)
+    with pytest.raises(HardInvariantViolation) as err:
+        validate(config)
+    names = (
         "integer_sizes",
         "positive_sizes",
+        "memory_nonnegative",
         "cluster_divides",
         "catalog_covers_caches",
         "intensity_range",
         "zipf_exponent",
         "tail_slack",
-        "cluster_floor",
-    }
-
-
-def test_validate_floor_warning(base_config):
-    report = validate(base_config)
-    assert report.ok
-    assert [c.name for c in report.warnings] == ["cluster_floor"]
+    )
+    assert err.value.failed == names
+    assert str(err.value) == "hard invariant(s) failed: " + ", ".join(names)
 
 
 @pytest.mark.parametrize(
@@ -68,20 +74,22 @@ def test_validate_floor_warning(base_config):
         (dict(beta=math.inf), "zipf_exponent"),
         (dict(t0=math.inf), "tail_slack"),
         (dict(t0=math.nan), "tail_slack"),
+        (dict(M=math.inf), "memory_nonnegative"),
+        (dict(M=math.nan), "memory_nonnegative"),
     ],
 )
 def test_validate_hard_failures(overrides, failing):
     config = make_config(**overrides)
     with pytest.raises(HardInvariantViolation) as err:
         validate(config)
-    assert failing in {c.name for c in err.value.report.hard_failures}
+    assert failing in err.value.failed
 
 
 def test_validate_noninteger_sizes():
     config = make_config(K=100.0)
     with pytest.raises(HardInvariantViolation) as err:
         validate(config)
-    assert "integer_sizes" in {c.name for c in err.value.report.hard_failures}
+    assert "integer_sizes" in err.value.failed
 
 
 def test_load_config_round_trip(tmp_path):
@@ -94,9 +102,9 @@ def test_load_config_round_trip(tmp_path):
 
 def test_load_shipped_configs():
     default = load_config("configs/default.json")
-    assert validate(default).ok
+    validate(default)  # raises on a broken invariant
     steep = load_config("configs/steep.json")
-    assert validate(steep).ok
+    validate(steep)
     assert steep.beta > 1
 
 
@@ -157,7 +165,7 @@ def test_load_config_round_trip_property(tmp_path_factory, payload, float_sizes)
         t0=payload["t0"],
     )
     assert all(type(size) is int for size in (config.K, config.d, config.N))
-    assert validate(config).ok
+    validate(config)  # raises on a broken invariant
     # and back: the object written for a config loads as the same config
     path.write_text(json.dumps(config_payload(config)))
     assert load_config(str(path)) == config

@@ -11,7 +11,7 @@ from cachematch.popularity import build_catalog, partial_sum_A, partial_sum_enve
 def test_build_catalog_basic():
     cat = build_catalog(2, 2.0)
     assert cat.p == pytest.approx([0.8, 0.2], rel=1e-14)
-    assert cat.norm == pytest.approx(1.25, rel=1e-14)
+    assert cat.p[0] == pytest.approx(1 / 1.25, rel=1e-14)  # p_1 = 1 / A_2
     single = build_catalog(1, 0.7)
     assert single.p[0] == 1.0
 
@@ -83,7 +83,7 @@ def test_catalog_invariants(N, beta):
     cat = build_catalog(N, beta)
     assert cat.p.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(cat.p) <= 0)
-    assert cat.norm == pytest.approx(partial_sum_A(N, beta), rel=1e-12)
+    assert cat.p[0] == pytest.approx(1 / partial_sum_A(N, beta), rel=1e-12)  # p_1 = 1 / A_N
 
 
 @given(st.integers(min_value=1, max_value=2000), st.floats(min_value=0.0, max_value=0.95))
