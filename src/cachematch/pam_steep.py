@@ -3,24 +3,26 @@
 Storage: a fractional knapsack over files maximizes the per-cluster hit value
 v_n = 1 - (1 - p_n)^d subject to copy-count weights w_n and capacity d*M.
 Fully selected files keep c_n = w_n copies; the (at most one) fractional file
-is dropped.  Copies are dealt to caches round-robin in file order.
+is dropped.  Copies are dealt to caches round-robin in file order, and each
+placement keeps, per file, the ascending list of caches holding it.
 
 Delivery: requests are matched most-popular-last.  Scanning files from least
 to most popular, each request picks a uniformly random available cache holding
 its file and retires that cache.  Files whose requests cannot all be matched
 are broadcast from the server, one transmission per distinct file.  A serve
-draws one uniform per request, all in one generator call, and the request at
-scan position i picks index floor(u[i] * #candidates) of its sorted list.
-Serve reports only counts, so it reads only the uniforms whose picks a later
-run of the same cluster can see; the generator state, and every count, are
-those of matching every request.
+draws one uniform per request in one call; the request at scan position i
+picks index floor(u[i] * #candidates) of its sorted list.  numpy finds the
+runs of equal file ids once, then each cluster's runs are walked, last first,
+over the holder lists.  Serve reports only counts, so it reads only the
+uniforms whose picks a later run of the same cluster can see; the generator
+state, and every count, are those of matching every request.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +50,15 @@ class KsPlacement:
     copies: np.ndarray  # c_n = w_n * floor(x_n); 0 for an uncached file
     cache_ids: np.ndarray  # caches holding each file, ascending, in file order
     cache_starts: np.ndarray  # file n's caches start at cache_ids[cache_starts[n]]
+    # holders[n]: file n's caches, ascending, () if uncached; read-only, derived on construction
+    holders: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        cached, ids = np.flatnonzero(self.copies), self.cache_ids.tolist()
+        holders: list[tuple[int, ...]] = [()] * len(self.copies)
+        for n, s, c in zip(cached.tolist(), self.cache_starts[cached].tolist(), self.copies[cached].tolist()):
+            holders[n] = tuple(ids[s:s + c])
+        object.__setattr__(self, "holders", tuple(holders))
 
 
 def build_knapsack(config: SystemConfig, catalog: ZipfCatalog) -> KnapsackInstance:
@@ -122,79 +133,71 @@ class MlpOutcome:
     server_files: tuple[int, ...]  # distinct files with unmatched requests, sorted
 
 
-def _match_runs(clusters, files, counts, placement: KsPlacement, u: np.ndarray, pairs: bool = True):
-    """Most-popular-last matching of counts[i] requests for file files[i] in
-    cluster clusters[i], in scan order: each cluster's files from the least
-    popular (largest index) down, clusters one after another.
+def _walk_runs(files, bounds, firsts, holders, u, pairs: bool = True):
+    """Most-popular-last matching of runs of equal file ids.
 
-    u holds one uniform in [0, 1) per request, in scan order.  A matched
-    request takes index int(u * len) of the sorted list of currently available
-    caches holding its file; a request that finds no available cache leaves
-    its uniform unused.  Returns (matched, unmatched, server), where matched
-    is the list of (file, cache) pairs in match order.
+    Run j asks for bounds[j + 1] - bounds[j] copies of file files[j].  Cluster
+    c holds runs firsts[c]:firsts[c + 1], in ascending file order, walked from
+    the last, clusters in order; u holds one uniform per request in that scan
+    order.  A matched request takes index int(u * len) of the sorted free
+    caches among holders[n]; one that finds none leaves its uniform unused.
+    Returns (matched (file, cache) pairs in match order, unmatched, server).
 
-    With pairs=False, matched stays empty, and a pick is made only where a
-    later run of the same cluster can see it.  The
-    last cached run of a cluster serves min(r, free caches): nothing after it
-    reads the caches it retires, and taken starts empty in the next cluster.
-    A run that asks for at least as many caches as are free retires all of
-    them, whatever the order of its picks.  Neither reads its uniforms, and
-    the counts are those of the pairs mode.
+    With pairs=False, matched stays empty and only the picks a later run of
+    the cluster can see are made: the cluster's last cached run serves
+    min(r, free caches), and a run asking for every free cache takes them
+    all, neither reading its uniforms.  The counts are those of pairs=True.
     """
-    sizes = placement.copies[files]
-    cached = sizes > 0
-    unmatched = int(counts[~cached].sum())  # a file with no copy is never matched
-    server: list[int] = files[~cached].tolist()
-    positions = (np.cumsum(counts) - counts)[cached]  # each run's first uniform
-    clusters, files, counts, sizes = clusters[cached], files[cached], counts[cached], sizes[cached]
-    last = np.diff(clusters, append=-1) != 0  # nothing later in the cluster reads taken
-    cache_ids, u = placement.cache_ids.tolist(), u.tolist()
-    starts = placement.cache_starts[files].tolist()
     matched: list[tuple[int, int]] = []
-    cluster = None
-    runs = zip(clusters.tolist(), files.tolist(), counts.tolist(), starts, sizes.tolist(),
-               positions.tolist(), last.tolist())
-    for c, n, r, start, size, pos, final in runs:
-        if c != cluster:
-            cluster, taken = c, set()
-        if final and not pairs:
-            free = size - len(taken)  # a lower bound: taken may hold others' caches
-            if free < r:
-                free = size - len(taken.intersection(cache_ids[start:start + size]))
-            served = min(r, free)
-        else:
-            # filtered once: until the next file, only n's own matches retire caches
-            cand = cache_ids[start:start + size]
-            if not taken.isdisjoint(cand):
-                cand = [k for k in cand if k not in taken]
-            served = min(r, len(cand))
-            if pairs or served < len(cand):
-                picks = [cand.pop(int(x * len(cand))) for x in u[pos:pos + served]]
-                taken.update(picks)
-                if pairs:
-                    matched += [(n, k) for k in picks]
+    server: list[int] = []
+    unmatched = pos = 0  # pos: the scan position of run j's first uniform
+    for first, stop in zip(firsts, firsts[1:]):
+        final = stop if pairs else first  # count mode: the last cached run, served without picks
+        while final < stop and not holders[files[final]]:
+            final += 1
+        taken: set[int] = set()
+        for j in range(stop - 1, first - 1, -1):
+            n, r = files[j], bounds[j + 1] - bounds[j]
+            cand = holders[n]
+            if j == final:
+                free = len(cand) - len(taken)  # a lower bound: taken may hold others' caches
+                if free < r:
+                    free = len(cand) - len(taken.intersection(cand))
+                served = min(r, free)
             else:
-                taken.update(cand)
-        if served < r:
-            unmatched += r - served
-            server.append(n)
+                # filtered once: until the next file, only n's own matches retire caches
+                if taken and not taken.isdisjoint(cand):
+                    cand = [k for k in cand if k not in taken]
+                served = min(r, len(cand))
+                if served == len(cand) and not pairs:
+                    taken.update(cand)
+                elif served == 1:
+                    k = cand[int(u[pos] * len(cand))]
+                    taken.add(k)
+                    matched += [(n, k)] if pairs else []
+                else:
+                    cand = list(cand)
+                    picks = [cand.pop(int(x * len(cand))) for x in u[pos:pos + served]]
+                    taken.update(picks)
+                    matched += [(n, k) for k in picks] if pairs else []
+            if served < r:
+                unmatched += r - served
+                server.append(n)
+            pos += r
     return matched, unmatched, server
 
 
 def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> MlpOutcome:
     """Most-popular-last matching for one cluster with requests[n] requests for
-    file n: a dense adapter over the run matcher of pam_steep_serve.  It draws
-    one uniform per request in one call, so calling it cluster by cluster
-    replays serve's draws and leaves rng in the same state."""
+    file n: one run per requested file, walked as pam_steep_serve walks each
+    cluster.  It draws one uniform per request in one call, so calling it
+    cluster by cluster replays serve's draws and leaves rng in the same state."""
     requests = np.asarray(requests, dtype=np.int64)
-    files = np.flatnonzero(requests)[::-1]
-    u = rng.random(int(requests.sum()))
-    matched, unmatched, server = _match_runs(np.zeros_like(files), files, requests[files], placement, u)
-    return MlpOutcome(
-        matched=tuple(matched),
-        unmatched_requests=unmatched,
-        server_files=tuple(sorted(server)),
-    )
+    files = np.flatnonzero(requests)
+    bounds = [0, *np.cumsum(requests[files]).tolist()]
+    u = rng.random(bounds[-1]).tolist()
+    matched, unmatched, server = _walk_runs(files.tolist(), bounds, [0, files.size], placement.holders, u)
+    return MlpOutcome(tuple(matched), unmatched, tuple(sorted(server)))
 
 
 @dataclass(frozen=True)
@@ -224,12 +227,7 @@ def pam_steep_rate(config: SystemConfig) -> RateEnvelope:
     vanishing = config.d * config.M >= config.N * math.log(config.N)
     uncached = catalog.p[placement.copies == 0]
     expected_uncached = float(np.sum(1.0 - (1.0 - uncached) ** config.K))
-
-    return RateEnvelope(
-        order_value=order_value,
-        vanishing_memory_met=bool(vanishing),
-        expected_uncached=expected_uncached,
-    )
+    return RateEnvelope(order_value, bool(vanishing), expected_uncached)
 
 
 @dataclass(frozen=True)
@@ -246,23 +244,20 @@ def pam_steep_serve(
     """Serve one profile: MLP per cluster (index order), one uniform per
     request, drawn in one call.
 
-    Reads only the requests: the runs of equal file ids in profile.files,
-    each cluster's block reversed, are the (file, count) pairs that mlp_match
-    takes from each dense cluster column, matched with the same draws.  Only
-    counts are reported, so the matcher runs in count mode and skips the
-    picks no later run can see (a cluster's last run, and runs that take
-    every free cache); rng still advances by one uniform per request.
+    Reads only the requests: the runs of equal file ids in profile.files are
+    the (file, count) pairs mlp_match takes from each dense cluster column,
+    found once in numpy and walked per cluster over the placement's holder
+    lists.  Only counts are reported, so the walk skips the picks no later
+    run can see; rng still advances by one uniform per request.
     """
-    offsets, cluster = profile.offsets, profile.cluster_of_request()
-    files = profile.files[(offsets[1:] + offsets[:-1] - 1)[cluster] - np.arange(cluster.size)]
-    first = np.flatnonzero(np.diff(cluster * profile.config.N + files, prepend=-1))
-    counts = np.diff(first, append=files.size)
-    u = rng.random(files.size)
-    _, unmatched, server = _match_runs(cluster[first], files[first], counts, placement, u, pairs=False)
+    files, offsets = profile.files, profile.offsets
+    new = np.empty(files.size + 1, dtype=bool)  # new[i]: request i opens a run
+    np.not_equal(files[1:], files[:-1], out=new[1:-1])
+    new[offsets] = True  # cluster starts, and the end of the last run
+    bounds = np.flatnonzero(new)
+    firsts = np.searchsorted(bounds, offsets).tolist()
+    u = rng.random(files.size).tolist()
+    _, unmatched, server = _walk_runs(files[bounds[:-1]].tolist(), bounds.tolist(), firsts,
+                                      placement.holders, u, pairs=False)
     distinct = len(set(server))
-    return SteepServeOutcome(
-        server_files=distinct,
-        matched_users=files.size - unmatched,
-        unmatched_requests=unmatched,
-        rate=float(distinct),
-    )
+    return SteepServeOutcome(distinct, files.size - unmatched, unmatched, float(distinct))

@@ -2,9 +2,10 @@
 
 Streams are keyed by (seed, trial) through the Philox counter-based generator,
 so any trial's profile can be regenerated in isolation: results do not depend
-on iteration order or on how trials are sheared across workers.  Role 0 of a
-stream draws the request profile; role 1 feeds any randomized matcher run on
-the same trial.
+on iteration order or on how trials are sheared across workers.  The key goes
+to Philox as a two-word seed sequence, so building a stream reads no OS
+entropy.  Role 0 of a stream draws the request profile; role 1 feeds any
+randomized matcher run on the same trial.
 
 Profiles are drawn by Poisson splitting and store only their requests, so
 memory per trial grows with the number of requests, not with N * K/d.  A
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -35,9 +36,24 @@ def stream(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generat
     """Independent generator for (seed, trial, role); same inputs, same draws."""
     if not (0 <= seed < 1 << 64 and 0 <= trial < 1 << 64):
         raise DomainError(f"seed {seed} and trial {trial} must lie in [0, 2**64)")
-    key = np.array([operator.index(seed), operator.index(trial)], dtype=np.uint64)
+    key = _philox_key_type()((operator.index(seed), operator.index(trial)))
     # counter word 2 = role: the state Philox.jumped(role) reaches, built directly
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, role, 0]))
+    return np.random.Generator(np.random.Philox(key, counter=[0, 0, role, 0]))
+
+
+@cache
+def _philox_key_type() -> type:
+    """The seed sequence stream hands Philox: the key as two uint64 words, any
+    other request refused, where Philox(key=...) draws OS entropy and discards
+    it.  Made on first use, as importing numpy.random takes about 17 ms."""
+
+    class PhiloxKey(tuple, np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise DomainError(f"a Philox key is 2 uint64 words, not {n_words} {np.dtype(dtype)}")
+            return np.array(self, dtype=np.uint64)
+
+    return PhiloxKey
 
 
 @dataclass(frozen=True)

@@ -337,8 +337,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
                 if len(set(caches)) != len(caches):
                     return False, f"trial {trial} cluster {c}: a cache matched twice"
                 for n, k in out.matched:
-                    start = placement.cache_starts[n]
-                    if k not in placement.cache_ids[start:start + placement.copies[n]]:
+                    if k not in placement.holders[n]:
                         return False, f"trial {trial}: matched cache lacks the file"
                 if len(out.matched) + out.unmatched_requests != int(req.sum()):
                     return False, f"trial {trial}: request conservation broken"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from cachematch.matching import deal_round_robin
 from cachematch.pam_steep import (
     KnapsackInstance,
     KsPlacement,
-    _match_runs,
+    _walk_runs,
     build_knapsack,
     mlp_match,
     pam_steep_rate,
@@ -21,7 +22,8 @@ from cachematch.pam_steep import (
 from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
-from conftest import generator_state, make_config
+from conftest import generator_state, make_config, runs_in_file_order
+from oracles import parent_pam_steep_serve
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,14 @@ def test_greedy_respects_per_cache_slots(steep_config, steep_instance):
     assert per_cache.size == steep_config.d and per_cache.max() <= int(steep_config.M)
     for n, caches in enumerate(np.split(placement.cache_ids, placement.cache_starts[1:])):
         assert len(set(caches)) == len(caches) == placement.copies[n]
+
+
+def test_holders_list_each_files_caches(steep_instance):
+    placement = solve_fractional_knapsack(steep_instance)
+    assert len(placement.holders) == len(placement.copies)
+    for n, caches in enumerate(np.split(placement.cache_ids, placement.cache_starts[1:])):
+        assert placement.holders[n] == tuple(caches.tolist())
+    assert placement.holders[4] == ()  # file id 4 has no copy
 
 
 def _manual_placement():
@@ -172,16 +182,16 @@ def test_request_after_a_retired_cache_is_uniform_over_the_rest():
 
 
 def test_extreme_uniforms_pick_the_ends_of_every_list():
-    zero = np.array([0])  # cluster 0, file 0
     for size in range(1, 65):
         placement = _placement_of([list(range(size))])
-        # size + 1 requests: lists of every length size..1, then one unmatched
-        counts = np.array([size + 1])
+        # one cluster, one run of size + 1 requests for file 0: lists of every
+        # length size..1, then one unmatched
+        run = ([0], [0, size + 1], [0, 1])
         top = np.full(size + 1, np.nextafter(1.0, 0.0))
-        matched, unmatched, server = _match_runs(zero, zero, counts, placement, top)
+        matched, unmatched, server = _walk_runs(*run, placement.holders, top, pairs=True)
         assert matched == [(0, k) for k in reversed(range(size))]
         assert (unmatched, server) == (1, [0])
-        matched, _, _ = _match_runs(zero, zero, counts, placement, np.zeros(size + 1))
+        matched, _, _ = _walk_runs(*run, placement.holders, np.zeros(size + 1), pairs=True)
         assert matched == [(0, k) for k in range(size)]
 
 
@@ -198,10 +208,50 @@ def test_count_mode_reads_only_uniforms_a_later_run_can_see():
     counts = np.array([1, 2, 1, 3, 2, 1, 2])
     nan = np.nan
     poisoned = np.array([nan, nan, nan, 0.5, nan, nan, nan, nan, nan, 0.5, nan, nan])
-    matched, unmatched, server = _match_runs(clusters, files, counts, placement, poisoned, pairs=False)
+    matched, unmatched, server = _walk_runs(*runs_in_file_order(clusters, files, counts), placement.holders, poisoned, pairs=False)
     assert (matched, unmatched, sorted(server)) == ([], 4, [0, 1])
-    pairs, unmatched, server = _match_runs(clusters, files, counts, placement, np.nan_to_num(poisoned))
+    pairs, unmatched, server = _walk_runs(*runs_in_file_order(clusters, files, counts), placement.holders, np.nan_to_num(poisoned), pairs=True)
     assert (len(pairs), unmatched, sorted(server)) == (8, 4, [0, 1])
+
+
+def test_count_mode_skips_the_picks_of_the_last_cached_run_behind_uncached_files():
+    # one cluster scans file 2 (1 request, caches 0-3), then file 1 (2 requests,
+    # caches 0-3), then uncached file 0: file 1 is the last cached run, so only
+    # file 2's uniform is read
+    placement = _placement_of([[], [0, 1, 2, 3], [0, 1, 2, 3]])
+    poisoned = np.array([0.5, np.nan, np.nan, np.nan, np.nan])
+    matched, unmatched, server = _walk_runs([0, 1, 2], [0, 2, 4, 5], [0, 3], placement.holders,
+                                            poisoned, pairs=False)
+    assert (matched, unmatched, server) == ([], 2, [0])
+
+
+ORACLE_PROFILES = 200  # sampled profiles per configuration
+
+
+@pytest.mark.parametrize(
+    "shape, M", [("steep-mlp", 4.0), ("steep.json", 0.5), ("steep.json", 4.0), ("steep.json", 16.0),
+                 ("K1024-beta1.5", 16.0)],
+)
+def test_serve_equals_parent_run_matcher(steep_config, shape, M):
+    config = dataclasses.replace({
+        "steep-mlp": make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1),
+        "steep.json": steep_config,
+        "K1024-beta1.5": make_config(K=1024, d=32, N=1024, M=16.0, rho=0.5, beta=1.5),
+    }[shape], M=M)
+    placement = solve_fractional_knapsack(build_knapsack(config, build_catalog(config.N, config.beta)))
+    unmatched = short = 0
+    for trial in range(ORACLE_PROFILES):
+        profile = sample_profile(config, seed=16, trial=trial)
+        rng = stream(16, trial, MATCHING_ROLE)
+        served = pam_steep_serve(profile, placement, rng)
+        oracle_rng = stream(16, trial, MATCHING_ROLE)
+        want = parent_pam_steep_serve(profile, placement, oracle_rng)
+        assert (served.server_files, served.matched_users, served.unmatched_requests) == want
+        assert served.rate == float(want[0])
+        assert generator_state(rng) == generator_state(oracle_rng)
+        unmatched += served.unmatched_requests > 0
+        short += served.server_files < served.unmatched_requests
+    assert unmatched > 0 and short > 0  # files sent by the server, some for several requests
 
 
 class _CallRecorder:
