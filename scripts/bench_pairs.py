@@ -11,6 +11,8 @@ of other workloads already in it are kept, so one file can gather several
 workloads run one after another.  Each workload gets, per metric, the median
 and quartiles of both sides, the change of the median relative to the
 parent's, and the number of pairs the change won (ties count for neither).
+A run that prints no result line stops the script with its side, seed, exit
+code and last stderr lines; the pairs written before it stay in --out.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
+STDERR_LINES = 10  # of a run that printed no result, shown when this script stops
 
 
 def _seeds(text: str) -> list[int]:
@@ -36,11 +39,16 @@ def _seeds(text: str) -> list[int]:
     return seeds
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        stderr = "\n".join(proc.stderr.strip().splitlines()[-STDERR_LINES:])
+        raise SystemExit(f"{side} run of {workload} at seed {seed} printed no result line "
+                         f"(exit code {proc.returncode}); last stderr lines:\n{stderr}")
+    last = json.loads(lines[-1])
     return {"failed": last["failed"], "attempted": last["attempted"], "correct": last["correct"],
             **{name: m["value"] for name, m in last["metrics"].items()}}
 
@@ -101,7 +109,7 @@ def main(argv=None) -> int:
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             checkout = args.parent if side == "parent" else args.change
-            pair[side] = _run(checkout, args.workload, seed, args.seconds)
+            pair[side] = _run(checkout, side, args.workload, seed, args.seconds)
         pairs.append(pair)
         workloads[args.workload] = {"pairs": pairs, "summary": summarise(pairs, better) if len(pairs) > 1 else {}}
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -99,8 +99,9 @@ def _cmd_rate_curve(args) -> int:
         try:
             config = _row_config(base, args.param, v)
             validate(config)
-        except (HardInvariantViolation, DomainError):
-            continue  # out-of-domain grid point, not an error
+        except (HardInvariantViolation, DomainError) as exc:
+            print(f"skipped {args.param} = {_fmt(v)}: {exc}", file=sys.stderr)  # not an error
+            continue
         row_configs.append((v, config))
     if not row_configs:
         raise DomainError("sweep produced no valid configs")

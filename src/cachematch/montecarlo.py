@@ -3,9 +3,10 @@
 Every trial is keyed by its absolute index through the counter-based request
 stream, so a run is reproducible and independent of how trials are split
 across worker processes: serial and parallel runs of the same spec produce
-byte-identical reports.  Parallel runs share one worker pool per process,
-started on first use and replaced only to grow; a run uses at most one worker
-per trial and per CPU.
+byte-identical reports.  A parallel run does its first trials in the calling
+process, for up to HEAD_BUDGET_S seconds, so a short run starts no pool.  The
+trials left then go to one worker pool per process, started on first use and
+replaced only to grow, with at most one worker per trial left and per CPU.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any
 
 import numpy as np
@@ -34,6 +36,8 @@ PCD_SCHEME = "pcd"
 PAM_SHALLOW_SCHEME = "pam-shallow"
 PAM_STEEP_SCHEME = "pam-steep"
 HCM_SCHEME = "hcm"
+
+HEAD_BUDGET_S = 0.01  # in-process time a parallel run spends before it fans out
 
 
 @dataclass(frozen=True)
@@ -182,14 +186,17 @@ class RateReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def run_trials(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
-    """Rows (rate, coded, unmatched) for trials start..start+count-1."""
+def run_trials(spec: ExperimentSpec, start: int, count: int, deadline: float | None = None) -> np.ndarray:
+    """Rows (rate, coded, unmatched) for trials start..start+count-1; with a
+    deadline, only those begun before perf_counter() reaches it."""
     config = spec.config
     scheme = SCHEMES[spec.scheme]
     catalog = build_catalog(config.N, config.beta)
     state = scheme.prepare(config, catalog, spec.slack)
     rows = np.empty((count, 3), dtype=np.float64)
     for i, trial in enumerate(range(start, start + count)):
+        if deadline is not None and perf_counter() >= deadline:
+            return rows[:i]
         profile = sample_profile(config, spec.seed, trial=trial)
         rows[i] = scheme.trial(profile, config, state, spec.seed, trial)
     return rows
@@ -229,7 +236,8 @@ def _drop_pool() -> None:
 
 
 def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
-    """All per-trial rows in trial order, regardless of worker count."""
+    """All per-trial rows in trial order, regardless of worker count: those of
+    the in-process head, then those of the pool's chunks for the trials left."""
     if spec.trials < 1:
         raise IncompatibleScheme(f"trials must be >= 1, got {spec.trials}")
     if workers < 1:
@@ -237,16 +245,20 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     validate(spec.config)
     SCHEMES[spec.scheme].check(spec.config)
     check_slack(spec.config, spec.slack)  # every scheme, though only hcm reads it
-    chunks = plan_chunks(spec.trials, workers)
+    head = run_trials(spec, 0, spec.trials, None if workers == 1 else perf_counter() + HEAD_BUDGET_S)
+    done = len(head)
+    if done == spec.trials:
+        return head
+    chunks = plan_chunks(spec.trials - done, workers)
     if len(chunks) == 1:
-        return run_trials(spec, 0, spec.trials)
+        return np.concatenate([head, run_trials(spec, done, spec.trials - done)], axis=0)
     pool = _worker_pool(len(chunks))
     try:
-        parts = list(pool.map(_run_chunk, [(spec, start, count) for start, count in chunks]))
+        parts = list(pool.map(_run_chunk, [(spec, done + start, count) for start, count in chunks]))
     except BrokenProcessPool:
         _drop_pool()  # the next call starts a fresh pool
         raise
-    return np.concatenate(parts, axis=0)
+    return np.concatenate([head, *parts], axis=0)
 
 
 def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cachematch import traffic
+from cachematch import montecarlo, traffic
 from cachematch.config import SystemConfig
 
 
@@ -17,6 +17,13 @@ def cold_memo(monkeypatch):
     memo = traffic._ProfileMemo()
     monkeypatch.setattr(traffic, "_memo", memo)
     return memo
+
+
+@pytest.fixture
+def pool_path(monkeypatch):
+    """No in-process head: a parallel run sends every trial to the pool, so
+    a comparison across worker counts compares rows from other processes."""
+    monkeypatch.setattr(montecarlo, "HEAD_BUDGET_S", 0.0)
 
 
 def make_config(**overrides):

@@ -424,7 +424,7 @@ def test_criterion_11_regime_classifiers():
     print("criterion 11 PASS: classifiers match float exponents; maps continuous at beta=1")
 
 
-def test_criterion_12_deterministic_reports():
+def test_criterion_12_deterministic_reports(pool_path):
     cfg = make_config(K=20, d=10, N=20, M=2.0)
     spec = ExperimentSpec(config=cfg, scheme="pcd", trials=64, seed=SEED)
     serial = run_experiment(spec, workers=1).to_json(cfg)

@@ -261,7 +261,7 @@ def test_rate_curve_draws_each_profile_once(tmp_path, monkeypatch, cold_memo):
     assert draws == {(4, trial): 1 for trial in range(5)}
 
 
-def test_rate_curve_bytes_match_across_warm_memos_and_workers(tmp_path, cold_memo):
+def test_rate_curve_bytes_match_across_warm_memos_and_workers(tmp_path, cold_memo, pool_path):
     cfg = _write_config(tmp_path)
     texts = []
     for run, workers in enumerate(["1", "2", "2", "1"]):  # later runs start warm
@@ -274,7 +274,7 @@ def test_rate_curve_bytes_match_across_warm_memos_and_workers(tmp_path, cold_mem
     assert texts.count(texts[0]) == 4
 
 
-def test_rate_curve_drops_fractional_d_rows(tmp_path):
+def test_rate_curve_drops_fractional_d_rows(tmp_path, capsys):
     # rounding used to give 9.5, 9.75, 10.25 and 10.5 the rates of d = 10
     cfg = _write_config(tmp_path, k=40, n=40)
     out = tmp_path / "curve.csv"
@@ -283,6 +283,11 @@ def test_rate_curve_drops_fractional_d_rows(tmp_path):
     assert main(argv) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["10"]
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 1 rows to {out}\n"
+    assert captured.err.splitlines() == [
+        f"skipped d = {v}: cluster size d = {v} is not an integer" for v in ("9.5", "9.75", "10.25", "10.5")
+    ]
 
 
 def test_rate_curve_negative_trials_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -105,7 +106,7 @@ def test_trial_rows_are_keyed_by_absolute_index(scheme):
     assert np.array_equal(part, full[2:5])
 
 
-def test_collect_preserves_trial_order_across_workers():
+def test_collect_preserves_trial_order_across_workers(pool_path):
     spec = _spec(PCD_SCHEME, trials=7, **SMALL)
     serial = collect_trials(spec, workers=1)
     parallel = collect_trials(spec, workers=2)
@@ -113,7 +114,7 @@ def test_collect_preserves_trial_order_across_workers():
     assert np.array_equal(serial, parallel)
 
 
-def test_reports_identical_across_workers():
+def test_reports_identical_across_workers(pool_path):
     spec = _spec(PCD_SCHEME, trials=6, **SMALL)
     a = run_experiment(spec, workers=1).to_json(spec.config)
     b = run_experiment(spec, workers=2).to_json(spec.config)
@@ -231,7 +232,7 @@ def test_chunk_plans_clamp_workers_to_trials_and_cpus(monkeypatch, cpus):
         assert sum(count for _, count in plan) == trials
 
 
-def test_pool_is_sized_by_the_chunk_plan(monkeypatch):
+def test_pool_is_sized_by_the_chunk_plan(monkeypatch, pool_path):
     asked = []
 
     def record(workers):
@@ -265,7 +266,7 @@ def pool_starts(monkeypatch):
     montecarlo._drop_pool()
 
 
-def test_one_pool_serves_consecutive_experiments(pool_starts):
+def test_one_pool_serves_consecutive_experiments(pool_starts, pool_path):
     spec = _spec(PCD_SCHEME, trials=6, **SMALL)
     serial = run_experiment(spec, workers=1).to_json(spec.config)
     assert run_experiment(spec, workers=2).to_json(spec.config) == serial
@@ -273,7 +274,7 @@ def test_one_pool_serves_consecutive_experiments(pool_starts):
     assert pool_starts == [2]
 
 
-def test_pool_is_replaced_only_to_grow(pool_starts):
+def test_pool_is_replaced_only_to_grow(pool_starts, pool_path):
     spec = _spec(PCD_SCHEME, trials=6, **SMALL)
     serial = collect_trials(spec, workers=1)
     for workers in (2, 3, 2):
@@ -281,7 +282,7 @@ def test_pool_is_replaced_only_to_grow(pool_starts):
     assert pool_starts == [2, 3]
 
 
-def test_broken_pool_is_dropped(pool_starts):
+def test_broken_pool_is_dropped(pool_starts, pool_path):
     spec = _spec(PCD_SCHEME, trials=6, **SMALL)
     serial = collect_trials(spec, workers=1)
     assert np.array_equal(collect_trials(spec, workers=2), serial)
@@ -297,3 +298,48 @@ def test_broken_pool_is_dropped(pool_starts):
         collect_trials(spec, workers=2)
     assert np.array_equal(collect_trials(spec, workers=2), serial)
     assert pool_starts == [2, 2]
+
+
+def _expiring_clock(k):
+    """A perf_counter for montecarlo that reads 0 for the deadline and the
+    checks before the first k trials, then +inf: the head runs k trials."""
+    calls = itertools.count()
+    return lambda: 0.0 if next(calls) <= k else math.inf
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("head", ["none", "one", "all but one", "all"])
+def test_head_and_pool_rows_match_serial(monkeypatch, scheme, head):
+    trials = 6
+    k = {"none": 0, "one": 1, "all but one": trials - 1, "all": trials}[head]
+    spec = _spec(scheme, trials=trials, **(SMALL_STEEP if scheme == PAM_STEEP_SCHEME else SMALL))
+    serial = collect_trials(spec, workers=1)
+    in_process = []
+    original = montecarlo.run_trials
+
+    def recording(spec, start, count, deadline=None):
+        rows = original(spec, start, count, deadline)
+        in_process.append((start, len(rows)))
+        return rows
+
+    monkeypatch.setattr(montecarlo, "run_trials", recording)
+    monkeypatch.setattr(montecarlo, "perf_counter", _expiring_clock(k))
+    assert collect_trials(spec, workers=2).tobytes() == serial.tobytes()
+    assert in_process[0] == (0, k)  # the head; pool chunks run in other processes
+
+
+def test_run_within_the_budget_starts_no_pool(monkeypatch, pool_starts):
+    spec = _spec(PCD_SCHEME, trials=6, **SMALL)
+    serial = run_experiment(spec, workers=1).to_json(spec.config)
+    monkeypatch.setattr(montecarlo, "perf_counter", lambda: 0.0)  # the budget never runs out
+    assert run_experiment(spec, workers=2).to_json(spec.config) == serial
+    assert pool_starts == []
+
+
+def test_serial_runs_read_no_clock(monkeypatch):
+    def clock():
+        raise AssertionError("a serial run has no deadline")
+
+    monkeypatch.setattr(montecarlo, "perf_counter", clock)
+    spec = _spec(PCD_SCHEME, trials=3, **SMALL)
+    assert collect_trials(spec, workers=1).shape == (3, 3)
