@@ -4,9 +4,10 @@ Every trial is keyed by its absolute index through the counter-based request
 stream, so a run is reproducible and independent of how trials are split
 across worker processes: serial and parallel runs of the same spec produce
 byte-identical reports.  A parallel run does its first trials in the calling
-process, for up to HEAD_BUDGET_S seconds, so a short run starts no pool.  The
-trials left then go to one worker pool per process, started on first use and
-replaced only to grow, with at most one worker per trial left and per CPU.
+process, for up to HEAD_BUDGET_S seconds after prepare, so a short run starts
+no pool; a long one pays one prepare, one budget and one trial before the
+trials left, two or more, go to one worker pool per process, started on first
+use and replaced only to grow, with at most one worker per trial and per CPU.
 """
 
 from __future__ import annotations
@@ -186,16 +187,18 @@ class RateReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def run_trials(spec: ExperimentSpec, start: int, count: int, deadline: float | None = None) -> np.ndarray:
+def run_trials(spec: ExperimentSpec, start: int, count: int, budget: float | None = None) -> np.ndarray:
     """Rows (rate, coded, unmatched) for trials start..start+count-1; with a
-    deadline, only those begun before perf_counter() reaches it."""
+    budget, it stops at the first trial begun `budget` seconds after prepare,
+    unless that trial is the last."""
     config = spec.config
     scheme = SCHEMES[spec.scheme]
     catalog = build_catalog(config.N, config.beta)
     state = scheme.prepare(config, catalog, spec.slack)
+    deadline = None if budget is None else perf_counter() + budget
     rows = np.empty((count, 3), dtype=np.float64)
     for i, trial in enumerate(range(start, start + count)):
-        if deadline is not None and perf_counter() >= deadline:
+        if deadline is not None and i < count - 1 and perf_counter() >= deadline:
             return rows[:i]
         profile = sample_profile(config, spec.seed, trial=trial)
         rows[i] = scheme.trial(profile, config, state, spec.seed, trial)
@@ -245,13 +248,12 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     validate(spec.config)
     SCHEMES[spec.scheme].check(spec.config)
     check_slack(spec.config, spec.slack)  # every scheme, though only hcm reads it
-    head = run_trials(spec, 0, spec.trials, None if workers == 1 else perf_counter() + HEAD_BUDGET_S)
+    budget = None if len(plan_chunks(spec.trials, workers)) == 1 else HEAD_BUDGET_S  # one chunk: all in-process
+    head = run_trials(spec, 0, spec.trials, budget)
     done = len(head)
     if done == spec.trials:
         return head
-    chunks = plan_chunks(spec.trials - done, workers)
-    if len(chunks) == 1:
-        return np.concatenate([head, run_trials(spec, done, spec.trials - done)], axis=0)
+    chunks = plan_chunks(spec.trials - done, workers)  # two or more, as two or more trials are left
     pool = _worker_pool(len(chunks))
     try:
         parts = list(pool.map(_run_chunk, [(spec, done + start, count) for start, count in chunks]))

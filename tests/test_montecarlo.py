@@ -302,7 +302,8 @@ def test_broken_pool_is_dropped(pool_starts, pool_path):
 
 def _expiring_clock(k):
     """A perf_counter for montecarlo that reads 0 for the deadline and the
-    checks before the first k trials, then +inf: the head runs k trials."""
+    checks before the first k trials, then +inf: the head runs k trials, or
+    all of them when only the last is left, as one trial is never fanned out."""
     calls = itertools.count()
     return lambda: 0.0 if next(calls) <= k else math.inf
 
@@ -317,15 +318,33 @@ def test_head_and_pool_rows_match_serial(monkeypatch, scheme, head):
     in_process = []
     original = montecarlo.run_trials
 
-    def recording(spec, start, count, deadline=None):
-        rows = original(spec, start, count, deadline)
+    def recording(spec, start, count, budget=None):
+        rows = original(spec, start, count, budget)
         in_process.append((start, len(rows)))
         return rows
 
     monkeypatch.setattr(montecarlo, "run_trials", recording)
     monkeypatch.setattr(montecarlo, "perf_counter", _expiring_clock(k))
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     assert collect_trials(spec, workers=2).tobytes() == serial.tobytes()
-    assert in_process[0] == (0, k)  # the head; pool chunks run in other processes
+    # the head; pool chunks run in other processes
+    assert in_process == [(0, trials if k == trials - 1 else k)]
+
+
+def test_head_budget_starts_after_prepare(monkeypatch, pool_starts):
+    spec = _spec(PAM_SHALLOW_SCHEME, trials=6, **SMALL)
+    serial = collect_trials(spec, workers=1)
+    now = [0.0]
+    original = montecarlo.proportional_placement
+
+    def slow_prepare(config, catalog):
+        now[0] += 1.0  # a prepare far longer than the budget
+        return original(config, catalog)
+
+    monkeypatch.setattr(montecarlo, "proportional_placement", slow_prepare)
+    monkeypatch.setattr(montecarlo, "perf_counter", lambda: now[0])
+    assert np.array_equal(collect_trials(spec, workers=2), serial)
+    assert pool_starts == []  # the trials themselves took no time
 
 
 def test_run_within_the_budget_starts_no_pool(monkeypatch, pool_starts):
@@ -336,10 +355,12 @@ def test_run_within_the_budget_starts_no_pool(monkeypatch, pool_starts):
     assert pool_starts == []
 
 
-def test_serial_runs_read_no_clock(monkeypatch):
+@pytest.mark.parametrize("workers, cpus, trials", [(1, 2, 3), (2, 1, 3), (2, 2, 1)])
+def test_one_chunk_runs_read_no_clock(monkeypatch, workers, cpus, trials):
     def clock():
-        raise AssertionError("a serial run has no deadline")
+        raise AssertionError("a run of one chunk has no deadline")
 
     monkeypatch.setattr(montecarlo, "perf_counter", clock)
-    spec = _spec(PCD_SCHEME, trials=3, **SMALL)
-    assert collect_trials(spec, workers=1).shape == (3, 3)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    spec = _spec(PCD_SCHEME, trials=trials, **SMALL)
+    assert collect_trials(spec, workers=workers).shape == (trials, 3)
