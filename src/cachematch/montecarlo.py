@@ -248,7 +248,7 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     validate(spec.config)
     SCHEMES[spec.scheme].check(spec.config)
     check_slack(spec.config, spec.slack)  # every scheme, though only hcm reads it
-    budget = None if len(plan_chunks(spec.trials, workers)) == 1 else HEAD_BUDGET_S  # one chunk: all in-process
+    budget = None if workers == 1 or len(plan_chunks(spec.trials, workers)) == 1 else HEAD_BUDGET_S
     head = run_trials(spec, 0, spec.trials, budget)
     done = len(head)
     if done == spec.trials:
