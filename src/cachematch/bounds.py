@@ -80,7 +80,6 @@ class LowerBoundReport:
     per_s: tuple[float, ...]  # cut-set bound for each s = 1..K/d
     best: float  # max over s
     closed_form: float  # shallow_lower_bound value
-    gap_constant: float
 
 
 def lower_bound_report(config: SystemConfig) -> LowerBoundReport:
@@ -97,5 +96,4 @@ def lower_bound_report(config: SystemConfig) -> LowerBoundReport:
         per_s=per_s,
         best=max(per_s),
         closed_form=shallow_lower_bound(config),
-        gap_constant=gap_constant(config),
     )

@@ -138,11 +138,12 @@ def _cmd_rate_curve(args) -> int:
 
 
 def _sim_mean(config: SystemConfig, scheme: str, args) -> float | None:
-    """Simulated mean rate; None where the scheme has no placement."""
+    """Simulated mean rate; None where the scheme has no placement or does
+    not apply to the row's config."""
     spec = ExperimentSpec(config=config, scheme=scheme, trials=args.trials, seed=args.seed)
     try:
         return run_experiment(spec, workers=args.workers).mean_rate
-    except InsufficientMemory:
+    except (InsufficientMemory, IncompatibleScheme):
         return None
 
 

@@ -74,7 +74,6 @@ class ColorPlan:
     class_mass: np.ndarray  # P_x, shape (chi,)
     caches_per_color: np.ndarray  # floor(d * P_x) per cluster, shape (chi,)
     colorless: int  # caches per cluster left unassigned
-    fallback: bool  # single-color fallback was forced
 
 
 def build_color_plan(config: SystemConfig, catalog: ZipfCatalog, t: float) -> ColorPlan:
@@ -95,7 +94,6 @@ def build_color_plan(config: SystemConfig, catalog: ZipfCatalog, t: float) -> Co
         class_mass=class_mass,
         caches_per_color=caches_per_color,
         colorless=colorless,
-        fallback=unicast_fallback(config),
     )
 
 

@@ -18,7 +18,7 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Any
 
@@ -172,18 +172,7 @@ class RateReport:
     bound_satisfied: bool  # mean_rate <= analytic_rate + 3 * stderr
 
     def to_json(self, config: SystemConfig) -> str:
-        payload = {
-            "scheme": self.scheme,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean_rate": self.mean_rate,
-            "stderr": self.stderr,
-            "coded_mean": self.coded_mean,
-            "unmatched_mean": self.unmatched_mean,
-            "analytic_rate": self.analytic_rate,
-            "bound_satisfied": self.bound_satisfied,
-            "config": config_payload(config),
-        }
+        payload = {**asdict(self), "config": config_payload(config)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -108,11 +108,9 @@ def pam_shallow_rate(config: SystemConfig) -> float:
 
 @dataclass(frozen=True)
 class ShallowServeOutcome:
-    server_files: int  # distinct files broadcast by the server
-    matched_users: int  # every request that survives eviction
-    evicted_requests: int
+    evicted_requests: int  # the rest survive eviction and all match
     all_feasible: bool  # no cache in any cluster was violating
-    rate: float
+    rate: float  # distinct files broadcast by the server
 
 
 def _violating(loads: np.ndarray) -> np.ndarray:
@@ -147,13 +145,10 @@ def pam_shallow_serve(
     keep = np.ones(files.size, dtype=bool)
     keep[owner[_violating(loads)[slots]]] = False
     evicted_requests = int(files.size - np.count_nonzero(keep))
-    server_files = distinct_count(files[~keep])
     return ShallowServeOutcome(
-        server_files=server_files,
-        matched_users=int(files.size) - evicted_requests,
         evicted_requests=evicted_requests,
         all_feasible=evicted_requests == 0,
-        rate=float(server_files),
+        rate=float(distinct_count(files[~keep])),
     )
 
 

@@ -48,17 +48,8 @@ class KnapsackInstance:
 class KsPlacement:
     x: np.ndarray  # fractional solution, x_n in [0, 1]
     copies: np.ndarray  # c_n = w_n * floor(x_n); 0 for an uncached file
-    cache_ids: np.ndarray  # caches holding each file, ascending, in file order
-    cache_starts: np.ndarray  # file n's caches start at cache_ids[cache_starts[n]]
-    # holders[n]: file n's caches, ascending, () if uncached; read-only, derived on construction
-    holders: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        cached, ids = np.flatnonzero(self.copies), self.cache_ids.tolist()
-        holders: list[tuple[int, ...]] = [()] * len(self.copies)
-        for n, s, c in zip(cached.tolist(), self.cache_starts[cached].tolist(), self.copies[cached].tolist()):
-            holders[n] = tuple(ids[s:s + c])
-        object.__setattr__(self, "holders", tuple(holders))
+    # holders[n]: file n's caches, ascending, () if uncached
+    holders: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
 def build_knapsack(config: SystemConfig, catalog: ZipfCatalog) -> KnapsackInstance:
@@ -121,9 +112,13 @@ def solve_fractional_knapsack(instance: KnapsackInstance) -> KsPlacement:
             remaining = 0.0
     copies = np.where(x == 1.0, w, 0).astype(np.int64)
     cache_ids, cache_starts = deal_round_robin(copies, instance.cluster_size)
-    for array in (x, copies, cache_ids, cache_starts):
+    cached, ids = np.flatnonzero(copies), cache_ids.tolist()
+    holders: list[tuple[int, ...]] = [()] * len(copies)
+    for n, s, c in zip(cached.tolist(), cache_starts[cached].tolist(), copies[cached].tolist()):
+        holders[n] = tuple(ids[s:s + c])
+    for array in (x, copies):
         array.setflags(write=False)
-    return KsPlacement(x=x, copies=copies, cache_ids=cache_ids, cache_starts=cache_starts)
+    return KsPlacement(x=x, copies=copies, holders=tuple(holders))
 
 
 @dataclass(frozen=True)
@@ -232,10 +227,8 @@ def pam_steep_rate(config: SystemConfig) -> RateEnvelope:
 
 @dataclass(frozen=True)
 class SteepServeOutcome:
-    server_files: int  # distinct files broadcast by the server
-    matched_users: int
-    unmatched_requests: int
-    rate: float
+    unmatched_requests: int  # the rest are matched
+    rate: float  # distinct files broadcast by the server
 
 
 def pam_steep_serve(
@@ -259,5 +252,4 @@ def pam_steep_serve(
     u = rng.random(files.size).tolist()
     _, unmatched, server = _walk_runs(files[bounds[:-1]].tolist(), bounds.tolist(), firsts,
                                       placement.holders, u, pairs=False)
-    distinct = len(set(server))
-    return SteepServeOutcome(distinct, files.size - unmatched, unmatched, float(distinct))
+    return SteepServeOutcome(unmatched, float(len(set(server))))

@@ -61,9 +61,7 @@ def steep_exponents(point: PolyKPoint) -> tuple[Fraction, Fraction]:
     if mu + delta > min(nu, 1 / (b - 1)):
         sigma_pam = Fraction(0)  # proportional rate is o(1) here
     else:
-        # the [.]+ clamp keeps the expression total; it never binds because
-        # (beta-1)*(delta+mu) > 1 already lands in the o(1) branch above
-        sigma_pam = min(1 / b, max(Fraction(0), 1 - (b - 1) * (delta + mu)))
+        sigma_pam = min(1 / b, 1 - (b - 1) * (delta + mu))
     return sigma_pcd, sigma_pam
 
 

@@ -64,15 +64,6 @@ class RequestProfile:
     files: np.ndarray  # shape (total requests,), int64
     config: SystemConfig
 
-    @classmethod
-    def from_counts(cls, counts, config: SystemConfig) -> RequestProfile:
-        """Profile with u[n, c] requests for file n in cluster c."""
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (config.N, config.num_clusters):
-            raise DomainError(f"counts shape {counts.shape} != (N, K/d)")
-        files = np.repeat(np.tile(np.arange(config.N), config.num_clusters), counts.T.ravel())
-        return cls(np.concatenate(([0], np.cumsum(counts.sum(axis=0)))), files, config)
-
     def __post_init__(self) -> None:
         self.offsets.setflags(write=False)
         self.files.setflags(write=False)
@@ -142,11 +133,13 @@ def sample_profile(config: SystemConfig, seed: int, trial: int = 0) -> RequestPr
     The draw is a pure function of the key (N, K, d, rho, beta, seed) and
     the trial, so its read-only arrays are kept in a per-process memo, and a
     repeat call wraps them in a fresh profile that carries the caller's
-    config.  The memo is module state because pool workers outlive each
-    experiment and must keep profiles from one sweep row to the next.  It
-    holds one key at a time, dropping every entry when the key changes, and
-    at most PROFILE_MEMO_BYTES: past that, trials are drawn and not kept, so
-    memory stays bounded for any trial count.
+    config.  The memo is module state because the experiments that share a
+    draw (the schemes of a sweep row, the rows of an M sweep, the Monte Carlo
+    checks) each run their trials anew, in the calling process or in a pool
+    worker that outlives them.  It holds one key at a time, dropping every
+    entry when the key changes, and at most PROFILE_MEMO_BYTES: past that,
+    trials are drawn and not kept, so memory stays bounded for any trial
+    count.
     """
     key = (config.N, config.K, config.d, config.rho, config.beta, operator.index(seed))
     trial = operator.index(trial)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -88,12 +88,9 @@ class VerificationReport:
 
     def to_json(self) -> str:
         payload = {
-            "warnings": list(self.warnings),
-            "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail} for c in self.checks
-            ],
+            **asdict(self),
             "passed": sum(c.status == PASS for c in self.checks),
-            "failed": sum(c.status == FAIL for c in self.checks),
+            "failed": len(self.failed),
             "skipped": sum(c.status == SKIPPED for c in self.checks),
         }
         return json.dumps(payload, sort_keys=True, indent=2)

@@ -3,7 +3,8 @@
 Each one states a quantity the program computes another way: the distinct
 requested files of a profile, one cache's fractional load, the
 closed-form steep region in which the replication-free scheme wins, and
-pam-steep's serve step as the run matcher it replaced computed it.
+pam-steep's serve step as the run matcher it replaced computed it.  Also
+here: profile_from_counts, which builds a profile from a dense count matrix.
 """
 
 from fractions import Fraction
@@ -11,6 +12,16 @@ from fractions import Fraction
 import numpy as np
 
 from cachematch.errors import DomainError
+from cachematch.traffic import RequestProfile
+
+
+def profile_from_counts(counts, config) -> RequestProfile:
+    """Profile with counts[n, c] requests for file n in cluster c."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != (config.N, config.num_clusters):
+        raise DomainError(f"counts shape {counts.shape} != (N, K/d)")
+    files = np.repeat(np.tile(np.arange(config.N), config.num_clusters), counts.T.ravel())
+    return RequestProfile(np.concatenate(([0], np.cumsum(counts.sum(axis=0)))), files, config)
 
 
 class MissingCopyCount(ValueError):
@@ -73,22 +84,21 @@ def parent_match_runs(clusters, files, counts, placement, u, pairs=True):
     positions = (np.cumsum(counts) - counts)[cached]  # each run's first uniform
     clusters, files, counts, sizes = clusters[cached], files[cached], counts[cached], sizes[cached]
     last = np.diff(clusters, append=-1) != 0  # nothing later in the cluster reads taken
-    cache_ids, u = placement.cache_ids.tolist(), u.tolist()
-    starts = placement.cache_starts[files].tolist()
+    u = u.tolist()
     matched: list[tuple[int, int]] = []
     cluster = None
-    runs = zip(clusters.tolist(), files.tolist(), counts.tolist(), starts, sizes.tolist(),
+    runs = zip(clusters.tolist(), files.tolist(), counts.tolist(), sizes.tolist(),
                positions.tolist(), last.tolist())
-    for c, n, r, start, size, pos, final in runs:
+    for c, n, r, size, pos, final in runs:
         if c != cluster:
             cluster, taken = c, set()
         if final and not pairs:
             free = size - len(taken)  # a lower bound: taken may hold others' caches
             if free < r:
-                free = size - len(taken.intersection(cache_ids[start:start + size]))
+                free = size - len(taken.intersection(placement.holders[n]))
             served = min(r, free)
         else:
-            cand = cache_ids[start:start + size]
+            cand = list(placement.holders[n])
             if not taken.isdisjoint(cand):
                 cand = [k for k in cand if k not in taken]
             served = min(r, len(cand))

@@ -224,8 +224,8 @@ def test_criterion_06_fractional_knapsack_optimal():
 def _reference_mlp(requests, placement, rng):
     """Step-by-step mirror of most-popular-last matching, set-based: one
     uniform per request in scan order, drawn up front."""
-    cache_sets = np.split(placement.cache_ids, placement.cache_starts[1:])
-    available = set(placement.cache_ids.tolist())
+    cache_sets = placement.holders
+    available = {k for caches in cache_sets for k in caches}
     matched: list[tuple[int, int]] = []
     server: list[int] = []
     unmatched = 0
@@ -234,7 +234,7 @@ def _reference_mlp(requests, placement, rng):
         short = False
         for _ in range(int(requests[n])):
             u = next(uniforms)
-            cand = [k for k in cache_sets[n].tolist() if k in available]
+            cand = [k for k in cache_sets[n] if k in available]
             if not cand:
                 unmatched += 1
                 short = True
@@ -262,8 +262,7 @@ def _random_small_placement(rng) -> KsPlacement:
     return KsPlacement(
         x=np.zeros(n_files),
         copies=copies,
-        cache_ids=np.array([k for s in sets for k in s], dtype=np.int64),
-        cache_starts=np.cumsum(copies) - copies,
+        holders=tuple(tuple(s) for s in sets),
     )
 
 
@@ -272,8 +271,7 @@ def test_criterion_07_mlp_conformance():
     forced = KsPlacement(
         x=np.zeros(2),
         copies=np.array([1, 1]),
-        cache_ids=np.array([0, 1]),
-        cache_starts=np.array([0, 1]),
+        holders=((0,), (1,)),
     )
     out = mlp_match([2, 1], forced, np.random.default_rng(SEED))
     assert out.matched == ((1, 1), (0, 0))

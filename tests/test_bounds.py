@@ -122,7 +122,6 @@ def test_report_structure():
     assert len(report.per_s) == config.num_clusters
     assert report.best == max(report.per_s)
     assert report.closed_form == shallow_lower_bound(config)
-    assert report.gap_constant == gap_constant(config)
     # shallow Zipf reduces to uniform at intensity (1 - beta) * rho
     half = make_config(M=2.0, rho=0.125)
     assert report.per_s == pytest.approx(lower_bound_report(half).per_s, rel=1e-12)

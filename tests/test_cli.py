@@ -212,6 +212,25 @@ def test_rate_curve_leaves_cell_empty_without_whole_file_slots(tmp_path, workers
     assert all(r[5] != "" and r[7] != "" for r in rows.values())
 
 
+@pytest.mark.filterwarnings("ignore:split points crossed")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_rate_curve_leaves_cell_empty_where_pam_steep_does_not_apply(tmp_path, workers):
+    # pam-steep requires d >= 2, so the d = 1 row has no sim_pam; d = 3 does not divide K
+    analytic, out = tmp_path / "analytic.csv", tmp_path / "curve.csv"
+    argv = ["rate-curve", "configs/steep.json", "--param", "d", "--start", "1", "--stop", "4",
+            "--step", "1"]
+    assert main(argv + ["--out", str(analytic)]) == 0
+    assert main(argv + ["--trials", "2", "--workers", workers, "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+    assert header == ["d", "rate_pcd", "rate_pam", "sim_pcd", "sim_pam"]
+    assert [r[:3] for r in rows] == [
+        line.split(",") for line in analytic.read_text(encoding="utf-8").splitlines()[1:]
+    ]
+    assert [r[0] for r in rows] == ["1", "2", "4"]
+    assert rows[0][3] != "" and rows[0][4] == ""
+    assert all(r[3] != "" and r[4] != "" for r in rows[1:])
+
+
 def test_rate_curve_runs_each_scheme_once_per_row(tmp_path, monkeypatch):
     # the benchmark times rate-curve's simulations through the name cli.run_experiment
     calls = []

@@ -23,9 +23,10 @@ from cachematch.pam_shallow import (
 )
 from cachematch.pcd import PcdRate, coded_pool_size, pcd_simulate
 from cachematch.popularity import build_catalog
-from cachematch.traffic import PROFILE_ROLE, RequestProfile, sample_profile, stream
+from cachematch.traffic import PROFILE_ROLE, sample_profile, stream
 
 from conftest import make_config
+from oracles import profile_from_counts
 
 PROFILES = 100  # random profiles per configuration
 
@@ -104,7 +105,7 @@ def test_pcd_matches_dense_oracle(config):
     crowded = overflow = 0
     for i in range(PROFILES):
         counts = _random_counts(gen, config, per_cluster=d * (0.5 + i % 3))
-        profile = RequestProfile.from_counts(counts, config)
+        profile = profile_from_counts(counts, config)
         assert pcd_simulate(profile, config) == dense_pcd_simulate(counts, config)
         crowded += (counts.sum(axis=0) > d).any()
         # a cluster matching a request outside the pool unicasts it
@@ -128,7 +129,7 @@ def test_hcm_matches_dense_oracle(zero_color):
             slots[zero_color] = 0
         trial_plan = dataclasses.replace(plan, caches_per_color=slots)
         counts = _random_counts(gen, config, per_cluster=int(slots.sum()) * (0.5 + i % 3))
-        profile = RequestProfile.from_counts(counts, config)
+        profile = profile_from_counts(counts, config)
         expected = dense_hcm_simulate(counts, trial_plan, config)
         assert hcm_simulate(profile, trial_plan, config) == expected
         crowded += expected.unmatched_term > 0
@@ -200,13 +201,10 @@ def reference_pam_shallow_serve(profile, placement, config):
     keep = np.ones(files.size, dtype=bool)
     keep[owner[_violating(loads)[slots]]] = False
     evicted_requests = int(files.size - np.count_nonzero(keep))
-    server_files = len(set(files[~keep].tolist()))
     return ShallowServeOutcome(
-        server_files=server_files,
-        matched_users=int(files.size) - evicted_requests,
         evicted_requests=evicted_requests,
         all_feasible=evicted_requests == 0,
-        rate=float(server_files),
+        rate=float(len(set(files[~keep].tolist()))),
     )
 
 
@@ -253,7 +251,7 @@ def test_pcd_matches_reference_kernel(config):
     crowded = roomy = 0
     for i in range(REFERENCE_PROFILES):
         counts = _varied_counts(gen, config, i, config.d)
-        profile = RequestProfile.from_counts(counts, config)
+        profile = profile_from_counts(counts, config)
         assert pcd_simulate(profile, config) == reference_pcd_simulate(profile, config)
         over = (counts.sum(axis=0) > config.d).any()
         crowded += over
@@ -275,7 +273,7 @@ def test_hcm_matches_reference_kernel(zero_color):
             slots[zero_color] = 0  # that color's users all go unmatched
         trial_plan = dataclasses.replace(plan, caches_per_color=slots)
         counts = _varied_counts(gen, config, i, int(slots.sum()))
-        profile = RequestProfile.from_counts(counts, config)
+        profile = profile_from_counts(counts, config)
         expected = reference_hcm_simulate(profile, trial_plan, config)
         assert hcm_simulate(profile, trial_plan, config) == expected
         crowded += expected.unmatched_term > 0
@@ -290,11 +288,11 @@ def test_pam_shallow_serve_matches_reference_kernel():
     feasible = evicting = 0
     for i in range(REFERENCE_PROFILES):
         counts = _varied_counts(gen, config, i, config.d)
-        profile = RequestProfile.from_counts(counts, config)
+        profile = profile_from_counts(counts, config)
         expected = reference_pam_shallow_serve(profile, placement, config)
         assert pam_shallow_serve(profile, placement, config) == expected
         feasible += expected.all_feasible
-        evicting += expected.server_files > 1
+        evicting += expected.rate > 1
     assert feasible > 0 and evicting > 0
 
 

@@ -14,7 +14,10 @@ pam_steep_serve makes.
 
 The rate-curve memory sweeps are pinned as whole CSV files, serial and on two
 workers; their digests were recorded before profiles were reused across
-schemes and rows.
+schemes and rows.  The verify-bounds JSON reports are pinned on both shipped
+configs and on the replicated-shallow shape, where pam-rate-mc runs; their
+digests were recorded before VerificationReport.to_json built its payload
+from the dataclass fields.
 
 A digest may change only together with a declared SAMPLER_VERSION or draw
 version (traffic.MATCHING_ROLE stream) bump, recorded in CHANGES.md.  Any
@@ -23,12 +26,13 @@ other change to a digest is a regression.
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from cachematch.cli import main
-from cachematch.config import SystemConfig, load_config
+from cachematch.config import SystemConfig, config_payload, load_config
 from cachematch.montecarlo import (
     HCM_SCHEME,
     PAM_SHALLOW_SCHEME,
@@ -111,5 +115,27 @@ def test_rate_curve_sweep_digest_is_pinned(tmp_path, config, span, digest, worke
     argv = ["rate-curve", config, "--param", "M", "--start", start, "--stop", stop,
             "--step", step, "--trials", "5", "--seed", str(SEED), "--workers", workers,
             "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the benchmark's replicated-shallow shape: above the replication threshold
+REPLICATED = SystemConfig(K=1200, d=120, N=1200, M=16.0, rho=0.2, beta=0.0, t0=1.0)
+
+VERIFY_GOLDEN = [
+    (DEFAULT, "9dbc32b230d0c99876e4c791fb2433ac317fc2f04f896cb04c6d25e4ebe091a8"),
+    (STEEP, "26fc1ab5de90a3de6c8eff964c086b631fbe6943896481b0347d34c0f7ff11b6"),
+    (REPLICATED, "9764a7031610375c6a03dd230aa64b1cb90647e1bf93dca0368c93e7aabf017e"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, digest", VERIFY_GOLDEN,
+    ids=["verify-bounds-shallow", "verify-bounds-steep", "verify-bounds-replicated"],
+)
+def test_verify_bounds_report_digest_is_pinned(tmp_path, config, digest):
+    path, out = tmp_path / "config.json", tmp_path / "checks.json"
+    path.write_text(json.dumps(config_payload(config)), encoding="utf-8")
+    argv = ["verify-bounds", str(path), "--seed", str(SEED), "--trials", "60", "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -16,9 +16,10 @@ from cachematch.hcm import (
 from cachematch.mathkit import SQRT_TWO_PI
 from cachematch.pcd import pcd_rate_shallow, pcd_simulate
 from cachematch.popularity import build_catalog
-from cachematch.traffic import RequestProfile, sample_profile
+from cachematch.traffic import sample_profile
 
 from conftest import make_config
+from oracles import profile_from_counts
 
 # d large relative to log K so the plan gets chi = 10 colors
 WIDE = dict(K=100, d=1000, N=100, M=10.0, rho=0.25, t0=1.0)
@@ -61,7 +62,7 @@ def test_color_plan_structure():
     assert plan.class_mass == pytest.approx([0.4, 0.3, 0.3], rel=1e-12)
     assert np.array_equal(plan.caches_per_color, [120, 90, 90])
     assert plan.colorless == 0
-    assert not plan.fallback
+    assert not unicast_fallback(config)
 
 
 def test_color_plan_colorless_caches():
@@ -162,7 +163,7 @@ def test_simulate_hand_example():
     assert np.array_equal(plan.caches_per_color, [160, 120, 120])
     counts = np.zeros((10, 1), dtype=np.int64)
     counts[0, 0] = 161  # one more request for file 0 than color 0 has caches
-    profile = RequestProfile.from_counts(counts, config)
+    profile = profile_from_counts(counts, config)
     trial = hcm_simulate(profile, plan, config)
     assert trial.unmatched_term == 1.0
     assert trial.coded_term > 0.0
@@ -175,6 +176,6 @@ def test_simulate_respects_user_clamp():
     plan = build_color_plan(config, catalog, t=0.0)
     counts = np.zeros((4, 2), dtype=np.int64)
     counts[0, 0] = 1
-    profile = RequestProfile.from_counts(counts, config)
+    profile = profile_from_counts(counts, config)
     trial = hcm_simulate(profile, plan, config)
     assert trial.total <= profile.total_users

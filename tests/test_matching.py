@@ -154,6 +154,8 @@ def test_deal_round_robin_matches_python_dealer():
         catalog = build_catalog(config.N, config.beta)
         if config.beta < 1:
             placement = proportional_placement(config, catalog)
+            _assert_dealt_like_python(placement.cache_ids, placement.cache_starts, placement.copies, config.d)
         else:
             placement = solve_fractional_knapsack(build_knapsack(config, catalog))
-        _assert_dealt_like_python(placement.cache_ids, placement.cache_starts, placement.copies, config.d)
+            cache_sets = python_deal_round_robin(placement.copies, config.d)
+            assert placement.holders == tuple(tuple(caches) for caches in cache_sets)

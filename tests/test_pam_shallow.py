@@ -16,10 +16,10 @@ from cachematch.pam_shallow import (
     rate_formula,
 )
 from cachematch.popularity import build_catalog
-from cachematch.traffic import RequestProfile, sample_profile
+from cachematch.traffic import sample_profile
 
 from conftest import make_config
-from oracles import fractional_load
+from oracles import fractional_load, profile_from_counts
 
 
 def _cache_sets(placement):
@@ -126,7 +126,7 @@ def _one_file_per_cache_setup():
 
 def _profile(config, column):
     counts = np.array(column, dtype=np.int64).reshape(-1, 1)
-    return RequestProfile.from_counts(counts, config)
+    return profile_from_counts(counts, config)
 
 
 def test_serve_eviction_hand_example():
@@ -135,18 +135,17 @@ def test_serve_eviction_hand_example():
 
     whole = pam_shallow_serve(profile, placement, config)
     assert whole.evicted_requests == 2
-    assert whole.matched_users == 0
-    assert whole.server_files == 1
+    assert profile.total_users - whole.evicted_requests == 0
     assert whole.rate == 1.0
     assert not whole.all_feasible
 
 
 def test_serve_feasible_profile_needs_no_server():
     config, placement = _one_file_per_cache_setup()
-    outcome = pam_shallow_serve(_profile(config, [1, 1, 1]), placement, config)
+    profile = _profile(config, [1, 1, 1])
+    outcome = pam_shallow_serve(profile, placement, config)
     assert outcome.all_feasible
-    assert outcome.matched_users == 3
-    assert outcome.server_files == 0
+    assert profile.total_users - outcome.evicted_requests == 3
     assert outcome.rate == 0.0
 
 
@@ -178,13 +177,11 @@ def test_serve_request_accounting():
     for trial in range(30):
         profile = sample_profile(config, seed=17, trial=trial)
         outcome = pam_shallow_serve(profile, placement, config)
-        total = outcome.matched_users + outcome.evicted_requests
-        assert total == profile.total_users
-        assert outcome.rate == outcome.server_files
+        assert 0 <= outcome.evicted_requests <= profile.total_users
         if outcome.all_feasible:
             assert outcome.evicted_requests == 0
             assert matched_requests(profile, placement, config) == profile.total_users
-            assert outcome.server_files == 0
+            assert outcome.rate == 0
 
 
 def test_serve_never_runs_hopcroft_karp(monkeypatch):
@@ -224,6 +221,6 @@ def test_survivors_always_match():
                 )
                 if load > 1.0 + 1e-9:
                     survivors[stored, c] = 0  # evict every file on a violating cache
-        surviving = RequestProfile.from_counts(survivors, config)
-        assert surviving.total_users == outcome.matched_users
+        surviving = profile_from_counts(survivors, config)
+        assert surviving.total_users == profile.total_users - outcome.evicted_requests
         assert matched_requests(surviving, placement, config) == surviving.total_users

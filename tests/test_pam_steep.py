@@ -23,7 +23,7 @@ from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
 from conftest import generator_state, make_config, runs_in_file_order
-from oracles import parent_pam_steep_serve
+from oracles import parent_pam_steep_serve, profile_from_counts
 
 
 @pytest.fixture(scope="module")
@@ -92,17 +92,21 @@ def test_greedy_solution_structure(steep_instance):
 
 def test_greedy_respects_per_cache_slots(steep_config, steep_instance):
     placement = solve_fractional_knapsack(steep_instance)
-    per_cache = np.bincount(placement.cache_ids, minlength=steep_config.d)
+    per_cache = np.bincount([k for caches in placement.holders for k in caches], minlength=steep_config.d)
     assert per_cache.size == steep_config.d and per_cache.max() <= int(steep_config.M)
-    for n, caches in enumerate(np.split(placement.cache_ids, placement.cache_starts[1:])):
+    for n, caches in enumerate(placement.holders):
         assert len(set(caches)) == len(caches) == placement.copies[n]
+
+
+def _holders(cache_ids, cache_starts):
+    """Each file's caches, as a tuple, from deal_round_robin's flat arrays."""
+    return tuple(tuple(caches.tolist()) for caches in np.split(cache_ids, cache_starts[1:]))
 
 
 def test_holders_list_each_files_caches(steep_instance):
     placement = solve_fractional_knapsack(steep_instance)
     assert len(placement.holders) == len(placement.copies)
-    for n, caches in enumerate(np.split(placement.cache_ids, placement.cache_starts[1:])):
-        assert placement.holders[n] == tuple(caches.tolist())
+    assert placement.holders == _holders(*deal_round_robin(placement.copies, steep_instance.cluster_size))
     assert placement.holders[4] == ()  # file id 4 has no copy
 
 
@@ -110,12 +114,7 @@ def _manual_placement():
     # file 0 on caches {0, 1}, file 1 on {1}, file 2 on {2}
     x = np.array([1.0, 1.0, 1.0])
     copies = np.array([2, 1, 1])
-    return KsPlacement(
-        x=x,
-        copies=copies,
-        cache_ids=np.array([0, 1, 1, 2]),
-        cache_starts=np.array([0, 2, 3]),
-    )
+    return KsPlacement(x=x, copies=copies, holders=((0, 1), (1,), (2,)))
 
 
 def test_mlp_hand_example():
@@ -141,7 +140,7 @@ def test_mlp_draw_replay():
     rng = stream(42, 0, MATCHING_ROLE)
     outcome = mlp_match(requests, placement, rng)
     replay = stream(42, 0, MATCHING_ROLE)
-    want_cache = placement.cache_ids[0:2][int(replay.random(1)[0] * 2)]
+    want_cache = placement.holders[0][int(replay.random(1)[0] * 2)]
     assert outcome.matched == ((0, want_cache),)
     assert outcome.unmatched_requests == 0
 
@@ -152,8 +151,7 @@ def _placement_of(cache_lists):
     return KsPlacement(
         x=np.zeros(len(cache_lists)),
         copies=copies,
-        cache_ids=np.array([k for caches in cache_lists for k in caches], dtype=np.int64),
-        cache_starts=np.cumsum(copies) - copies,
+        holders=tuple(tuple(caches) for caches in cache_lists),
     )
 
 
@@ -246,11 +244,12 @@ def test_serve_equals_parent_run_matcher(steep_config, shape, M):
         served = pam_steep_serve(profile, placement, rng)
         oracle_rng = stream(16, trial, MATCHING_ROLE)
         want = parent_pam_steep_serve(profile, placement, oracle_rng)
-        assert (served.server_files, served.matched_users, served.unmatched_requests) == want
+        matched = profile.total_users - served.unmatched_requests
+        assert (served.rate, matched, served.unmatched_requests) == want
         assert served.rate == float(want[0])
         assert generator_state(rng) == generator_state(oracle_rng)
         unmatched += served.unmatched_requests > 0
-        short += served.server_files < served.unmatched_requests
+        short += served.rate < served.unmatched_requests
     assert unmatched > 0 and short > 0  # files sent by the server, some for several requests
 
 
@@ -280,7 +279,7 @@ def test_serve_draws_once_per_trial(steep_config):
         outcome = pam_steep_serve(profile, placement, recorder)
         assert recorder.calls == ["random"]
         assert outcome == pam_steep_serve(profile, placement, stream(12, trial, MATCHING_ROLE))
-        matched += outcome.matched_users
+        matched += profile.total_users - outcome.unmatched_requests
     assert matched >= 100  # many matched requests, one draw call each trial
 
 
@@ -334,11 +333,10 @@ def test_envelope_rejects_shallow(base_config):
 def test_serve_hand_example():
     config = make_config(K=3, d=3, N=3, M=1.0, beta=2.0)
     counts = np.array([2, 1, 1], dtype=np.int64).reshape(-1, 1)
-    profile = RequestProfile.from_counts(counts, config)
+    profile = profile_from_counts(counts, config)
     outcome = pam_steep_serve(profile, _manual_placement(), stream(0, 0, MATCHING_ROLE))
-    assert outcome.matched_users == 3
+    assert profile.total_users - outcome.unmatched_requests == 3
     assert outcome.unmatched_requests == 1
-    assert outcome.server_files == 1
     assert outcome.rate == 1.0
 
 
@@ -348,9 +346,8 @@ def test_serve_request_accounting(steep_config):
     for trial in range(25):
         profile = sample_profile(steep_config, seed=31, trial=trial)
         outcome = pam_steep_serve(profile, placement, stream(31, trial, MATCHING_ROLE))
-        assert outcome.matched_users + outcome.unmatched_requests == profile.total_users
-        assert outcome.server_files <= outcome.unmatched_requests
-        assert outcome.rate == outcome.server_files
+        assert 0 <= outcome.unmatched_requests <= profile.total_users
+        assert outcome.rate <= outcome.unmatched_requests
 
 
 def test_serve_equals_mlp_over_dense_columns(steep_config):
@@ -361,9 +358,9 @@ def test_serve_equals_mlp_over_dense_columns(steep_config):
         rng = stream(8, trial, MATCHING_ROLE)
         outcomes = [mlp_match(column, placement, rng) for column in profile.counts.T]
         served = pam_steep_serve(profile, placement, stream(8, trial, MATCHING_ROLE))
-        assert served.matched_users == sum(len(o.matched) for o in outcomes)
+        assert profile.total_users - served.unmatched_requests == sum(len(o.matched) for o in outcomes)
         assert served.unmatched_requests == sum(o.unmatched_requests for o in outcomes)
-        assert served.server_files == len({n for o in outcomes for n in o.server_files})
+        assert served.rate == len({n for o in outcomes for n in o.server_files})
 
 
 def test_serve_is_reproducible(steep_config):
@@ -385,13 +382,12 @@ def _reference_dense_mlp(requests, placement, rng):
     last of which in scan order is the smallest such index: "short_last_run"
     when that file has fewer free caches than requests, "took_every_free_cache"
     when an earlier one asks for at least as many caches as it finds free."""
-    free = set(placement.cache_ids.tolist())
+    free = {k for caches in placement.holders for k in caches}
     matched, unmatched, server, events = 0, 0, set(), set()
     uniforms = iter(rng.random(int(sum(requests))))
     last = min((n for n in range(len(requests)) if requests[n] and placement.copies[n]), default=None)
     for n in range(len(requests) - 1, -1, -1):
-        start = int(placement.cache_starts[n])
-        holders = placement.cache_ids[start:start + int(placement.copies[n])].tolist()
+        holders = placement.holders[n]
         free_now = sum(k in free for k in holders)
         if n == last and free_now < requests[n]:
             events.add("short_last_run")
@@ -416,8 +412,7 @@ def _random_placement(gen, n_files, d):
     return KsPlacement(
         x=np.zeros(n_files),
         copies=copies.astype(np.int64),
-        cache_ids=np.concatenate(sets).astype(np.int64),
-        cache_starts=np.cumsum(copies) - copies,
+        holders=tuple(tuple(caches.tolist()) for caches in sets),
     )
 
 
@@ -438,7 +433,7 @@ def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
         counts = gen.poisson(gen.choice([0.05, 0.3, 1.5]), size=(config.N, clusters))
         if gen.random() < 0.4:
             counts[:, gen.integers(clusters)] = 0
-        profile = RequestProfile.from_counts(counts, config)
+        profile = profile_from_counts(counts, config)
 
         rng = stream(i, 3, MATCHING_ROLE)
         served = pam_steep_serve(profile, placement, rng)
@@ -449,7 +444,7 @@ def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
             m, u, files, happened = _reference_dense_mlp(column, placement, oracle_rng)
             matched, unmatched, server = matched + m, unmatched + u, server | files
             events |= happened
-        assert (served.server_files, served.matched_users, served.unmatched_requests) == (
+        assert (served.rate, profile.total_users - served.unmatched_requests, served.unmatched_requests) == (
             len(server), matched, unmatched)
         assert served.rate == float(len(server))
         assert generator_state(rng) == generator_state(oracle_rng)
@@ -506,9 +501,10 @@ def _instance(values, weights, capacity, d=4):
 
 def _assert_same_greedy(instance):
     placement = solve_fractional_knapsack(instance)
-    got = (placement.x, placement.copies, placement.cache_ids, placement.cache_starts)
-    for a, b in zip(got, _sorted_greedy(instance)):
+    x, copies, cache_ids, cache_starts = _sorted_greedy(instance)
+    for a, b in zip((placement.x, placement.copies), (x, copies)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert placement.holders == _holders(cache_ids, cache_starts)
 
 
 @pytest.mark.parametrize("capacity", [0, 4, 5, 4.5, 7, 100])

@@ -17,9 +17,10 @@ from cachematch.pcd import (
     rate_steep_formula,
     unmatched_tail_term,
 )
-from cachematch.traffic import RequestProfile, sample_profile
+from cachematch.traffic import sample_profile
 
 from conftest import make_config
+from oracles import profile_from_counts
 
 
 def test_unmatched_tail_term_frozen():
@@ -108,7 +109,7 @@ def test_coded_pool_size():
 
 def _profile(config, counts):
     arr = np.array(counts, dtype=np.int64)
-    return RequestProfile.from_counts(arr, config)
+    return profile_from_counts(arr, config)
 
 
 def test_simulate_hand_example_shallow():

@@ -4,16 +4,19 @@ perfbench/spans.py times each layer by replacing module attributes such as
 montecarlo.pcd_simulate with wrappers, so the Monte Carlo loop has to keep
 calling each scheme's callees through montecarlo's own names, and pass what
 the wrappers read.  perfbench/setup_probe.py calls the placement and plan
-builders directly, so their signatures are part of the same contract.
+builders directly, so their signatures are part of the same contract.  The
+wrappers' observers read fields of the results, so those fields are too.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from cachematch import montecarlo
+from cachematch import cli, montecarlo, pam_steep
+from cachematch.config import config_payload
 from cachematch.montecarlo import (
     HCM_SCHEME,
     PAM_SHALLOW_SCHEME,
@@ -23,6 +26,7 @@ from cachematch.montecarlo import (
     ExperimentSpec,
 )
 from cachematch.popularity import build_catalog
+from cachematch.traffic import MATCHING_ROLE, stream
 
 from conftest import make_config
 
@@ -91,3 +95,24 @@ def test_setup_probe_builds_every_scheme(monkeypatch):
         config = make_config(K=20, d=10, N=20, M=2.0, beta=beta)
         SCHEMES[scheme].check(config)
         assert prepare(config, build_catalog(config.N, config.beta)) is not None
+
+
+def test_observers_read_what_the_program_returns(tmp_path):
+    spans = _load("spans")
+    shallow = make_config(K=20, d=10, N=20, M=2.0)  # above the replication threshold
+    steep = make_config(K=20, d=10, N=20, M=2.0, beta=2.0)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_payload(shallow)), encoding="utf-8")
+    with spans.Tracer().installed() as tracer:
+        for scheme in SCHEMES:
+            config = steep if scheme == PAM_STEEP_SCHEME else shallow
+            montecarlo.run_experiment(ExperimentSpec(config=config, scheme=scheme, trials=3, seed=3))
+        placement = pam_steep.solve_fractional_knapsack(
+            pam_steep.build_knapsack(steep, build_catalog(steep.N, steep.beta)))
+        pam_steep.mlp_match([1] * steep.N, placement, stream(3, 0, MATCHING_ROLE))
+        assert cli.main(["verify-bounds", str(config_path), "--trials", "5"]) == 0
+        assert cli.main(["regime-map", "--beta", "2.0", "--resolution", "3",
+                         "--out", str(tmp_path / "map.csv")]) == 0
+    metrics = spans.layer_metrics(tracer, passes=1)
+    for name in ("hcm.chi", "traffic.requests_per_trial", "verification.checks_passed"):
+        assert metrics[name][0] > 0, name

@@ -21,9 +21,10 @@ from cachematch.pam_shallow import (
     proportional_placement,
 )
 from cachematch.popularity import build_catalog
-from cachematch.traffic import RequestProfile, sample_profile
+from cachematch.traffic import sample_profile
 
 from conftest import make_config, python_deal_round_robin
+from oracles import profile_from_counts
 
 PROFILES = 60  # profiles of each kind (drawn counts, sampled) per configuration
 
@@ -38,7 +39,6 @@ def dense_serve(counts, placement, config):
     weight[placement.cache_ids, owner] = 1.0 / copies[owner]
 
     server_mask = np.zeros(N, dtype=bool)
-    matched_users = 0
     unmatched_survivors = 0
     evicted_requests = 0
     any_violation = False
@@ -55,18 +55,14 @@ def dense_serve(counts, placement, config):
         adjacency = tuple([tuple(np.flatnonzero(weight[:, n]).tolist()) for n in owners])
         graph = ClusterBipartiteGraph(len(adjacency), d, adjacency)
         outcome = max_matching(graph)
-        matched_users += outcome.size
         unmatched_survivors += len(outcome.unmatched_left)
         for user in outcome.unmatched_left:
             server_mask[owners[user]] = True
 
-    rate = float(np.count_nonzero(server_mask))
     outcome = ShallowServeOutcome(
-        server_files=int(np.count_nonzero(server_mask)),
-        matched_users=matched_users,
         evicted_requests=evicted_requests,
         all_feasible=not any_violation,
-        rate=rate,
+        rate=float(np.count_nonzero(server_mask)),
     )
     return outcome, unmatched_survivors
 
@@ -106,7 +102,7 @@ def test_serve_matches_dense_oracle(config):
     placement = proportional_placement(config, catalog)
     gen = np.random.default_rng(2026)
     profiles = [
-        RequestProfile.from_counts(
+        profile_from_counts(
             _random_counts(gen, config, per_cluster=config.d * (0.3 + 0.4 * (i % 4))), config
         )
         for i in range(PROFILES)
