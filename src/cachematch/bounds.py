@@ -9,7 +9,6 @@ Shallow Zipf reduces to the uniform case at intensity (1 - beta) * rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .config import SystemConfig
 from .errors import DomainError
@@ -36,22 +35,6 @@ def shallow_lower_bound(config: SystemConfig) -> float:
     return scale * max(0.0, min(inner, float(config.K)))
 
 
-def shallow_lower_bound_small_memory(config: SystemConfig) -> float:
-    """((1-beta)*a^2*rho/96) * min{N/M, rho*K}, valid for M < a*N/(2*d)."""
-    if not 0 <= config.beta < 1:
-        raise DomainError("shallow bound requires beta in [0, 1)")
-    if config.N < 10:
-        raise DomainError("shallow bound is proved for N >= 10")
-    a = DISTINCT_FRACTION
-    if config.M >= a * config.N / (2.0 * config.d):
-        raise DomainError(
-            f"M = {config.M} outside the small-memory regime M < {a * config.N / (2 * config.d):.6g}"
-        )
-    first = config.N / config.M if config.M > 0 else math.inf
-    scale = (1.0 - config.beta) * a * a * config.rho / 96.0
-    return scale * min(first, config.rho * config.K)
-
-
 def gap_constant(config: SystemConfig) -> float:
     """C = 96 / ((1 - beta) * rho * (1 - e^(-1)/2)^2)."""
     if not 0 <= config.beta < 1:
@@ -75,25 +58,14 @@ def distinct_files_tail_bound(N: int, eps: float) -> float:
     return math.exp(-N * bernoulli_kl(math.exp(-1.0) + eps, math.exp(-1.0)))
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
-    per_s: tuple[float, ...]  # cut-set bound for each s = 1..K/d
-    best: float  # max over s
-    closed_form: float  # shallow_lower_bound value
-
-
-def lower_bound_report(config: SystemConfig) -> LowerBoundReport:
+def cutset_bounds(config: SystemConfig) -> tuple[float, ...]:
+    """The cut-set bound for each s = 1..K/d watched clusters."""
     if not 0 <= config.beta < 1:
         raise DomainError("lower-bound report requires beta in [0, 1)")
     if config.N < 10:
         raise DomainError("cut-set bounds are proved for N >= 10")
     rho_eff = (1.0 - config.beta) * config.rho  # uniform reduction
-    per_s = tuple(
+    return tuple(
         _per_cluster_cutset(rho_eff, config.d, config.N, config.M, s)
         for s in range(1, config.num_clusters + 1)
-    )
-    return LowerBoundReport(
-        per_s=per_s,
-        best=max(per_s),
-        closed_form=shallow_lower_bound(config),
     )

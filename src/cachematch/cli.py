@@ -16,15 +16,7 @@ import sys
 from .bounds import shallow_lower_bound
 from .config import SystemConfig, load_config, validate
 from .errors import DomainError, HardInvariantViolation, IncompatibleScheme, InsufficientMemory
-from .montecarlo import (
-    HCM_SCHEME,
-    PAM_SHALLOW_SCHEME,
-    PAM_STEEP_SCHEME,
-    PCD_SCHEME,
-    SCHEMES,
-    ExperimentSpec,
-    run_experiment,
-)
+from .montecarlo import SCHEMES, ExperimentSpec, run_experiment
 from .regimes import regime_map
 from .verification import verify_config
 
@@ -106,30 +98,28 @@ def _cmd_rate_curve(args) -> int:
     if not row_configs:
         raise DomainError("sweep produced no valid configs")
 
-    include_shallow_cols = any(c.beta < 1 for _, c in row_configs)
+    # one scheme per column group and row: the first that applies, or None
+    groups = (("pcd",), ("pam-shallow", "pam-steep"), ("hcm",))
+    row_schemes = [[_first_applicable(config, names) for names in groups] for _, config in row_configs]
+    with_hcm = any(schemes[2] for schemes in row_schemes)
     header = [args.param, "rate_pcd", "rate_pam"]
-    if include_shallow_cols:
+    if with_hcm:
         header += ["rate_hcm", "lower_bound"]
     if args.trials > 0:
-        header += ["sim_pcd", "sim_pam"]
-        if include_shallow_cols:
-            header += ["sim_hcm"]
+        header += ["sim_pcd", "sim_pam"] + (["sim_hcm"] if with_hcm else [])
 
-    for v, config in row_configs:
-        shallow = config.beta < 1
-        pam = PAM_SHALLOW_SCHEME if shallow else PAM_STEEP_SCHEME
-        row = [_fmt(v)] + [_fmt(SCHEMES[s].analytic(config, config.t0)) for s in (PCD_SCHEME, pam)]
-        if include_shallow_cols:
-            rate_hcm = SCHEMES[HCM_SCHEME].analytic(config, config.t0) if shallow else None
+    for (v, config), schemes in zip(row_configs, row_schemes):
+        schemes = schemes if with_hcm else schemes[:2]
+        row = [_fmt(v)] + [
+            _fmt(SCHEMES[name].analytic(config, config.t0) if name else None) for name in schemes
+        ]
+        if with_hcm:
             try:
-                bound = shallow_lower_bound(config) if shallow else None
+                row.append(_fmt(shallow_lower_bound(config)))
             except DomainError:
-                bound = None
-            row += [_fmt(rate_hcm), _fmt(bound)]
+                row.append("")
         if args.trials > 0:
-            row += [_fmt(_sim_mean(config, PCD_SCHEME, args)), _fmt(_sim_mean(config, pam, args))]
-            if include_shallow_cols:
-                row += [_fmt(_sim_mean(config, HCM_SCHEME, args) if shallow else None)]
+            row += [_fmt(_sim_mean(config, name, args) if name else None) for name in schemes]
         rows.append(row)
 
     _write_csv(args.out, header, rows)
@@ -137,13 +127,23 @@ def _cmd_rate_curve(args) -> int:
     return 0
 
 
+def _first_applicable(config: SystemConfig, names: tuple[str, ...]) -> str | None:
+    """The first of `names` whose scheme applies to config, or None."""
+    for name in names:
+        try:
+            SCHEMES[name].check(config)
+        except IncompatibleScheme:
+            continue
+        return name
+    return None
+
+
 def _sim_mean(config: SystemConfig, scheme: str, args) -> float | None:
-    """Simulated mean rate; None where the scheme has no placement or does
-    not apply to the row's config."""
+    """Simulated mean rate; None where the scheme has no placement."""
     spec = ExperimentSpec(config=config, scheme=scheme, trials=args.trials, seed=args.seed)
     try:
         return run_experiment(spec, workers=args.workers).mean_rate
-    except (InsufficientMemory, IncompatibleScheme):
+    except InsufficientMemory:
         return None
 
 

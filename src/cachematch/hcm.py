@@ -73,7 +73,6 @@ class ColorPlan:
     class_sizes: np.ndarray  # |W_x|, shape (chi,)
     class_mass: np.ndarray  # P_x, shape (chi,)
     caches_per_color: np.ndarray  # floor(d * P_x) per cluster, shape (chi,)
-    colorless: int  # caches per cluster left unassigned
 
 
 def build_color_plan(config: SystemConfig, catalog: ZipfCatalog, t: float) -> ColorPlan:
@@ -84,7 +83,6 @@ def build_color_plan(config: SystemConfig, catalog: ZipfCatalog, t: float) -> Co
     class_sizes = np.bincount(file_color, minlength=chi)
     class_mass = np.bincount(file_color, weights=catalog.p, minlength=chi)
     caches_per_color = np.floor(config.d * class_mass).astype(np.int64)
-    colorless = config.d - int(caches_per_color.sum())
     for arr in (file_color, class_sizes, class_mass, caches_per_color):
         arr.setflags(write=False)
     return ColorPlan(
@@ -93,7 +91,6 @@ def build_color_plan(config: SystemConfig, catalog: ZipfCatalog, t: float) -> Co
         class_sizes=class_sizes,
         class_mass=class_mass,
         caches_per_color=caches_per_color,
-        colorless=colorless,
     )
 
 
@@ -101,8 +98,7 @@ def hcm_rate(config: SystemConfig, t: float) -> float:
     """Analytic expected rate of the color plan at slack t."""
     if not 0 <= config.beta < 1:
         raise DomainError("color-plan rate requires beta in [0, 1)")
-    check_slack(config, t)
-    chi = compute_chi(config, t)
+    chi = compute_chi(config, t)  # checks the slack
     N, M, K = config.N, config.M, config.K
     unmatched = unmatched_tail_term(K, t)
     if M >= math.ceil(N / chi):

@@ -30,7 +30,7 @@ from .config import SystemConfig
 from .errors import DomainError
 from .matching import deal_round_robin
 from .mathkit import power_or_inf
-from .popularity import ZipfCatalog, build_catalog
+from .popularity import ZipfCatalog
 from .traffic import RequestProfile
 
 
@@ -68,9 +68,8 @@ def build_knapsack(config: SystemConfig, catalog: ZipfCatalog) -> KnapsackInstan
     n2 = max(1, n2)
     if n1 > n2:
         warnings.warn(
-            f"split points crossed (n1={n1} > n2={n2}) at d={d}; clamping n1",
+            f"split points crossed (n1={n1} > n2={n2}) at N={N}, d={d}, beta={beta}; clamping n1",
             RuntimeWarning,
-            stacklevel=2,
         )
         n1 = n2
 
@@ -195,15 +194,6 @@ def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> Mlp
     return MlpOutcome(tuple(matched), unmatched, tuple(sorted(server)))
 
 
-@dataclass(frozen=True)
-class RateEnvelope:
-    """Order-level rate guarantees; leading constants are not pinned down."""
-
-    order_value: float  # min{K / (d*M)^(beta-1), K^(1/beta)}
-    vanishing_memory_met: bool  # d*M >= N*log(N): rate is o(1)
-    expected_uncached: float  # exact E[# distinct uncached files requested by K users]
-
-
 def steep_order_value(config: SystemConfig) -> float:
     """min{K / (d*M)^(beta-1), K^(1/beta)}; K^(1/beta) alone when d*M <= 1.
     A power too large for a double takes its limit, so the first term is 0."""
@@ -213,16 +203,6 @@ def steep_order_value(config: SystemConfig) -> float:
     if M > 0 and d * M > 1:
         return min(K / power_or_inf(d * M, beta - 1.0), K ** (1.0 / beta))
     return K ** (1.0 / beta)
-
-
-def pam_steep_rate(config: SystemConfig) -> RateEnvelope:
-    order_value = steep_order_value(config)
-    catalog = build_catalog(config.N, config.beta)
-    placement = solve_fractional_knapsack(build_knapsack(config, catalog))
-    vanishing = config.d * config.M >= config.N * math.log(config.N)
-    uncached = catalog.p[placement.copies == 0]
-    expected_uncached = float(np.sum(1.0 - (1.0 - uncached) ** config.K))
-    return RateEnvelope(order_value, bool(vanishing), expected_uncached)
 
 
 @dataclass(frozen=True)

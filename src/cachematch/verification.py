@@ -22,10 +22,11 @@ from functools import cache
 import numpy as np
 
 from .bounds import (
+    cutset_bounds,
     distinct_files_tail_bound,
     gap_constant,
-    lower_bound_report,
     optimality_gap,
+    shallow_lower_bound,
 )
 from .config import SystemConfig, validate
 from .errors import DomainError, InsufficientMemory
@@ -56,7 +57,7 @@ from .pam_shallow import (
     pam_shallow_serve,
     proportional_placement,
 )
-from .pam_steep import build_knapsack, mlp_match, pam_steep_rate, solve_fractional_knapsack
+from .pam_steep import build_knapsack, mlp_match, solve_fractional_knapsack, steep_order_value
 from .pcd import cluster_unmatched_bound, pcd_rate_shallow, unmatched_tail_term
 from .popularity import build_catalog, partial_sum_A, partial_sum_envelope
 from .traffic import MATCHING_ROLE, sample_profile, stream
@@ -269,14 +270,15 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         return ratio <= cap, f"ratio {ratio:.6g} vs constant {cap:.6g}"
 
     def lower_bound_consistency():
-        rep = lower_bound_report(config)
+        best = max(cutset_bounds(config))
+        closed_form = shallow_lower_bound(config)
         achievable = [
             SCHEMES[name].analytic(config, config.t0)
             for name in (PCD_SCHEME, PAM_SHALLOW_SCHEME, HCM_SCHEME)
         ]
         worst = min(achievable)
-        ok = rep.closed_form <= worst and rep.best <= config.rho * config.K
-        return ok, f"closed form {rep.closed_form:.6g} vs min achievable {worst:.6g}"
+        ok = closed_form <= worst and best <= config.rho * config.K
+        return ok, f"closed form {closed_form:.6g} vs min achievable {worst:.6g}"
 
     # --- color plan -------------------------------------------------------
     def hcm_dominance():
@@ -341,15 +343,17 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         return True, "matchings feasible and request-conserving"
 
     def steep_envelope():
-        env = pam_steep_rate(config)
+        order_value = steep_order_value(config)
         K, dM, beta = config.K, config.d * config.M, config.beta
         # below one file per cluster only the K^(1/beta) branch exists
         direct = K ** (1.0 / beta)
         if dM > 1:
             direct = min(K / power_or_inf(dM, beta - 1.0), direct)
-        ok = env.order_value == direct and env.expected_uncached >= 0
-        ok = ok and env.vanishing_memory_met == (dM >= config.N * math.log(config.N))
-        return ok, f"order value {env.order_value:.6g}, E[uncached] {env.expected_uncached:.6g}"
+        # exact E[# distinct uncached files requested by K users]
+        uncached = catalog.p[knapsack()[1].copies == 0]
+        expected_uncached = float(np.sum(1.0 - (1.0 - uncached) ** K))
+        ok = order_value == direct and expected_uncached >= 0
+        return ok, f"order value {order_value:.6g}, E[uncached] {expected_uncached:.6g}"
 
     table = (
         ("partial-sum-sandwich", partial_sum_sandwich, None),

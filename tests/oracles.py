@@ -4,13 +4,16 @@ Each one states a quantity the program computes another way: the distinct
 requested files of a profile, one cache's fractional load, the
 closed-form steep region in which the replication-free scheme wins, and
 pam-steep's serve step as the run matcher it replaced computed it.  Also
-here: profile_from_counts, which builds a profile from a dense count matrix.
+here: profile_from_counts, which builds a profile from a dense count matrix,
+and the shallow cut-set converse of the small-memory regime.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from cachematch.bounds import DISTINCT_FRACTION
 from cachematch.errors import DomainError
 from cachematch.traffic import RequestProfile
 
@@ -58,6 +61,22 @@ def steep_pcd_region(point) -> bool:
     b = Fraction(point.beta)
     nu, delta, mu = Fraction(point.nu), Fraction(point.delta), Fraction(point.mu)
     return mu <= min(nu - delta, (1 - b * delta) / (b - 1))
+
+
+def shallow_lower_bound_small_memory(config) -> float:
+    """((1-beta)*a^2*rho/96) * min{N/M, rho*K}, valid for M < a*N/(2*d)."""
+    if not 0 <= config.beta < 1:
+        raise DomainError("shallow bound requires beta in [0, 1)")
+    if config.N < 10:
+        raise DomainError("shallow bound is proved for N >= 10")
+    a = DISTINCT_FRACTION
+    if config.M >= a * config.N / (2.0 * config.d):
+        raise DomainError(
+            f"M = {config.M} outside the small-memory regime M < {a * config.N / (2 * config.d):.6g}"
+        )
+    first = config.N / config.M if config.M > 0 else math.inf
+    scale = (1.0 - config.beta) * a * a * config.rho / 96.0
+    return scale * min(first, config.rho * config.K)
 
 
 def parent_match_runs(clusters, files, counts, placement, u, pairs=True):

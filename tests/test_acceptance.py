@@ -43,8 +43,8 @@ from cachematch.pam_steep import (
     KnapsackInstance,
     KsPlacement,
     mlp_match,
-    pam_steep_rate,
     solve_fractional_knapsack,
+    steep_order_value,
 )
 from cachematch.pcd import (
     cluster_unmatched_bound,
@@ -398,9 +398,7 @@ def test_criterion_11_regime_classifiers():
     ]
     assert abs(slope(*pair, 1e3, 1e6) - 0.375) < 0.05  # (1-(beta-1)mu)/beta
     pair = [
-        pam_steep_rate(
-            make_config(K=k, d=d, N=k, M=float(k**0.25), beta=2.0)
-        ).order_value
+        steep_order_value(make_config(K=k, d=d, N=k, M=float(k**0.25), beta=2.0))
         for k, d in ((100, 10), (1600, 40))
     ]
     assert abs(slope(*pair, 100, 1600) - 0.25) < 0.05  # 1-(beta-1)(delta+mu)

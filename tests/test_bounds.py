@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from cachematch.bounds import (
     DISTINCT_FRACTION,
+    cutset_bounds,
     distinct_files_tail_bound,
     gap_constant,
-    lower_bound_report,
     optimality_gap,
     shallow_lower_bound,
-    shallow_lower_bound_small_memory,
 )
 from cachematch.errors import DomainError
 from cachematch.hcm import hcm_rate
@@ -19,6 +18,7 @@ from cachematch.mathkit import bernoulli_kl
 from cachematch.pcd import pcd_rate_shallow
 
 from conftest import make_config
+from oracles import shallow_lower_bound_small_memory
 
 
 def test_distinct_fraction_frozen():
@@ -28,7 +28,7 @@ def test_distinct_fraction_frozen():
 def test_cutset_frozen_example():
     # zero memory, one cluster: (1/4) * 0.4 * 10 * (1 - e^(-1)/2)
     config = make_config(K=100, d=10, N=100, M=0.0, rho=0.4)
-    assert lower_bound_report(config).per_s[0] == pytest.approx(
+    assert cutset_bounds(config)[0] == pytest.approx(
         0.8160602794142788, rel=1e-12
     )
 
@@ -36,7 +36,7 @@ def test_cutset_frozen_example():
 def test_cutset_memory_slack():
     config = make_config(M=2.0)  # K=100, d=10, N=100, rho=0.25
     want = 0.25 * 0.25 * 10 * (DISTINCT_FRACTION - 10 * 2.0 / 100)
-    per_s = lower_bound_report(config).per_s
+    per_s = cutset_bounds(config)
     assert per_s[0] == pytest.approx(want, rel=1e-12)
     # large s drives the slack negative; the bound clamps at zero
     assert per_s[9] == 0.0
@@ -44,10 +44,10 @@ def test_cutset_memory_slack():
 
 def test_cutset_domain():
     # the cut is taken over s = 1..K/d clusters, and only for N >= 10
-    assert len(lower_bound_report(make_config()).per_s) == 10
-    assert len(lower_bound_report(make_config(d=50)).per_s) == 2
+    assert len(cutset_bounds(make_config())) == 10
+    assert len(cutset_bounds(make_config(d=50))) == 2
     with pytest.raises(DomainError):
-        lower_bound_report(make_config(K=8, d=4, N=8))
+        cutset_bounds(make_config(K=8, d=4, N=8))
 
 
 def test_closed_form_values():
@@ -118,20 +118,18 @@ def test_distinct_tail_decreases_in_n(n, eps):
 
 def test_report_structure():
     config = make_config(M=2.0, beta=0.5)
-    report = lower_bound_report(config)
-    assert len(report.per_s) == config.num_clusters
-    assert report.best == max(report.per_s)
-    assert report.closed_form == shallow_lower_bound(config)
+    per_s = cutset_bounds(config)
+    assert len(per_s) == config.num_clusters
     # shallow Zipf reduces to uniform at intensity (1 - beta) * rho
     half = make_config(M=2.0, rho=0.125)
-    assert report.per_s == pytest.approx(lower_bound_report(half).per_s, rel=1e-12)
+    assert per_s == pytest.approx(cutset_bounds(half), rel=1e-12)
 
 
 def test_report_domain():
     with pytest.raises(DomainError):
-        lower_bound_report(make_config(beta=2.0))
+        cutset_bounds(make_config(beta=2.0))
     with pytest.raises(DomainError):
-        lower_bound_report(make_config(K=8, d=4, N=8))
+        cutset_bounds(make_config(K=8, d=4, N=8))
 
 
 @given(
@@ -150,7 +148,7 @@ def test_bound_below_scheme_rates(mem, rho, beta):
 
 def test_cutset_linear_in_s_at_zero_memory():
     config = make_config(M=0.0, rho=0.4)
-    per_s = lower_bound_report(config).per_s
+    per_s = cutset_bounds(config)
     values = [per_s[s - 1] for s in (1, 2, 4)]
     assert values[1] == pytest.approx(2 * values[0], rel=1e-12)
     assert values[2] == pytest.approx(4 * values[0], rel=1e-12)

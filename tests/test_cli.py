@@ -11,7 +11,7 @@ from cachematch.config import SystemConfig
 from cachematch.errors import DomainError
 from cachematch.hcm import hcm_rate
 from cachematch.pam_shallow import pam_shallow_rate
-from cachematch.pam_steep import pam_steep_rate
+from cachematch.pam_steep import steep_order_value
 from cachematch.pcd import pcd_rate_shallow, pcd_rate_steep, unmatched_tail_term
 
 VALID = {"k": 20, "d": 10, "n": 20, "m": 2.0, "rho": 0.25, "beta": 0.0, "t0": 1.0}
@@ -150,7 +150,7 @@ def test_rate_curve_analytic_columns(tmp_path):
     steep = SystemConfig(K=20, d=10, N=20, M=2.0, rho=0.25, beta=2.0, t0=1.0)
     cells = [pcd_rate_shallow(shallow).total, pam_shallow_rate(shallow), hcm_rate(shallow, 1.0)]
     assert by_beta["0"][1:4] == [f"{x:.12g}" for x in cells]
-    steep_cells = [pcd_rate_steep(steep).total, pam_steep_rate(steep).order_value]
+    steep_cells = [pcd_rate_steep(steep).total, steep_order_value(steep)]
     assert by_beta["2"][1:3] == [f"{x:.12g}" for x in steep_cells]
 
 
@@ -215,7 +215,8 @@ def test_rate_curve_leaves_cell_empty_without_whole_file_slots(tmp_path, workers
 @pytest.mark.filterwarnings("ignore:split points crossed")
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_rate_curve_leaves_cell_empty_where_pam_steep_does_not_apply(tmp_path, workers):
-    # pam-steep requires d >= 2, so the d = 1 row has no sim_pam; d = 3 does not divide K
+    # pam-steep requires d >= 2, so the d = 1 row has neither rate_pam nor
+    # sim_pam; d = 3 does not divide K
     analytic, out = tmp_path / "analytic.csv", tmp_path / "curve.csv"
     argv = ["rate-curve", "configs/steep.json", "--param", "d", "--start", "1", "--stop", "4",
             "--step", "1"]
@@ -227,17 +228,19 @@ def test_rate_curve_leaves_cell_empty_where_pam_steep_does_not_apply(tmp_path, w
         line.split(",") for line in analytic.read_text(encoding="utf-8").splitlines()[1:]
     ]
     assert [r[0] for r in rows] == ["1", "2", "4"]
+    assert rows[0][1] != "" and rows[0][2] == ""
     assert rows[0][3] != "" and rows[0][4] == ""
     assert all(r[3] != "" and r[4] != "" for r in rows[1:])
 
 
+@pytest.mark.filterwarnings("ignore:split points crossed")
 def test_rate_curve_runs_each_scheme_once_per_row(tmp_path, monkeypatch):
     # the benchmark times rate-curve's simulations through the name cli.run_experiment
     calls = []
     original = cli.run_experiment
 
     def recording(spec, workers=1):
-        calls.append((spec.config.beta, spec.scheme, spec.trials, spec.seed, workers))
+        calls.append((spec.config.beta, spec.config.d, spec.scheme, spec.trials, spec.seed, workers))
         return original(spec, workers=workers)
 
     monkeypatch.setattr(cli, "run_experiment", recording)
@@ -254,11 +257,23 @@ def test_rate_curve_runs_each_scheme_once_per_row(tmp_path, monkeypatch):
     )
     assert code == 0
     assert calls == [
-        (0.5, "pcd", 3, 4, 1),
-        (0.5, "pam-shallow", 3, 4, 1),
-        (0.5, "hcm", 3, 4, 1),
-        (1.5, "pcd", 3, 4, 1),
-        (1.5, "pam-steep", 3, 4, 1),
+        (0.5, 10, "pcd", 3, 4, 1),
+        (0.5, 10, "pam-shallow", 3, 4, 1),
+        (0.5, 10, "hcm", 3, 4, 1),
+        (1.5, 10, "pcd", 3, 4, 1),
+        (1.5, 10, "pam-steep", 3, 4, 1),
+    ]
+    # pam-steep refuses d = 1, so that row simulates pcd alone; d = 3 does not divide K
+    calls.clear()
+    argv = ["rate-curve", "configs/steep.json", "--param", "d", "--start", "1", "--stop", "4",
+            "--step", "1", "--trials", "2", "--seed", "4", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == [
+        (2.0, 1, "pcd", 2, 4, 1),
+        (2.0, 2, "pcd", 2, 4, 1),
+        (2.0, 2, "pam-steep", 2, 4, 1),
+        (2.0, 4, "pcd", 2, 4, 1),
+        (2.0, 4, "pam-steep", 2, 4, 1),
     ]
 
 

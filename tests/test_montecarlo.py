@@ -27,7 +27,7 @@ from cachematch.montecarlo import (
     run_trials,
 )
 from cachematch.pam_shallow import pam_shallow_rate
-from cachematch.pam_steep import pam_steep_rate
+from cachematch.pam_steep import steep_order_value
 from cachematch.pcd import pcd_rate_shallow, pcd_rate_steep
 
 from conftest import make_config
@@ -75,7 +75,7 @@ def test_analytic_dispatch():
     assert analytic_rate(steep_spec) == pcd_rate_steep(steep).total
     assert analytic_rate(_spec(PAM_SHALLOW_SCHEME)) == pam_shallow_rate(make_config())
     ks_spec = ExperimentSpec(config=steep, scheme=PAM_STEEP_SCHEME, trials=1, seed=0)
-    assert analytic_rate(ks_spec) == pam_steep_rate(steep).order_value
+    assert analytic_rate(ks_spec) == steep_order_value(steep)
     # hierarchical slack defaults to t0 and can be overridden
     assert analytic_rate(_spec(HCM_SCHEME)) == hcm_rate(make_config(), 1.0)
     assert analytic_rate(_spec(HCM_SCHEME, t_param=0.5)) == hcm_rate(

@@ -139,12 +139,7 @@ def test_steep_envelope_at_zero_memory(monkeypatch):
     assert outcome.status == PASS
     assert outcome.detail.startswith("order value 16, ")
     # the check derives the order value itself, so a wrong envelope fails it
-    original = verification.pam_steep_rate
-    monkeypatch.setattr(
-        verification,
-        "pam_steep_rate",
-        lambda config: dataclasses.replace(original(config), order_value=15.0),
-    )
+    monkeypatch.setattr(verification, "steep_order_value", lambda config: 15.0)
     assert envelope().status == FAIL
 
 
@@ -211,6 +206,9 @@ def test_steep_config_statuses():
     # d = 16 clears the floor at t0 = 0.1, so the tail checks ran
     assert by_name["unmatched-tail-mc"] == PASS
     assert by_name["pcd-rate-mc"] == PASS
+    # the order value and the exact E[uncached] of the knapsack placement
+    envelope = next(c for c in report.checks if c.name == "steep-envelope")
+    assert envelope.detail == "order value 4, E[uncached] 10.1246"
 
 
 def test_mlp_structural_matches_each_clusters_requests(monkeypatch):
