@@ -2,8 +2,9 @@
 
 Each one states a quantity the program computes another way: the distinct
 requested files of a profile, one cache's fractional load, the
-closed-form steep region in which the replication-free scheme wins, and
-pam-steep's serve step as the run matcher it replaced computed it.  Also
+closed-form steep region in which the replication-free scheme wins, the
+regime verdicts in fractions.Fraction arithmetic, and pam-steep's serve step
+as the run matcher it replaced computed it.  Also
 here: profile_from_counts, which builds a profile from a dense count matrix,
 and the shallow cut-set converse of the small-memory regime.
 """
@@ -61,6 +62,35 @@ def steep_pcd_region(point) -> bool:
     b = Fraction(point.beta)
     nu, delta, mu = Fraction(point.nu), Fraction(point.delta), Fraction(point.mu)
     return mu <= min(nu - delta, (1 - b * delta) / (b - 1))
+
+
+def steep_exponents(point) -> tuple[Fraction, Fraction]:
+    """Exact (sigma_free, sigma_prop) for beta > 1."""
+    if point.beta <= 1:
+        raise DomainError("steep exponents require beta > 1")
+    b = Fraction(point.beta)
+    nu, delta, mu = Fraction(point.nu), Fraction(point.delta), Fraction(point.mu)
+    sigma_pcd = min((1 - (b - 1) * mu) / b, nu - mu)
+    if mu + delta > min(nu, 1 / (b - 1)):
+        sigma_pam = Fraction(0)  # proportional rate is o(1) here
+    else:
+        sigma_pam = min(1 / b, 1 - (b - 1) * (delta + mu))
+    return sigma_pcd, sigma_pam
+
+
+def fraction_verdict(point) -> tuple[str, float, float]:
+    """(winner, sigma_pcd, sigma_pam) of regimes.classify_shallow or classify_steep."""
+    if point.beta < 1:
+        mu, nu, delta = Fraction(point.mu), Fraction(point.nu), Fraction(point.delta)
+        sigma_pcd = float(min(Fraction(1), nu - mu))
+        if mu < nu - delta:
+            return "PCD", sigma_pcd, 1.0
+        if mu > nu - delta:
+            return "PAM", sigma_pcd, float("-inf")
+        return "BOUNDARY", sigma_pcd, sigma_pcd
+    sigma_pcd, sigma_pam = steep_exponents(point)
+    winner = "PCD" if sigma_pcd < sigma_pam else "PAM" if sigma_pcd > sigma_pam else "BOUNDARY"
+    return winner, float(sigma_pcd), float(sigma_pam)
 
 
 def shallow_lower_bound_small_memory(config) -> float:

@@ -17,7 +17,10 @@ workers; their digests were recorded before profiles were reused across
 schemes and rows.  The verify-bounds JSON reports are pinned on both shipped
 configs and on the replicated-shallow shape, where pam-rate-mc runs; their
 digests were recorded before VerificationReport.to_json built its payload
-from the dataclass fields.
+from the dataclass fields.  The regime-map CSVs are pinned at three
+(beta, nu, resolution) points; their digests were recorded while the
+classifier still ran on fractions.Fraction, before it moved to
+cross-multiplied integer ratios.
 
 A digest may change only together with a declared SAMPLER_VERSION or draw
 version (traffic.MATCHING_ROLE stream) bump, recorded in CHANGES.md.  Any
@@ -137,5 +140,23 @@ def test_verify_bounds_report_digest_is_pinned(tmp_path, config, digest):
     path, out = tmp_path / "config.json", tmp_path / "checks.json"
     path.write_text(json.dumps(config_payload(config)), encoding="utf-8")
     argv = ["verify-bounds", str(path), "--seed", str(SEED), "--trials", "60", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+REGIME_GOLDEN = [
+    ("0.5", "1.0", "50", "765efc6fd60accedd4b37f2b8e77b7951c01bdf5a94e27d78b93ee13628285e7"),
+    ("2.0", "1.0", "50", "30c4217d1856faa516f196366722d266f76b8928afe84d96021497204c25011f"),
+    ("3.0", "1.5", "37", "37ac01291356f81dfe63dcdb593edd476a55ef4da2f811a282208a87fa2a5908"),
+]
+
+
+@pytest.mark.parametrize(
+    "beta, nu, resolution, digest", REGIME_GOLDEN,
+    ids=[f"regime-map-beta{b}-nu{n}-r{r}" for b, n, r, _ in REGIME_GOLDEN],
+)
+def test_regime_map_csv_digest_is_pinned(tmp_path, beta, nu, resolution, digest):
+    out = tmp_path / "map.csv"
+    argv = ["regime-map", "--beta", beta, "--nu", nu, "--resolution", resolution, "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

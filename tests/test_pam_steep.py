@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cachematch import montecarlo, pam_steep
+from cachematch import montecarlo
 from cachematch.config import load_config
 from cachematch.errors import DomainError
 from cachematch.montecarlo import PAM_STEEP_SCHEME, SCHEMES
@@ -322,10 +322,12 @@ def test_scheme_analytic_builds_no_placement(monkeypatch):
     ]
     expected = [steep_order_value(config) for config in configs]
 
-    def refuse(instance):
+    def refuse(*args):
         raise AssertionError("placement built")
 
-    monkeypatch.setattr(pam_steep, "solve_fractional_knapsack", refuse)
+    # the scheme table looks both up in montecarlo, so building even the
+    # knapsack instance fails
+    monkeypatch.setattr(montecarlo, "build_knapsack", refuse)
     monkeypatch.setattr(montecarlo, "solve_fractional_knapsack", refuse)
     for config, want in zip(configs, expected):
         got = SCHEMES[PAM_STEEP_SCHEME].analytic(config, config.t0)

@@ -1,9 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cachematch import regimes
 from cachematch.config import PolyKPoint
 from cachematch.errors import DomainError
 from cachematch.regimes import (
@@ -14,10 +19,9 @@ from cachematch.regimes import (
     classify_shallow,
     classify_steep,
     regime_map,
-    steep_exponents,
 )
 
-from oracles import steep_pcd_region
+from oracles import fraction_verdict, steep_exponents, steep_pcd_region
 
 
 def _point(nu, delta, mu, beta):
@@ -182,3 +186,71 @@ def test_map_domain():
         regime_map(0.5, 1.0, 0)
     with pytest.raises(DomainError):
         regime_map(1.0, 1.0, 4)
+    # every cell's PolyKPoint check still runs, before any ratio is taken
+    with pytest.raises(DomainError, match="nu must be finite"):
+        regime_map(2.0, 0.5, 3)
+    with pytest.raises(DomainError, match="nu must be finite"):
+        regime_map(2.0, float("inf"), 3)
+    with pytest.raises(DomainError, match="beta must be finite"):
+        regime_map(float("nan"), 1.0, 3)
+    with pytest.raises(DomainError, match="beta must be finite"):
+        regime_map(-0.5, 1.0, 3)
+
+
+def _exact(lo, hi):
+    """Fractions, dyadic sixty-fourths (exact ties are common) and floats on [lo, hi]."""
+    return st.one_of(
+        st.fractions(lo, hi, max_denominator=1000),
+        st.integers(int(lo * 64), int(hi * 64)).map(lambda k: Fraction(k, 64)),
+        st.floats(lo, hi),
+    )
+
+
+_BETA = st.one_of(
+    _exact(0, 1).filter(lambda b: b < 1),
+    _exact(1, 8).filter(lambda b: b > 1),
+    # just above 1, where beta - 1 has a tiny numerator over its denominator
+    st.integers(1, 52).map(lambda k: 1.0 + 2.0**-k),
+    st.integers(1, 10**6).map(lambda k: Fraction(10**12 + k, 10**12)),
+)
+
+
+@st.composite
+def _points(draw):
+    nu = draw(_exact(1, 3))
+    mu = draw(_exact(0, 1).filter(lambda m: m <= nu))
+    delta = draw(_exact(0, 1).filter(lambda d: d > 0))
+    return _point(nu, delta, mu, draw(_BETA))
+
+
+@given(point=_points())
+@example(point=_point(1.0, 0.5, 0.5, 0.0))  # shallow dyadic tie
+@example(point=_point(1.0, 0.25, 0.5, 2.0))  # steep dyadic tie
+@example(point=_point(1.0, 0.75, 0.5, 2.0))  # steep o(1) branch: mu + delta > min(nu, 1/(beta-1))
+@example(point=_point(1.0, 0.875, 1.0, 2.5))  # the degenerate corner
+@example(point=_point(2.0, 0.5, 0.75, 1.0 + 2.0**-52))
+@example(point=_point(Fraction(4, 3), Fraction(1, 3), Fraction(2, 3), Fraction(10**12 + 1, 10**12)))
+@settings(max_examples=300, deadline=None)
+def test_classifier_matches_fraction_oracle(point):
+    classify = classify_shallow if point.beta < 1 else classify_steep
+    v = classify(point)
+    # equal floats, not approx: the sigmas are the same correctly rounded quotients
+    assert (v.winner, v.sigma_pcd, v.sigma_pam) == fraction_verdict(point)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9, 1 + 1e-6, 4 / 3, 2.0, 7.25])
+@pytest.mark.parametrize("nu", [1.0, 4 / 3, 1.5])
+def test_map_matches_fraction_oracle(beta, nu):
+    for cell in regime_map(beta, nu, 12):
+        v = cell.verdict
+        oracle = fraction_verdict(_point(nu, cell.delta, cell.mu, beta))
+        assert (v.winner, v.sigma_pcd, v.sigma_pam) == oracle
+
+
+def test_importing_the_program_leaves_fractions_unloaded():
+    # exact comparisons run on integer ratios, so the CLI does not pay for fractions
+    src = pathlib.Path(regimes.__file__).resolve().parents[1]
+    code = "import sys, cachematch.cli; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
