@@ -11,6 +11,12 @@ of other workloads already in it are kept, so one file can gather several
 workloads run one after another.  Each workload gets, per metric, the median
 and quartiles of both sides, the change of the median relative to the
 parent's, and the number of pairs the change won (ties count for neither).
+It also gets the acceptance rule, from the metric's `better` and `bound` in
+BENCHMARK.json, which this script only reads:
+- `within_bound`: the change's median is worse than the parent's by no more
+  than `bound`, as a fraction of the parent's median
+- `claim_rule_met`: the change won at least 0.9 of the pairs, and the gap
+  between the medians, in the better direction, exceeds the parent's IQR
 A run that prints no result line stops the script with its side, seed, exit
 code and last stderr lines; the pairs written before it stay in --out.
 """
@@ -58,22 +64,33 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+CLAIM_WIN_SHARE = 0.9  # of the pairs a claimed gain must win
+
+
+def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric, both sides' spread and the acceptance rule; `metrics` maps
+    each name to its BENCHMARK.json entry."""
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
+        direction = metric["better"]
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         par, chg = _spread(parent), _spread(change)
+        change_frac = chg["median"] / par["median"] - 1.0
+        gap_exceeds_iqr = sign * (chg["median"] - par["median"]) > par["iqr"]
         out[name] = {
             "better": direction,
+            "bound": metric["bound"],
             "parent": par,
             "change": chg,
-            "median_change_frac": chg["median"] / par["median"] - 1.0,
+            "median_change_frac": change_frac,
             "change_wins": wins,
             "pairs": len(pairs),
-            "gap_exceeds_parent_iqr": sign * (chg["median"] - par["median"]) > par["iqr"],
+            "gap_exceeds_parent_iqr": gap_exceeds_iqr,
+            "within_bound": -sign * change_frac <= metric["bound"],
+            "claim_rule_met": wins >= CLAIM_WIN_SHARE * len(pairs) and gap_exceeds_iqr,
         }
     return out
 
@@ -91,8 +108,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"]
-              for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update({
         "parent": args.parent_label,
@@ -111,7 +127,7 @@ def main(argv=None) -> int:
             checkout = args.parent if side == "parent" else args.change
             pair[side] = _run(checkout, side, args.workload, seed, args.seconds)
         pairs.append(pair)
-        workloads[args.workload] = {"pairs": pairs, "summary": summarise(pairs, better) if len(pairs) > 1 else {}}
+        workloads[args.workload] = {"pairs": pairs, "summary": summarise(pairs, metrics) if len(pairs) > 1 else {}}
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(args.workload, seed, {s: pair[s]["trials_per_s.pcd"] for s in order}, flush=True)
     return 0

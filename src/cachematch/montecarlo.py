@@ -189,7 +189,7 @@ def run_trials(spec: ExperimentSpec, start: int, count: int, budget: float | Non
     for i, trial in enumerate(range(start, start + count)):
         if deadline is not None and i < count - 1 and perf_counter() >= deadline:
             return rows[:i]
-        profile = sample_profile(config, spec.seed, trial=trial)
+        profile = sample_profile(config, spec.seed, trial=trial, stop=start + count)
         rows[i] = scheme.trial(profile, config, state, spec.seed, trial)
     return rows
 

@@ -12,10 +12,17 @@ memory per trial grows with the number of requests, not with N * K/d.  A
 profile is a pure function of (N, K, d, rho, beta, seed, trial), and each
 process keeps the arrays it has drawn, up to a byte budget, so the schemes,
 sweep rows and checks that ask for the same numbers share one draw.
+
+Trials are drawn a block at a time.  Each trial still draws from its own
+stream; the file-id lookup, the offsets' cumsum and the sort within clusters
+run once per block of up to BLOCK_REQUESTS requests, so a trial's arrays are
+the same however trials are blocked.  A block holds only trials the memo has
+room to keep; once it is full, trials are drawn one at a time.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -96,6 +103,74 @@ PROFILE_MEMO_BYTES = 4 << 20
 # key): tracemalloc measured 350-390 bytes on numpy 2.4, CPython 3.11.
 # Charging it keeps profiles of a few requests from piling up past the budget.
 PROFILE_MEMO_ENTRY_BYTES = 512
+# Requests per block draw.  Timed per trial against this cap (numpy 2.4, 2
+# cores), block draws of 26- to 410-request profiles cost 1.5-2.4x less per
+# trial at 2^13 than trials drawn one at a time, no less at 2^14-2^15, and
+# more past 2^16, where the sort outgrows the cache.  The longest block grows
+# with the cap: at 2^13 it took about 1.4 ms on 240- to 410-request profiles
+# and 7-11 ms on 26-request ones, and a parallel run's in-process head
+# overshoots its budget by up to one block.
+BLOCK_REQUESTS = 1 << 13
+
+
+def draw_profiles(config: SystemConfig, seed: int, start: int, stop: int,
+                  budget: float = math.inf) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The read-only (offsets, files) arrays of trials start, start + 1, ...,
+    each equal to a draw of its trial alone.  The block holds trial `start`,
+    then each next trial before `stop` that keeps it within BLOCK_REQUESTS
+    requests and within `budget` bytes, counting each trial's arrays and
+    PROFILE_MEMO_ENTRY_BYTES.  Both are known from a trial's Poisson totals,
+    before its uniforms are drawn.
+
+    Each trial draws its totals and then its uniforms from its own stream.
+    The lookup of the block's uniforms, the cumsum of its offsets and the
+    sort within each (trial, cluster) are done once for the block.
+    """
+    clusters, N = config.num_clusters, config.N
+    width = clusters + 1
+    per_trial, uniforms, ends = [], [], [0]
+
+    def fits(requests: int) -> bool:  # one trial more, with the block at `requests`
+        return (len(per_trial) + 1) * (8 * width + PROFILE_MEMO_ENTRY_BYTES) + 8 * requests <= budget
+
+    for trial in range(start, max(stop, start + 1)):
+        if per_trial and not fits(ends[-1]):
+            break
+        rng = stream(seed, trial, PROFILE_ROLE)
+        totals = rng.poisson(config.rho * config.d, size=clusters)
+        end = ends[-1] + int(totals.sum())
+        if per_trial and (end > BLOCK_REQUESTS or not fits(end)):
+            break
+        per_trial.append(totals)
+        uniforms.append(rng.random(end - ends[-1]))
+        ends.append(end)
+    totals = _joined(per_trial)
+    offsets = np.zeros(len(per_trial) * width, dtype=np.int64)
+    rows = offsets.reshape(-1, width)
+    rows[:, 1:] = totals.reshape(-1, clusters)
+    rows.cumsum(axis=1, out=rows)
+    files = build_catalog(N, config.beta).file_ids(_joined(uniforms))
+    # sort within (trial, cluster): keys in that order never cross blocks
+    base = np.repeat(np.arange(0, totals.size * N, N), totals)
+    files += base
+    files.sort()
+    files -= base
+    offsets.setflags(write=False)
+    files.setflags(write=False)
+    return list(zip(_pieces(offsets, range(0, offsets.size + 1, width)), _pieces(files, ends)))
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; a lone array as it is, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _pieces(array: np.ndarray, bounds) -> list[np.ndarray]:
+    """array[bounds[i]:bounds[i + 1]] for each i; a lone piece is the array
+    itself, so a block of one keeps no view beside its arrays."""
+    if len(bounds) == 2:
+        return [array]
+    return [array[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class _ProfileMemo:
@@ -105,24 +180,26 @@ class _ProfileMemo:
     def __init__(self) -> None:
         self.key: tuple | None = None
         self.entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.top = 0  # one past the highest trial in entries
         self.charged = 0  # bytes, entry overhead included
 
     def get(self, key: tuple, trial: int) -> tuple[np.ndarray, np.ndarray] | None:
         if key != self.key:
-            self.key, self.entries, self.charged = key, {}, 0
+            self.key, self.entries, self.top, self.charged = key, {}, 0, 0
         return self.entries.get(trial)
 
     def put(self, trial: int, arrays: tuple[np.ndarray, np.ndarray]) -> None:
         cost = arrays[0].nbytes + arrays[1].nbytes + PROFILE_MEMO_ENTRY_BYTES
         if self.charged + cost <= PROFILE_MEMO_BYTES:
             self.entries[trial] = arrays
+            self.top = max(self.top, trial + 1)
             self.charged += cost
 
 
 _memo = _ProfileMemo()
 
 
-def sample_profile(config: SystemConfig, seed: int, trial: int = 0) -> RequestProfile:
+def sample_profile(config: SystemConfig, seed: int, trial: int = 0, stop: int | None = None) -> RequestProfile:
     """Draw u[n, c] ~ Poisson(rho * d * p_n), independent across (n, c).
 
     Poisson splitting: cluster c draws Y_c ~ Poisson(rho * d) requests, each
@@ -137,27 +214,24 @@ def sample_profile(config: SystemConfig, seed: int, trial: int = 0) -> RequestPr
     draw (the schemes of a sweep row, the rows of an M sweep, the Monte Carlo
     checks) each run their trials anew, in the calling process or in a pool
     worker that outlives them.  It holds one key at a time, dropping every
-    entry when the key changes, and at most PROFILE_MEMO_BYTES: past that,
-    trials are drawn and not kept, so memory stays bounded for any trial
-    count.
+    entry when the key changes, and at most PROFILE_MEMO_BYTES.
+
+    A caller that goes on to the trials before `stop` passes it.  A miss past
+    every trial the memo holds then draws a block from `trial` on
+    (draw_profiles), ending at `stop`, at BLOCK_REQUESTS requests or where
+    the memo's room runs out, and keeps every trial it draws.  Any other miss
+    is a block of one, which a full memo does not keep, so memory stays
+    bounded for any trial count.
     """
     key = (config.N, config.K, config.d, config.rho, config.beta, operator.index(seed))
     trial = operator.index(trial)
     arrays = _memo.get(key, trial)
     if arrays is None:
-        rng = stream(seed, trial, PROFILE_ROLE)
-        clusters = config.num_clusters
-        totals = rng.poisson(config.rho * config.d, size=clusters)
-        offsets = np.zeros(clusters + 1, dtype=np.int64)
-        np.cumsum(totals, out=offsets[1:])
-        files = build_catalog(config.N, config.beta).file_ids(rng.random(offsets[-1]))
-        # sort within clusters: cluster-major keys never cross cluster blocks
-        base = np.repeat(np.arange(0, clusters * config.N, config.N), totals)
-        files += base
-        files.sort()
-        files -= base
-        arrays = (offsets, files)
-        _memo.put(trial, arrays)
+        stop = trial + 1 if stop is None or trial < _memo.top else operator.index(stop)
+        block = draw_profiles(config, seed, trial, stop, PROFILE_MEMO_BYTES - _memo.charged)
+        for t, entry in enumerate(block, trial):
+            _memo.put(t, entry)
+        arrays = block[0]
     return RequestProfile(*arrays, config)
 
 

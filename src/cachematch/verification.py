@@ -257,8 +257,9 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     def pam_feasible_all_matched():
         placement = replication()
         bad = 0
-        for trial in range(min(trials, 50)):
-            profile = sample_profile(config, seed, trial)
+        checked = min(trials, 50)
+        for trial in range(checked):
+            profile = sample_profile(config, seed, trial, checked)
             if pam_shallow_serve(profile, placement, config).all_feasible:
                 bad += matched_requests(profile, placement, config) != profile.total_users
         return bad == 0, f"{bad} feasible trials with unmatched users"
@@ -314,7 +315,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     def knapsack_density_prefix():
         instance, placement = knapsack()
         density = instance.values / instance.weights
-        order = sorted(range(config.N), key=lambda n: (-density[n], n))
+        order = np.argsort(-density, kind="stable")
         seen_zero = False
         for n in order:
             if placement.x[n] == 0:
@@ -325,8 +326,9 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
 
     def mlp_structural():
         _, placement = knapsack()
-        for trial in range(min(trials, 20)):
-            profile = sample_profile(config, seed, trial)
+        replayed = min(trials, 20)
+        for trial in range(replayed):
+            profile = sample_profile(config, seed, trial, replayed)
             rng = stream(seed, trial, MATCHING_ROLE)
             for c in range(config.num_clusters):
                 lo, hi = profile.offsets[c], profile.offsets[c + 1]

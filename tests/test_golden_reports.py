@@ -22,6 +22,11 @@ from the dataclass fields.  The regime-map CSVs are pinned at three
 classifier still ran on fractions.Fraction, before it moved to
 cross-multiplied integer ratios.
 
+The sampler itself is pinned on the raw bytes of run_trials' profiles, each
+trial's offsets then its files, for 64 pcd trials at the steep-mlp shape and
+on configs/default.json; both digests were recorded before profiles were
+drawn a block of trials at a time, when each trial was drawn on its own.
+
 A digest may change only together with a declared SAMPLER_VERSION or draw
 version (traffic.MATCHING_ROLE stream) bump, recorded in CHANGES.md.  Any
 other change to a digest is a regression.
@@ -34,6 +39,7 @@ import json
 import numpy as np
 import pytest
 
+from cachematch import montecarlo
 from cachematch.cli import main
 from cachematch.config import SystemConfig, config_payload, load_config
 from cachematch.montecarlo import (
@@ -43,6 +49,7 @@ from cachematch.montecarlo import (
     PCD_SCHEME,
     ExperimentSpec,
     run_experiment,
+    run_trials,
 )
 from cachematch.pam_steep import build_knapsack, mlp_match, solve_fractional_knapsack
 from cachematch.popularity import build_catalog
@@ -74,6 +81,30 @@ GOLDEN = [
 def test_report_digest_is_pinned(config, scheme, trials, digest):
     report = run_experiment(ExperimentSpec(config=config, scheme=scheme, trials=trials, seed=SEED))
     assert hashlib.sha256(report.to_json(config).encode()).hexdigest() == digest
+
+
+PROFILE_GOLDEN = [
+    (STEEP_MLP, "0c85cd4cd89c64cc7105f4c9fc4ac71f098be94acd283aa3ea795a80a22bd39c"),
+    (DEFAULT, "b8e17f108d373a033d2cc282d9078c3dfdf4ecad0dbefe8d48ab33c56dadad73"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, digest", PROFILE_GOLDEN,
+    ids=[f"profiles-K{c.K}-beta{c.beta:g}" for c, _ in PROFILE_GOLDEN],
+)
+def test_sampled_profiles_digest_is_pinned(monkeypatch, cold_memo, config, digest):
+    sha = hashlib.sha256()
+
+    def hashed(*args, **kwargs):
+        profile = sample_profile(*args, **kwargs)
+        sha.update(profile.offsets.tobytes())
+        sha.update(profile.files.tobytes())
+        return profile
+
+    monkeypatch.setattr(montecarlo, "sample_profile", hashed)
+    run_trials(ExperimentSpec(config=config, scheme=PCD_SCHEME, trials=64, seed=SEED), 0, 64)
+    assert sha.hexdigest() == digest
 
 
 MATCHING_GOLDEN = [

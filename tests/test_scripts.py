@@ -63,3 +63,36 @@ def test_bench_pairs_names_the_run_that_printed_no_result(tmp_path):
     assert message.endswith("Traceback (most recent call last):\nRuntimeError: workload crashed")
     pairs = json.loads(out.read_text(encoding="utf-8"))["workloads"]["figure-sweep"]["pairs"]
     assert [p["seed"] for p in pairs] == [1]  # the pair written before the failure is kept
+
+
+def _pairs(parent, change, name="wall_s"):
+    return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, within_bound, claim_rule_met",
+    [
+        # ten pairs, lower is better: 10 % faster in every pair, IQR 0.45
+        ([10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9],
+         [9.0, 9.1, 9.2, 9.3, 9.4, 9.5, 9.6, 9.7, 9.8, 9.9], "lower", True, True),
+        # wins 9 of 10 but by less than the parent's IQR
+        ([10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9],
+         [9.9, 10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 11.0], "lower", True, False),
+        # a wide gap, but only 8 of 10 pairs won
+        ([10.0] * 10, [8.0] * 8 + [10.5, 10.5], "lower", True, False),
+        # 15 % worse against a bound of 20 %: within bound, no claim
+        ([10.0] * 10, [11.5] * 10, "lower", True, False),
+        # 25 % worse: out of bound
+        ([10.0] * 10, [12.5] * 10, "lower", False, False),
+        # higher is better: 25 % fewer trials/s is out of bound, 25 % more is a claim
+        ([100.0] * 10, [75.0] * 10, "higher", False, False),
+        ([100.0, 101.0] * 5, [125.0] * 10, "higher", True, True),
+    ],
+)
+def test_bench_pairs_states_the_acceptance_rule(parent, change, better, within_bound, claim_rule_met):
+    summary = _load("bench_pairs").summarise(
+        _pairs(parent, change), {"wall_s": {"name": "wall_s", "better": better, "bound": 0.2}})
+    got = summary["wall_s"]
+    assert got["bound"] == 0.2 and got["pairs"] == len(parent)
+    assert got["within_bound"] is within_bound
+    assert got["claim_rule_met"] is claim_rule_met

@@ -7,14 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cachematch import traffic
+from cachematch import montecarlo, traffic
 from cachematch.errors import DomainError
 from cachematch.popularity import build_catalog
 from cachematch.traffic import (
     MATCHING_ROLE,
     PROFILE_ROLE,
     SAMPLER_VERSION,
+    draw_profiles,
     sample_profile,
     stream,
 )
@@ -295,3 +297,111 @@ def test_memo_hit_carries_the_callers_config_and_no_counts(cold_memo):
     assert b.config is second and a.config is first
     assert "counts" in vars(a) and "counts" not in vars(b)
     assert not b.files.flags.writeable and not b.offsets.flags.writeable
+
+
+# --- block draws ------------------------------------------------------------
+
+def _lone_draw(config, seed, trial):
+    """sample_profile's profile of `trial`, drawn alone on an empty memo."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(traffic, "_memo", traffic._ProfileMemo())
+        return sample_profile(config, seed, trial)
+
+
+@given(
+    clusters=st.integers(1, 12),
+    d=st.sampled_from([1, 2, 5, 16]),
+    extra_files=st.integers(0, 300),
+    rho=st.floats(0.001, 0.49),
+    beta=st.sampled_from([0.0, 0.5, 0.9, 1.5, 2.0, 3.0]),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 41)),
+    length=st.integers(1, 40),
+)
+# beta = 2 at N = 4096: steep tails crowd guide buckets, which are searched
+@example(clusters=64, d=64, extra_files=0, rho=0.1, beta=2.0, seed=5, start=3, length=12)
+# rho * d = 0.1: empty clusters and trials of no request, from mid-run
+@example(clusters=3, d=10, extra_files=0, rho=0.01, beta=0.0, seed=1, start=17, length=30)
+@settings(max_examples=60, deadline=None)
+def test_block_draw_equals_lone_draws(clusters, d, extra_files, rho, beta, seed, start, length):
+    config = make_config(K=clusters * d, d=d, N=clusters * d + extra_files, rho=rho, beta=beta)
+    block = draw_profiles(config, seed, start, start + length)
+    assert 1 <= len(block) <= length
+    requests = sum(files.size for _, files in block)
+    if len(block) < length:  # the cap ended it: the next trial would pass it
+        assert requests <= traffic.BLOCK_REQUESTS
+        assert requests + _lone_draw(config, seed, start + len(block)).total_users > traffic.BLOCK_REQUESTS
+    for trial, (offsets, files) in enumerate(block, start):
+        lone = _lone_draw(config, seed, trial)
+        for got, want in ((offsets, lone.offsets), (files, lone.files)):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, want)
+        # sorted within each cluster; a step down only where a cluster starts
+        down = np.flatnonzero(np.diff(files) < 0) + 1
+        assert np.isin(down, offsets).all()
+
+
+def _spy_blocks(monkeypatch):
+    """The (start, trials, requests) of every block sample_profile draws."""
+    blocks = []
+    draw = traffic.draw_profiles
+
+    def spy(config, seed, start, stop, budget=float("inf")):
+        block = draw(config, seed, start, stop, budget)
+        blocks.append((start, len(block), sum(files.size for _, files in block)))
+        return block
+
+    monkeypatch.setattr(traffic, "draw_profiles", spy)
+    return blocks
+
+
+def test_run_keeps_every_trial_a_block_draws(monkeypatch, cold_memo):
+    # ~25 requests and ~800 bytes a trial: the memo fills part way through
+    config = make_config(K=100, d=10, N=100, rho=0.25)
+    budget = 20_000
+    monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", budget)
+    blocks = _spy_blocks(monkeypatch)
+    spec = montecarlo.ExperimentSpec(config=config, scheme="pcd", trials=60, seed=9)
+    montecarlo.run_trials(spec, 0, 60)
+    drawn = [t for start, count, _ in blocks for t in range(start, start + count)]
+    assert drawn == list(range(60))  # each trial drawn once, in order
+    assert max(count for _, count, _ in blocks) > 1
+    for start, count, _ in blocks:
+        kept = [t in cold_memo.entries for t in range(start, start + count)]
+        # a block keeps every trial it draws; only a block of one goes unkept
+        assert all(kept) or (count == 1 and not any(kept))
+    held = sum(o.nbytes + f.nbytes + traffic.PROFILE_MEMO_ENTRY_BYTES
+               for o, f in cold_memo.entries.values())
+    assert cold_memo.charged == held <= budget
+    assert 0 < len(cold_memo.entries) < 60
+    for trial in range(60):  # kept or not, every trial is its lone draw
+        assert _same_draw(sample_profile(config, 9, trial), _lone_draw(config, 9, trial))
+
+
+@pytest.mark.parametrize("cap", [None, 200])
+def test_no_block_passes_the_request_cap(monkeypatch, cold_memo, cap):
+    # about 410 requests a trial: the real cap ends blocks at ~19 trials
+    config = make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1)
+    if cap is not None:
+        monkeypatch.setattr(traffic, "BLOCK_REQUESTS", cap)
+    blocks = _spy_blocks(monkeypatch)
+    for trial in range(48):
+        sample_profile(config, 3, trial, stop=48)
+    assert sum(count for _, count, _ in blocks) == 48 and len(blocks) > 1
+    for start, count, requests in blocks:
+        assert count == 1 or requests <= traffic.BLOCK_REQUESTS
+    if cap is not None:  # every profile outgrows this cap: blocks of one
+        assert all(count == 1 for _, count, _ in blocks)
+
+
+def test_a_miss_below_a_held_trial_is_a_block_of_one(monkeypatch, cold_memo):
+    config = make_config()
+    blocks = _spy_blocks(monkeypatch)
+    sample_profile(config, 4, 5)
+    sample_profile(config, 4, 2, stop=10)  # trials 3 and 4 would reach 5, which is held
+    sample_profile(config, 4, 6, stop=10)  # past every trial held: a block to the stop
+    assert [(start, count) for start, count, _ in blocks] == [(5, 1), (2, 1), (6, 4)]
+    assert sorted(cold_memo.entries) == [2, 5, 6, 7, 8, 9]
+    # later trials of a block are hits on its arrays
+    assert sample_profile(config, 4, 8).files is cold_memo.entries[8][1]
+    assert len(blocks) == 3

@@ -8,6 +8,8 @@ from cachematch import verification
 from cachematch.config import load_config
 from cachematch.errors import HardInvariantViolation
 from cachematch.montecarlo import ExperimentSpec, run_experiment
+from cachematch.pam_steep import build_knapsack
+from cachematch.popularity import build_catalog
 from cachematch.traffic import sample_profile
 from cachematch.verification import FAIL, PASS, SKIPPED, verify_config
 
@@ -230,6 +232,19 @@ def test_mlp_structural_matches_each_clusters_requests(monkeypatch):
     ]
     assert len(seen) == len(expected)
     assert all(np.array_equal(got, want) for got, want in zip(seen, expected))
+
+
+@pytest.mark.parametrize("N, d", [(256, 16), (4096, 64), (1 << 16, 256)])
+def test_density_prefix_order_is_the_sorted_key_order(N, d):
+    # knapsack-density-prefix walks files by a stable argsort of -density:
+    # the order of sorted(range(N), key=lambda n: (-density[n], n))
+    config = make_config(K=N, d=d, N=N, M=4.0, rho=0.1, beta=2.0, t0=0.1)
+    instance = build_knapsack(config, build_catalog(N, config.beta))
+    density = instance.values / instance.weights
+    tied = np.repeat(density[::8], 8)  # runs of equal density go by file id
+    for values in (density, tied):
+        expected = sorted(range(N), key=lambda n: (-values[n], n))
+        assert np.argsort(-values, kind="stable").tolist() == expected
 
 
 def test_floor_violation_skips_simulation_checks():
