@@ -8,12 +8,18 @@ distinct demanded files costs
 
 normalized to one file per unit.  Non-integer t is served by memory sharing:
 linear interpolation between the neighbouring integer points.
+
+A block of trials takes the rate at each trial's distinct count; trials
+share counts, so rates_by_value asks for each count once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache
+
+import numpy as np
 
 
 def _log_binom(n: int, k: int) -> float:
@@ -54,3 +60,10 @@ def coded_delivery_rate(
     if frac > 0.0:
         rate += frac * _integer_rate(num_caches, lo + 1, num_distinct)
     return rate
+
+
+def rates_by_value(num_distinct: np.ndarray, rate: Callable[[int], float]) -> np.ndarray:
+    """rate(n) at each entry n of num_distinct, calling rate once per distinct n."""
+    values = num_distinct.tolist()
+    rates = {n: rate(n) for n in set(values)}
+    return np.array([rates[n] for n in values], dtype=np.float64)

@@ -10,13 +10,14 @@ The color count chi = floor(alpha * g * d / (2 * (1 + t) * log K)) uses the
 popularity split gain g = (3^(1-beta) - 1) / 4^(1-beta); when log K < 2*g*alpha
 the plan degenerates to a single color.
 
-A trial is accounted in one pass over all colors at once.  Each request gets
-the key (color, cluster); a bincount over the keys gives every block's
-request count and so the unmatched users.  Only when some block exceeds its
-color's m_x does a stable sort by key line the blocks up for a rank mask;
-otherwise every request is matched.  The distinct matched files come from
-one sort, and a bincount of their colors gives each color's distinct count
-for its own coded delivery round.
+A block of trials is accounted in one pass over all colors at once; its
+clusters are (trial, cluster) pairs.  Each request gets the key (color,
+trial, cluster); a bincount over the keys gives every group's request count
+and so each trial's unmatched users.  Only when some group exceeds its
+color's m_x does a stable sort by key line the groups up for a rank mask;
+otherwise every request is matched.  One sort of trial-keyed matched files
+gives the distinct files per (trial, color), and each color's coded rate is
+computed once per distinct count in the block, then added color by color.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .delivery import coded_delivery_rate
+from .delivery import coded_delivery_rate, rates_by_value
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
-from .pcd import PcdRate, unmatched_tail_term
+from .pcd import unmatched_tail_term
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile, first_in_file_order
+from .traffic import RequestProfile, distinct_counts, within_caps
 
 
 def popularity_split_gain(beta: float) -> float:
@@ -119,35 +120,39 @@ def unmatched_chain_bound(plan: ColorPlan, config: SystemConfig) -> float:
     return config.K * float(terms.sum()) / SQRT_TWO_PI
 
 
-def hcm_simulate(
-    profile: RequestProfile, plan: ColorPlan, config: SystemConfig
-) -> PcdRate:
-    """One-trial empirical decomposition under the color plan."""
-    files = profile.files
-    clusters = config.num_clusters
+def hcm_simulate(block: RequestProfile, plan: ColorPlan, config: SystemConfig) -> np.ndarray:
+    """Rows (total, coded term, unmatched users) of the block's trials under the color plan."""
+    files = block.files
+    users = block.trial_totals()
+    cells = block.offsets.size - 1  # (trial, cluster) pairs
     caps = plan.caches_per_color
 
-    # block (x, c) holds cluster c's requests for color x; it matches its first
-    # m_x requests in file order, as a pcd cluster matches its first d
-    key = plan.file_color[files] * clusters + profile.cluster_of_request()
-    block_totals = np.bincount(key, minlength=plan.chi * clusters)
-    block_caps = np.repeat(caps, clusters)
-    unmatched = int(np.maximum(block_totals - block_caps, 0).sum())
-    matched = files
-    if unmatched:
-        # a stable sort by block keeps each block file-sorted
-        order = np.argsort(key, kind="stable")
-        matched = first_in_file_order(files[order], block_totals, block_caps)
-    # distinct matched files by a sort, whose cost does not grow with N
-    ids = np.sort(matched)
-    seen = np.ones(ids.size, dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=seen[1:])
-    distinct = np.bincount(plan.file_color[ids[seen]], minlength=plan.chi)
+    # group (x, cell) holds the cell's requests for color x; it matches its
+    # first m_x requests in file order, as a pcd cluster matches its first d
+    color = plan.file_color[files]
+    key = color * cells + block.cluster_of_request()
+    group_totals = np.bincount(key, minlength=plan.chi * cells)
+    group_caps = caps.repeat(cells)
+    matched = np.minimum(group_totals, group_caps).reshape(plan.chi, users.size, -1).sum(axis=2)
+    unmatched = users - matched.sum(axis=0)
+    # file ids keyed by (trial, color): each key's distinct files are the
+    # demands of that color's coded round in that trial
+    ids = (np.arange(0, users.size * plan.chi, plan.chi).repeat(users) + color) * config.N + files
+    if unmatched.any():
+        # a stable sort by group keeps each group file-sorted
+        order = key.argsort(kind="stable")
+        ids = ids[order][within_caps(group_totals, group_caps)]
+    distinct = distinct_counts(ids, matched.T.ravel()).reshape(users.size, plan.chi)
 
-    coded = 0.0
-    for m_x, size, n in zip(caps.tolist(), plan.class_sizes.tolist(), distinct.tolist()):
+    clusters = config.num_clusters
+    coded = np.zeros(users.size)
+    for x, (m_x, size) in enumerate(zip(caps.tolist(), plan.class_sizes.tolist())):
         if m_x:  # a color without caches delivers nothing; its users are unmatched
-            coded += coded_delivery_rate(m_x * clusters, config.M, size, n)
-
-    total = min(coded + unmatched, float(profile.total_users))
-    return PcdRate(coded, float(unmatched), total)
+            coded += rates_by_value(
+                distinct[:, x], lambda n: coded_delivery_rate(m_x * clusters, config.M, size, n)
+            )
+    rows = np.empty((users.size, 3))
+    rows[:, 1] = coded
+    rows[:, 2] = unmatched
+    np.minimum(coded + unmatched, users, out=rows[:, 0])
+    return rows

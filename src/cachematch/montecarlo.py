@@ -3,11 +3,21 @@
 Every trial is keyed by its absolute index through the counter-based request
 stream, so a run is reproducible and independent of how trials are split
 across worker processes: serial and parallel runs of the same spec produce
-byte-identical reports.  A parallel run does its first trials in the calling
-process, for up to HEAD_BUDGET_S seconds after prepare, so a short run starts
-no pool; a long one pays one prepare, one budget and one trial before the
-trials left, two or more, go to one worker pool per process, started on first
-use and replaced only to grow, with at most one worker per trial and per CPU.
+byte-identical reports.
+
+Trials are scored a block at a time: run_trials joins the profiles of
+consecutive trials into one block, until it holds traffic.BLOCK_REQUESTS
+requests or its trials span BLOCK_CACHES caches, and makes one scheme call
+per block.  Every kernel computes each trial's row with the operations, in
+the order, of that trial scored alone, so rows do not depend on the blocking.
+
+A parallel run does its first blocks in the calling process, until
+HEAD_BUDGET_S seconds after prepare, so a short run starts no pool.  The
+deadline is checked between blocks, so the head overshoots its budget by up
+to one block.  A long run pays one prepare, the budget and one block before
+the trials left, two or more, go to one worker pool per process, started on
+first use and replaced only to grow, with at most one worker per trial and
+per CPU.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from typing import Any
 
 import numpy as np
 
+from . import traffic
 from .config import SystemConfig, config_payload, validate
 from .errors import DomainError, IncompatibleScheme
 from .hcm import build_color_plan, check_slack, hcm_rate, hcm_simulate
@@ -31,7 +42,7 @@ from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_place
 from .pam_steep import build_knapsack, pam_steep_serve, solve_fractional_knapsack, steep_order_value
 from .pcd import pcd_rate_shallow, pcd_rate_steep, pcd_simulate
 from .popularity import ZipfCatalog, build_catalog
-from .traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
+from .traffic import MATCHING_ROLE, RequestProfile, join_profiles, sample_profile, stream
 
 PCD_SCHEME = "pcd"
 PAM_SHALLOW_SCHEME = "pam-shallow"
@@ -39,6 +50,11 @@ PAM_STEEP_SCHEME = "pam-steep"
 HCM_SCHEME = "hcm"
 
 HEAD_BUDGET_S = 0.01  # in-process time a parallel run spends before it fans out
+# Caches a scoring block's trials may span, unless one trial spans more:
+# pam-shallow keeps one load per cache of the block, so its load array stays
+# within 1 MB however few requests a trial holds, where a block of
+# BLOCK_REQUESTS requests of trials at small rho spans thousands of K.
+BLOCK_CACHES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -53,22 +69,26 @@ class Scheme:
     every trial of a chunk shares: nothing for pcd, the placement for the two
     replication schemes, the color plan for hcm.
 
-    trial(profile, config, state, seed, trial) gives one row
-    (rate, coded, unmatched), whose last two columns mean different things:
+    trials(block, config, state, seed, trials) scores a block: the profiles
+    of the consecutive trials in range `trials` joined end to end
+    (traffic.join_profiles).  It gives one row (rate, coded, unmatched) per
+    trial, each equal to what that trial gives scored alone.  The last two
+    columns mean different things:
     - pcd, hcm: the coded term and the unmatched users; rate is their sum,
       clamped at the user count
     - pam-shallow: 0 and 0, as every request that survives eviction matches
-    - pam-steep: 0 and the unmatched requests
+    - pam-steep: 0 and the unmatched requests, each trial's matcher drawing
+      from its own stream(seed, trial, MATCHING_ROLE)
 
     Callees are looked up in this module at call time, so a wrapper put on
-    montecarlo.<name> sees every call.
+    montecarlo.<name> sees every call: one per block.
     """
 
     name: str
     check: Callable[[SystemConfig], None]
     analytic: Callable[[SystemConfig, float], float]
     prepare: Callable[[SystemConfig, ZipfCatalog, float], Any]
-    trial: Callable[[RequestProfile, SystemConfig, Any, int, int], tuple[float, float, float]]
+    trials: Callable[[RequestProfile, SystemConfig, Any, int, range], np.ndarray]
 
 
 def _shallow_only(name: str) -> Callable[[SystemConfig], None]:
@@ -86,23 +106,17 @@ def _steep_only(config: SystemConfig) -> None:
         raise IncompatibleScheme(f"{PAM_STEEP_SCHEME} requires d >= 2, got {config.d}")
 
 
-def _pcd_trial(profile, config, state, seed, trial):
-    r = pcd_simulate(profile, config)
-    return r.total, r.coded_term, r.unmatched_term
+def _pam_shallow_trials(block, config, placement, seed, trials):
+    rows = np.zeros((len(trials), 3))
+    rows[:, 0] = pam_shallow_serve(block, placement, config).rates
+    return rows
 
 
-def _pam_shallow_trial(profile, config, placement, seed, trial):
-    return pam_shallow_serve(profile, placement, config).rate, 0.0, 0.0
-
-
-def _pam_steep_trial(profile, config, placement, seed, trial):
-    out = pam_steep_serve(profile, placement, stream(seed, trial, MATCHING_ROLE))
-    return out.rate, 0.0, float(out.unmatched_requests)
-
-
-def _hcm_trial(profile, config, plan, seed, trial):
-    r = hcm_simulate(profile, plan, config)
-    return r.total, r.coded_term, r.unmatched_term
+def _pam_steep_trials(block, config, placement, seed, trials):
+    out = pam_steep_serve(block, placement, [stream(seed, t, MATCHING_ROLE) for t in trials])
+    rows = np.zeros((len(trials), 3))
+    rows[:, 0], rows[:, 2] = out.rates, out.unmatched_requests
+    return rows
 
 
 class _SchemeTable(dict):
@@ -120,28 +134,28 @@ SCHEMES: dict[str, Scheme] = _SchemeTable((s.name, s) for s in (
             pcd_rate_shallow(config) if config.beta < 1 else pcd_rate_steep(config)
         ).total,
         lambda config, catalog, t: None,
-        _pcd_trial,
+        lambda block, config, state, seed, trials: pcd_simulate(block, config),
     ),
     Scheme(
         PAM_SHALLOW_SCHEME,
         _shallow_only(PAM_SHALLOW_SCHEME),
         lambda config, t: pam_shallow_rate(config),
         lambda config, catalog, t: proportional_placement(config, catalog),
-        _pam_shallow_trial,
+        _pam_shallow_trials,
     ),
     Scheme(
         PAM_STEEP_SCHEME,
         _steep_only,
         lambda config, t: steep_order_value(config),
         lambda config, catalog, t: solve_fractional_knapsack(build_knapsack(config, catalog)),
-        _pam_steep_trial,
+        _pam_steep_trials,
     ),
     Scheme(
         HCM_SCHEME,
         _shallow_only(HCM_SCHEME),
         hcm_rate,
         lambda config, catalog, t: build_color_plan(config, catalog, t),
-        _hcm_trial,
+        lambda block, config, plan, seed, trials: hcm_simulate(block, plan, config),
     ),
 ))
 
@@ -177,20 +191,30 @@ class RateReport:
 
 
 def run_trials(spec: ExperimentSpec, start: int, count: int, budget: float | None = None) -> np.ndarray:
-    """Rows (rate, coded, unmatched) for trials start..start+count-1; with a
-    budget, it stops at the first trial begun `budget` seconds after prepare,
-    unless that trial is the last."""
+    """Rows (rate, coded, unmatched) for trials start..start+count-1, scored
+    a block at a time; with a budget, it stops at the first block begun
+    `budget` seconds after prepare, unless fewer than two trials are left."""
     config = spec.config
     scheme = SCHEMES[spec.scheme]
     catalog = build_catalog(config.N, config.beta)
     state = scheme.prepare(config, catalog, spec.slack)
     deadline = None if budget is None else perf_counter() + budget
     rows = np.empty((count, 3), dtype=np.float64)
-    for i, trial in enumerate(range(start, start + count)):
-        if deadline is not None and i < count - 1 and perf_counter() >= deadline:
-            return rows[:i]
-        profile = sample_profile(config, spec.seed, trial=trial, stop=start + count)
-        rows[i] = scheme.trial(profile, config, state, spec.seed, trial)
+    most = max(1, BLOCK_CACHES // config.K)  # trials per block
+    trial, stop = start, start + count
+    while trial < stop:
+        if deadline is not None and stop - trial > 1 and perf_counter() >= deadline:
+            return rows[:trial - start]
+        # a block takes trials until it holds BLOCK_REQUESTS requests, so it
+        # passes that by less than one trial's requests
+        profiles, requests = [], 0
+        while trial + len(profiles) < stop and len(profiles) < most and requests < traffic.BLOCK_REQUESTS:
+            profiles.append(sample_profile(config, spec.seed, trial=trial + len(profiles), stop=stop))
+            requests += profiles[-1].total_users
+        trials = range(trial, trial + len(profiles))
+        rows[trial - start:trials.stop - start] = scheme.trials(
+            join_profiles(profiles), config, state, spec.seed, trials)
+        trial = trials.stop
     return rows
 
 

@@ -13,6 +13,13 @@ in every cluster).  Survivors always match: with every load at most 1, sending
 matching that covers them, and the bipartite matching polytope is integral.
 So serve stops after eviction; matched_requests runs Hopcroft-Karp only for
 the checks (verification's pam-feasible-all-matched, acceptance criterion 04).
+
+Serve takes a block of trials, whose clusters are (trial, cluster) pairs:
+one bincount gives every cache load of every trial.  bincount adds each
+slot's weights in input order, which is the order of the slot's own trial,
+so every load is the one that trial alone gives.  The load array has one
+entry per cache of the block's trials, so the trial loop bounds the caches
+a block spans (montecarlo.BLOCK_CACHES).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import DomainError, InsufficientMemory
 from .matching import ClusterBipartiteGraph, deal_round_robin, max_matching
 from .mathkit import cramer_h
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile, distinct_count
+from .traffic import RequestProfile, distinct_counts, group_counts
 
 _LOAD_TOL = 1e-9  # float slack on the exact rational load threshold
 
@@ -106,11 +113,11 @@ def pam_shallow_rate(config: SystemConfig) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShallowServeOutcome:
-    evicted_requests: int  # the rest survive eviction and all match
-    all_feasible: bool  # no cache in any cluster was violating
-    rate: float  # distinct files broadcast by the server
+    evicted_requests: int  # in the whole block; the rest survive eviction and all match
+    all_feasible: bool  # no cache of any trial was violating
+    rates: np.ndarray  # per trial: distinct files broadcast by the server
 
 
 def _violating(loads: np.ndarray) -> np.ndarray:
@@ -118,37 +125,42 @@ def _violating(loads: np.ndarray) -> np.ndarray:
 
 
 def pam_shallow_serve(
-    profile: RequestProfile,
+    block: RequestProfile,
     placement: ProportionalPlacement,
     config: SystemConfig,
 ) -> ShallowServeOutcome:
-    """Serve one request profile; returns the per-trial decomposition.
+    """Serve a block of request profiles; returns the block's decomposition.
 
-    The rate counts distinct server-broadcast files (a broadcast serves every
-    requester of that file in all clusters at once); it is bounded by the
-    per-trial unicast count automatically.  Work and memory grow with the
-    number of requests, not with N.
+    A trial's rate counts distinct server-broadcast files (a broadcast serves
+    every requester of that file in all clusters at once); it is bounded by
+    the trial's unicast count automatically.  Work and memory grow with the
+    number of requests and caches in the block, not with N.
     """
-    d, clusters = config.d, config.num_clusters
-    files = profile.files
-    cluster = profile.cluster_of_request()
+    d = config.d
+    files = block.files
+    users = block.trial_totals()
+    cell = block.cluster_of_request()  # (trial, cluster) pair of each request
 
     # each request adds 1/d_n to each of its file's d_n caches in its cluster;
-    # slot c * d + k is cache k of cluster c
+    # slot c * d + k is cache k of cell c
     reps = placement.copies[files]
-    owner = np.repeat(np.arange(files.size), reps)  # request behind each slot entry
-    rank = np.arange(owner.size) - (np.cumsum(reps) - reps)[owner]
-    slots = cluster[owner] * d + placement.cache_ids[placement.cache_starts[files[owner]] + rank]
-    loads = np.bincount(slots, weights=1.0 / reps[owner], minlength=clusters * d)
+    owner = np.arange(files.size).repeat(reps)  # request behind each slot entry
+    rank = np.arange(owner.size) - (reps.cumsum() - reps)[owner]
+    slots = cell[owner] * d + placement.cache_ids[placement.cache_starts[files[owner]] + rank]
+    loads = np.bincount(slots, weights=1.0 / reps[owner], minlength=(block.offsets.size - 1) * d)
 
     # drop all requests for every file on a violating cache
-    keep = np.ones(files.size, dtype=bool)
-    keep[owner[_violating(loads)[slots]]] = False
-    evicted_requests = int(files.size - np.count_nonzero(keep))
+    evicted = np.zeros(files.size, dtype=bool)
+    evicted[owner[_violating(loads)[slots]]] = True
+    evicted_requests = int(np.count_nonzero(evicted))
+    rates = np.zeros(users.size)
+    if evicted_requests:
+        keys = np.arange(0, users.size * config.N, config.N).repeat(users) + files
+        rates += distinct_counts(keys[evicted], group_counts(evicted, users))
     return ShallowServeOutcome(
         evicted_requests=evicted_requests,
         all_feasible=evicted_requests == 0,
-        rate=float(distinct_count(files[~keep])),
+        rates=rates,
     )
 
 

@@ -9,19 +9,21 @@ placement keeps, per file, the ascending list of caches holding it.
 Delivery: requests are matched most-popular-last.  Scanning files from least
 to most popular, each request picks a uniformly random available cache holding
 its file and retires that cache.  Files whose requests cannot all be matched
-are broadcast from the server, one transmission per distinct file.  A serve
-draws one uniform per request in one call; the request at scan position i
-picks index floor(u[i] * #candidates) of its sorted list.  numpy finds the
-runs of equal file ids once, then each cluster's runs are walked, last first,
-over the holder lists.  Serve reports only counts, so it reads only the
-uniforms whose picks a later run of the same cluster can see; the generator
-state, and every count, are those of matching every request.
+are broadcast from the server, one transmission per distinct file.  Each
+trial draws one uniform per request in one call from its own generator; the
+request at scan position i picks index floor(u[i] * #candidates) of its
+sorted list.  numpy finds the runs of equal file ids once per block of
+trials, then each trial walks its clusters' runs, last first, over the
+holder lists.  Serve reports only counts, so it reads only the uniforms whose
+picks a later run of the same cluster can see; the generator state, and
+every count, are those of matching every request.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,31 +207,68 @@ def steep_order_value(config: SystemConfig) -> float:
     return K ** (1.0 / beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteepServeOutcome:
-    unmatched_requests: int  # the rest are matched
-    rate: float  # distinct files broadcast by the server
+    unmatched_requests: np.ndarray  # per trial; the rest are matched
+    rates: np.ndarray  # per trial: distinct files broadcast by the server
 
 
-def pam_steep_serve(
-    profile: RequestProfile, placement: KsPlacement, rng: np.random.Generator
-) -> SteepServeOutcome:
-    """Serve one profile: MLP per cluster (index order), one uniform per
-    request, drawn in one call.
-
-    Reads only the requests: the runs of equal file ids in profile.files are
-    the (file, count) pairs mlp_match takes from each dense cluster column,
-    found once in numpy and walked per cluster over the placement's holder
-    lists.  Only counts are reported, so the walk skips the picks no later
-    run can see; rng still advances by one uniform per request.
-    """
-    files, offsets = profile.files, profile.offsets
+def trial_runs(block: RequestProfile) -> list[tuple[list[int], list[int], list[int]]]:
+    """Each trial's (files, bounds, firsts) of its runs of equal file ids, as
+    _walk_runs takes them: run j asks for bounds[j + 1] - bounds[j] copies of
+    files[j], and cluster c of the trial holds runs firsts[c]:firsts[c + 1].
+    These are the (file, count) pairs mlp_match takes from each dense cluster
+    column.  The runs are found once for the block; run indices count from
+    the trial's first run, and bounds are positions in the block, from the
+    trial's first request, bounds[0], to its end."""
+    files, offsets = block.files, block.offsets
+    clusters = block.config.num_clusters
     new = np.empty(files.size + 1, dtype=bool)  # new[i]: request i opens a run
     np.not_equal(files[1:], files[:-1], out=new[1:-1])
     new[offsets] = True  # cluster starts, and the end of the last run
-    bounds = np.flatnonzero(new)
-    firsts = np.searchsorted(bounds, offsets).tolist()
-    u = rng.random(files.size).tolist()
-    _, unmatched, server = _walk_runs(files[bounds[:-1]].tolist(), bounds.tolist(), firsts,
-                                      placement.holders, u, pairs=False)
-    return SteepServeOutcome(unmatched, float(len(set(server))))
+    bounds = new.nonzero()[0]
+    firsts = bounds.searchsorted(offsets)
+    trial_firsts = firsts[::clusters]
+    run_files, run_bounds = files[bounds[:-1]].tolist(), bounds.tolist()
+    # small run indices, as in a trial found alone, keep the walk's ints cached
+    cluster_firsts = (firsts[:-1] - trial_firsts[:-1].repeat(clusters)).tolist()
+    starts, out = trial_firsts.tolist(), []
+    for t, (a, b) in enumerate(zip(starts, starts[1:])):
+        trial_cluster_firsts = cluster_firsts[t * clusters:(t + 1) * clusters] + [b - a]
+        out.append((run_files[a:b], run_bounds[a:b + 1], trial_cluster_firsts))
+    return out
+
+
+def pam_steep_serve(
+    block: RequestProfile, placement: KsPlacement, rngs: list[np.random.Generator]
+) -> SteepServeOutcome:
+    """Serve a block of profiles, one generator per trial: MLP per cluster
+    (index order), one uniform per request, drawn in one call per trial.
+
+    Reads only the requests: the block's runs are found once (trial_runs),
+    and each trial's clusters are walked over the placement's holder lists.
+    Only counts are reported, so the walk skips the picks no later run can
+    see; each rng still advances by one uniform per request of its trial.
+    """
+    unmatched, rates = [], []
+    for (files, bounds, firsts), rng in zip(trial_runs(block), rngs):
+        u = rng.random(bounds[-1] - bounds[0]).tolist()
+        _, missed, server = _walk_runs(files, bounds, firsts, placement.holders, u, pairs=False)
+        unmatched.append(missed)
+        rates.append(len(set(server)))
+    return SteepServeOutcome(np.array(unmatched, dtype=np.int64), np.array(rates, dtype=np.float64))
+
+
+def cluster_matchings(block: RequestProfile, placement: KsPlacement,
+                      rngs: list[np.random.Generator]) -> Iterator[MlpOutcome]:
+    """The MlpOutcome of each (trial, cluster) of the block, in order, on one
+    generator per trial: what mlp_match gives on each dense cluster column,
+    called cluster by cluster, found on the block's runs (trial_runs)."""
+    for (files, bounds, firsts), rng in zip(trial_runs(block), rngs):
+        origin = bounds[0]
+        u = rng.random(bounds[-1] - origin).tolist()
+        for c in range(len(firsts) - 1):
+            run = firsts[c:c + 2]
+            lo, hi = bounds[run[0]] - origin, bounds[run[1]] - origin  # the cluster's uniforms
+            matched, unmatched, server = _walk_runs(files, bounds, run, placement.holders, u[lo:hi])
+            yield MlpOutcome(tuple(matched), unmatched, tuple(sorted(server)))

@@ -9,12 +9,13 @@ delivery round then serves all matched users across all K caches.
 For steep popularity (beta > 1) only the most popular floor((K*M)^(1/beta))
 files enter the placement; requests for the remaining files are unicast.
 
-A trial is accounted in a few vector operations over the profile's sorted
-request list.  When no cluster holds more than d requests, which is almost
-every trial, all requests are matched and no rank is computed; otherwise a
-rank mask keeps the first d of each cluster.  One compare splits the matched
-files into pool and overflow, and a bincount counts the distinct pool files
-that the coded round must deliver.
+A block of trials is accounted in a few vector operations over its sorted
+request list, whose clusters are (trial, cluster) pairs.  When no cluster
+holds more than d requests, which is almost every trial, all requests are
+matched and no rank is computed; otherwise a rank mask keeps the first d of
+each cluster.  One compare splits the matched files into pool and overflow,
+one sort of trial-keyed pool files counts each trial's distinct pool files,
+and the coded rate is computed once per distinct count in the block.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import SystemConfig
-from .delivery import coded_delivery_rate
+from .delivery import coded_delivery_rate, rates_by_value
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI, power_or_inf
-from .traffic import RequestProfile, distinct_count, first_in_file_order
+from .traffic import RequestProfile, distinct_counts, group_counts, within_caps
 
 
 @dataclass(frozen=True)
@@ -96,18 +99,28 @@ def coded_pool_size(config: SystemConfig) -> int:
     return min(config.N, int(math.floor((config.K * config.M) ** (1.0 / config.beta))))
 
 
-def pcd_simulate(profile: RequestProfile, config: SystemConfig) -> PcdRate:
-    """One-trial empirical rate decomposition."""
+def pcd_simulate(block: RequestProfile, config: SystemConfig) -> np.ndarray:
+    """Rows (total, coded term, unmatched users) of the block's trials."""
     pool = coded_pool_size(config)
-    users = profile.total_users
-    matched = first_in_file_order(profile.files, profile.cluster_totals(), config.d)
-    unmatched_users = users - matched.size
+    users = block.trial_totals()
+    sizes = block.cluster_totals()
+    keep = within_caps(sizes, config.d)  # slice(None) when every request matches
+    files = block.files[keep]
+    matched = users if isinstance(keep, slice) else group_counts(keep, users)
+    pooled = matched
+    # matched users demanding files outside the pool gain nothing from caches
+    if pool < config.N:
+        in_pool = files < pool
+        files, pooled = files[in_pool], group_counts(in_pool, matched)
 
-    in_pool = matched[matched < pool]
     coded = 0.0
     if pool > 0:
-        coded = coded_delivery_rate(config.K, config.M, pool, distinct_count(in_pool))
-    # matched users demanding files outside the pool gain nothing from caches
-    coded_term = coded + (matched.size - in_pool.size)
-    total = min(coded_term + unmatched_users, float(users))
-    return PcdRate(coded_term, float(unmatched_users), float(total))
+        keys = np.arange(0, users.size * pool, pool).repeat(pooled) + files
+        coded = rates_by_value(distinct_counts(keys, pooled),
+                               lambda n: coded_delivery_rate(config.K, config.M, pool, n))
+    rows = np.empty((users.size, 3))
+    np.add(coded, matched - pooled, out=rows[:, 1])
+    np.subtract(users, matched, out=rows[:, 2])
+    np.add(rows[:, 1], rows[:, 2], out=rows[:, 0])
+    np.minimum(rows[:, 0], users, out=rows[:, 0])
+    return rows

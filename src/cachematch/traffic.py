@@ -18,6 +18,11 @@ stream; the file-id lookup, the offsets' cumsum and the sort within clusters
 run once per block of up to BLOCK_REQUESTS requests, so a trial's arrays are
 the same however trials are blocked.  A block holds only trials the memo has
 room to keep; once it is full, trials are drawn one at a time.
+
+The schemes score trials a block at a time too: join_profiles lays profiles
+end to end, so a block's clusters are (trial, cluster) pairs, and the
+kernels count per trial, or per (trial, color), with group_counts and
+distinct_counts.
 """
 
 from __future__ import annotations
@@ -85,7 +90,12 @@ class RequestProfile:
 
     def cluster_of_request(self) -> np.ndarray:
         """Cluster index of each entry of files."""
-        return np.repeat(np.arange(self.offsets.size - 1), self.cluster_totals())
+        return np.arange(self.offsets.size - 1).repeat(self.cluster_totals())
+
+    def trial_totals(self) -> np.ndarray:
+        """Requests per trial; a block of trials (join_profiles) has one entry per trial."""
+        ends = self.offsets[::self.config.num_clusters]
+        return ends[1:] - ends[:-1]
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -235,18 +245,48 @@ def sample_profile(config: SystemConfig, seed: int, trial: int = 0, stop: int | 
     return RequestProfile(*arrays, config)
 
 
-def first_in_file_order(files: np.ndarray, sizes: np.ndarray, limit: int | np.ndarray) -> np.ndarray:
-    """Files of the first `limit` requests of each block, for `files` listed
-    block by block, `sizes[b]` of them in block b, each block sorted.  `limit`
-    is one cap for every block or an array of one cap per block; when no
-    block exceeds its cap, `files` itself is returned."""
+def join_profiles(profiles: list[RequestProfile]) -> RequestProfile:
+    """The profiles' trials end to end, as one block: cluster c of profiles[i]
+    is its cluster i * num_clusters + c.  A lone profile is returned as it is."""
+    if len(profiles) == 1:
+        return profiles[0]
+    rows = np.concatenate([p.offsets for p in profiles]).reshape(len(profiles), -1)
+    ends = rows[:, -1].cumsum()
+    offsets = np.zeros(rows.size - len(profiles) + 1, dtype=np.int64)
+    # offsets[1:] is contiguous, so this reshape is a view that add fills
+    np.add(rows[:, 1:], (ends - rows[:, -1])[:, None], out=offsets[1:].reshape(len(profiles), -1))
+    return RequestProfile(offsets, np.concatenate([p.files for p in profiles]), profiles[0].config)
+
+
+def within_caps(sizes: np.ndarray, limit: int | np.ndarray) -> np.ndarray | slice:
+    """Index of the first `limit` requests of each block, for requests listed
+    block by block, `sizes[b]` of them in block b: a mask, or slice(None)
+    when no block exceeds its cap.  `limit` is one cap for every block or an
+    array of one cap per block."""
     if (sizes <= limit).all():
-        return files
+        return slice(None)
     starts = np.cumsum(sizes) - sizes
-    rank = np.arange(files.size) - np.repeat(starts, sizes)
-    return files[rank < np.repeat(np.broadcast_to(limit, sizes.shape), sizes)]
+    rank = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    return rank < np.repeat(np.broadcast_to(limit, sizes.shape), sizes)
 
 
-def distinct_count(files: np.ndarray) -> int:
-    """Number of distinct ids in `files`, a nonnegative integer array."""
-    return int(np.count_nonzero(np.bincount(files)))
+def group_counts(flags: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """True entries of `flags` in each group, for flags listed group by group,
+    `sizes[g]` of them in group g; 0 for an empty group."""
+    counts = flags.nonzero()[0].searchsorted(sizes.cumsum())  # up to each group's end
+    counts[1:] -= counts[:-1]
+    return counts
+
+
+def distinct_counts(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Distinct keys in each group, `sizes[g]` keys in group g, for keys whose
+    sorted order lists the groups in order (key = group * span + id, with
+    0 <= id < span): one sort, so memory grows with the keys, never with
+    groups * span."""
+    # int32 keys, where they fit, sort about twice as fast
+    ids = keys.astype(np.int32 if keys.size and keys.max() <= np.iinfo(np.int32).max else np.int64)
+    ids.sort()
+    first = np.empty(ids.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return group_counts(first, sizes)

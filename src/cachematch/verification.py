@@ -57,10 +57,10 @@ from .pam_shallow import (
     pam_shallow_serve,
     proportional_placement,
 )
-from .pam_steep import build_knapsack, mlp_match, solve_fractional_knapsack, steep_order_value
+from .pam_steep import build_knapsack, cluster_matchings, solve_fractional_knapsack, steep_order_value
 from .pcd import cluster_unmatched_bound, pcd_rate_shallow, unmatched_tail_term
 from .popularity import build_catalog, partial_sum_A, partial_sum_envelope
-from .traffic import MATCHING_ROLE, sample_profile, stream
+from .traffic import MATCHING_ROLE, join_profiles, sample_profile, stream
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -327,21 +327,19 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     def mlp_structural():
         _, placement = knapsack()
         replayed = min(trials, 20)
-        for trial in range(replayed):
-            profile = sample_profile(config, seed, trial, replayed)
-            rng = stream(seed, trial, MATCHING_ROLE)
-            for c in range(config.num_clusters):
-                lo, hi = profile.offsets[c], profile.offsets[c + 1]
-                req = np.bincount(profile.files[lo:hi], minlength=config.N)
-                out = mlp_match(req, placement, rng)
-                caches = [k for _, k in out.matched]
-                if len(set(caches)) != len(caches):
-                    return False, f"trial {trial} cluster {c}: a cache matched twice"
-                for n, k in out.matched:
-                    if k not in placement.holders[n]:
-                        return False, f"trial {trial}: matched cache lacks the file"
-                if len(out.matched) + out.unmatched_requests != int(req.sum()):
-                    return False, f"trial {trial}: request conservation broken"
+        block = join_profiles([sample_profile(config, seed, t, replayed) for t in range(replayed)])
+        rngs = [stream(seed, t, MATCHING_ROLE) for t in range(replayed)]
+        requests = block.cluster_totals().tolist()
+        held = cache(lambda n: frozenset(placement.holders[n]))
+        for i, out in enumerate(cluster_matchings(block, placement, rngs)):
+            trial, c = divmod(i, config.num_clusters)
+            caches = [k for _, k in out.matched]
+            if len(set(caches)) != len(caches):
+                return False, f"trial {trial} cluster {c}: a cache matched twice"
+            if any(k not in held(n) for n, k in out.matched):
+                return False, f"trial {trial}: matched cache lacks the file"
+            if len(out.matched) + out.unmatched_requests != requests[i]:
+                return False, f"trial {trial}: request conservation broken"
         return True, "matchings feasible and request-conserving"
 
     def steep_envelope():

@@ -3,10 +3,12 @@
 Each one states a quantity the program computes another way: the distinct
 requested files of a profile, one cache's fractional load, the
 closed-form steep region in which the replication-free scheme wins, the
-regime verdicts in fractions.Fraction arithmetic, and pam-steep's serve step
-as the run matcher it replaced computed it.  Also
-here: profile_from_counts, which builds a profile from a dense count matrix,
-and the shallow cut-set converse of the small-memory regime.
+regime verdicts in fractions.Fraction arithmetic, pam-steep's serve step
+as the run matcher it replaced computed it, and each scheme's accounting of
+one trial as it was before the schemes scored blocks of trials
+(oracle_row).  Also here: profile_from_counts, which builds a profile from
+a dense count matrix, and the shallow cut-set converse of the small-memory
+regime.
 """
 
 import math
@@ -15,8 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from cachematch.bounds import DISTINCT_FRACTION
+from cachematch.delivery import coded_delivery_rate
 from cachematch.errors import DomainError
-from cachematch.traffic import RequestProfile
+from cachematch.pam_shallow import _violating
+from cachematch.pam_steep import _walk_runs
+from cachematch.pcd import PcdRate, coded_pool_size
+from cachematch.traffic import MATCHING_ROLE, RequestProfile, stream
 
 
 def profile_from_counts(counts, config) -> RequestProfile:
@@ -177,3 +183,106 @@ def parent_pam_steep_serve(profile, placement, rng):
     _, unmatched, server = parent_match_runs(cluster[first], files[first], counts, placement, u,
                                              pairs=False)
     return len(set(server)), files.size - unmatched, unmatched
+
+
+def first_in_file_order(files, sizes, limit):
+    """Files of the first `limit` requests of each block, for `files` listed
+    block by block, `sizes[b]` of them in block b, each block sorted; `files`
+    itself when no block exceeds its cap."""
+    if (sizes <= limit).all():
+        return files
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(files.size) - np.repeat(starts, sizes)
+    return files[rank < np.repeat(np.broadcast_to(limit, sizes.shape), sizes)]
+
+
+def distinct_count(files) -> int:
+    """Number of distinct ids in `files`, a nonnegative integer array."""
+    return int(np.count_nonzero(np.bincount(files)))
+
+
+def trial_pcd_simulate(profile, config) -> PcdRate:
+    """pcd's decomposition of one trial, accounted alone."""
+    pool = coded_pool_size(config)
+    users = profile.total_users
+    matched = first_in_file_order(profile.files, profile.cluster_totals(), config.d)
+    unmatched_users = users - matched.size
+
+    in_pool = matched[matched < pool]
+    coded = 0.0
+    if pool > 0:
+        coded = coded_delivery_rate(config.K, config.M, pool, distinct_count(in_pool))
+    coded_term = coded + (matched.size - in_pool.size)
+    total = min(coded_term + unmatched_users, float(users))
+    return PcdRate(coded_term, float(unmatched_users), float(total))
+
+
+def trial_hcm_simulate(profile, plan, config) -> PcdRate:
+    """hcm's decomposition of one trial, accounted alone."""
+    files = profile.files
+    clusters = config.num_clusters
+    caps = plan.caches_per_color
+    key = plan.file_color[files] * clusters + profile.cluster_of_request()
+    block_totals = np.bincount(key, minlength=plan.chi * clusters)
+    block_caps = np.repeat(caps, clusters)
+    unmatched = int(np.maximum(block_totals - block_caps, 0).sum())
+    matched = files
+    if unmatched:
+        order = np.argsort(key, kind="stable")
+        matched = first_in_file_order(files[order], block_totals, block_caps)
+    ids = np.sort(matched)
+    seen = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=seen[1:])
+    distinct = np.bincount(plan.file_color[ids[seen]], minlength=plan.chi)
+
+    coded = 0.0
+    for m_x, size, n in zip(caps.tolist(), plan.class_sizes.tolist(), distinct.tolist()):
+        if m_x:
+            coded += coded_delivery_rate(m_x * clusters, config.M, size, n)
+
+    total = min(coded + unmatched, float(profile.total_users))
+    return PcdRate(coded, float(unmatched), total)
+
+
+def trial_pam_shallow_serve(profile, placement, config) -> tuple[int, bool, float]:
+    """(evicted requests, all feasible, rate) of pam-shallow's serve of one trial alone."""
+    d, clusters = config.d, config.num_clusters
+    files = profile.files
+    cluster = profile.cluster_of_request()
+    reps = placement.copies[files]
+    owner = np.repeat(np.arange(files.size), reps)
+    rank = np.arange(owner.size) - (np.cumsum(reps) - reps)[owner]
+    slots = cluster[owner] * d + placement.cache_ids[placement.cache_starts[files[owner]] + rank]
+    loads = np.bincount(slots, weights=1.0 / reps[owner], minlength=clusters * d)
+    keep = np.ones(files.size, dtype=bool)
+    keep[owner[_violating(loads)[slots]]] = False
+    evicted_requests = int(files.size - np.count_nonzero(keep))
+    return evicted_requests, evicted_requests == 0, float(distinct_count(files[~keep]))
+
+
+def trial_pam_steep_serve(profile, placement, rng) -> tuple[int, float]:
+    """(unmatched requests, rate) of pam-steep's serve of one trial alone."""
+    files, offsets = profile.files, profile.offsets
+    new = np.empty(files.size + 1, dtype=bool)
+    np.not_equal(files[1:], files[:-1], out=new[1:-1])
+    new[offsets] = True
+    bounds = np.flatnonzero(new)
+    firsts = np.searchsorted(bounds, offsets).tolist()
+    u = rng.random(files.size).tolist()
+    _, unmatched, server = _walk_runs(files[bounds[:-1]].tolist(), bounds.tolist(), firsts,
+                                      placement.holders, u, pairs=False)
+    return unmatched, float(len(set(server)))
+
+
+def oracle_row(scheme, profile, config, state, seed, trial) -> tuple[float, float, float]:
+    """The row (rate, coded, unmatched) of one trial of `scheme`, accounted alone."""
+    if scheme in ("pcd", "hcm"):
+        if scheme == "pcd":
+            r = trial_pcd_simulate(profile, config)
+        else:
+            r = trial_hcm_simulate(profile, state, config)
+        return r.total, r.coded_term, r.unmatched_term
+    if scheme == "pam-shallow":
+        return trial_pam_shallow_serve(profile, state, config)[2], 0.0, 0.0
+    unmatched, rate = trial_pam_steep_serve(profile, state, stream(seed, trial, MATCHING_ROLE))
+    return rate, 0.0, float(unmatched)

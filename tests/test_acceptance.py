@@ -146,7 +146,7 @@ def test_criterion_04_pam_shallow_achievability():
             for t in range(trials):
                 profile = sample_profile(cfg, SEED, trial=t)
                 out = pam_shallow_serve(profile, placement, cfg)
-                rates[t] = out.rate
+                rates[t] = out.rates[0]
                 if out.all_feasible:
                     feasible_trials += 1
                     assert matched_requests(profile, placement, cfg) == profile.total_users

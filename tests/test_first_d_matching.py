@@ -5,7 +5,9 @@ N x K/d count matrix.  The reference kernels are the per-trial accounting
 that the vector kernels replaced: a rank mask for every cluster, one mask,
 rank and Python set per hcm color, a set of evicted files in pam-shallow,
 and a sampler that concatenates its offsets and sorts into a new array.  On
-the same input every kernel must give bitwise-equal results and draws.
+the same input every kernel must give bitwise-equal results and draws.  The
+kernels score blocks of trials: each profile is scored as a block of one, and
+the pcd and pam-shallow profiles of a test also as one joined block.
 """
 
 import dataclasses
@@ -15,20 +17,20 @@ import pytest
 
 from cachematch.delivery import coded_delivery_rate
 from cachematch.hcm import build_color_plan, hcm_simulate
-from cachematch.pam_shallow import (
-    ShallowServeOutcome,
-    _violating,
-    pam_shallow_serve,
-    proportional_placement,
-)
+from cachematch.pam_shallow import _violating, pam_shallow_serve, proportional_placement
 from cachematch.pcd import PcdRate, coded_pool_size, pcd_simulate
 from cachematch.popularity import build_catalog
-from cachematch.traffic import PROFILE_ROLE, sample_profile, stream
+from cachematch.traffic import PROFILE_ROLE, join_profiles, sample_profile, stream
 
 from conftest import make_config
 from oracles import profile_from_counts
 
 PROFILES = 100  # random profiles per configuration
+
+
+def _row(rate):
+    """A PcdRate as the row (total, coded, unmatched) the kernels give."""
+    return [rate.total, rate.coded_term, rate.unmatched_term]
 
 
 def dense_pcd_simulate(counts, config):
@@ -103,13 +105,16 @@ def test_pcd_matches_dense_oracle(config):
     gen = np.random.default_rng(2024)
     d, pool = config.d, coded_pool_size(config)
     crowded = overflow = 0
+    profiles, rows = [], []
     for i in range(PROFILES):
         counts = _random_counts(gen, config, per_cluster=d * (0.5 + i % 3))
-        profile = profile_from_counts(counts, config)
-        assert pcd_simulate(profile, config) == dense_pcd_simulate(counts, config)
+        profiles.append(profile_from_counts(counts, config))
+        rows.append(_row(dense_pcd_simulate(counts, config)))
+        assert pcd_simulate(profiles[-1], config).tolist() == rows[-1:]
         crowded += (counts.sum(axis=0) > d).any()
         # a cluster matching a request outside the pool unicasts it
         overflow += ((counts[pool:].sum(axis=0) > 0) & (counts[:pool].sum(axis=0) < d)).any()
+    assert pcd_simulate(join_profiles(profiles), config).tolist() == rows
     assert crowded > 0
     assert overflow > 0 or pool in (0, config.N)
 
@@ -131,7 +136,7 @@ def test_hcm_matches_dense_oracle(zero_color):
         counts = _random_counts(gen, config, per_cluster=int(slots.sum()) * (0.5 + i % 3))
         profile = profile_from_counts(counts, config)
         expected = dense_hcm_simulate(counts, trial_plan, config)
-        assert hcm_simulate(profile, trial_plan, config) == expected
+        assert hcm_simulate(profile, trial_plan, config).tolist() == [_row(expected)]
         crowded += expected.unmatched_term > 0
     assert crowded > 0
 
@@ -201,11 +206,7 @@ def reference_pam_shallow_serve(profile, placement, config):
     keep = np.ones(files.size, dtype=bool)
     keep[owner[_violating(loads)[slots]]] = False
     evicted_requests = int(files.size - np.count_nonzero(keep))
-    return ShallowServeOutcome(
-        evicted_requests=evicted_requests,
-        all_feasible=evicted_requests == 0,
-        rate=float(len(set(files[~keep].tolist()))),
-    )
+    return evicted_requests, evicted_requests == 0, float(len(set(files[~keep].tolist())))
 
 
 def reference_draw(config, catalog, seed, trial):
@@ -249,13 +250,16 @@ def _varied_counts(gen, config, i, per_cluster):
 def test_pcd_matches_reference_kernel(config):
     gen = np.random.default_rng(7)
     crowded = roomy = 0
+    profiles, rows = [], []
     for i in range(REFERENCE_PROFILES):
         counts = _varied_counts(gen, config, i, config.d)
-        profile = profile_from_counts(counts, config)
-        assert pcd_simulate(profile, config) == reference_pcd_simulate(profile, config)
+        profiles.append(profile_from_counts(counts, config))
+        rows.append(_row(reference_pcd_simulate(profiles[-1], config)))
+        assert pcd_simulate(profiles[-1], config).tolist() == rows[-1:]
         over = (counts.sum(axis=0) > config.d).any()
         crowded += over
         roomy += not over
+    assert pcd_simulate(join_profiles(profiles), config).tolist() == rows
     assert crowded > 0 and roomy > 0  # both the rank mask and the pass-through ran
 
 
@@ -275,7 +279,7 @@ def test_hcm_matches_reference_kernel(zero_color):
         counts = _varied_counts(gen, config, i, int(slots.sum()))
         profile = profile_from_counts(counts, config)
         expected = reference_hcm_simulate(profile, trial_plan, config)
-        assert hcm_simulate(profile, trial_plan, config) == expected
+        assert hcm_simulate(profile, trial_plan, config).tolist() == [_row(expected)]
         crowded += expected.unmatched_term > 0
         roomy += expected.unmatched_term == 0
     assert crowded > 0 and roomy > 0
@@ -286,13 +290,20 @@ def test_pam_shallow_serve_matches_reference_kernel():
     placement = proportional_placement(config, build_catalog(config.N, config.beta))
     gen = np.random.default_rng(13)
     feasible = evicting = 0
+    profiles, expected = [], []
     for i in range(REFERENCE_PROFILES):
         counts = _varied_counts(gen, config, i, config.d)
-        profile = profile_from_counts(counts, config)
-        expected = reference_pam_shallow_serve(profile, placement, config)
-        assert pam_shallow_serve(profile, placement, config) == expected
-        feasible += expected.all_feasible
-        evicting += expected.rate > 1
+        profiles.append(profile_from_counts(counts, config))
+        expected.append(reference_pam_shallow_serve(profiles[-1], placement, config))
+        out = pam_shallow_serve(profiles[-1], placement, config)
+        evicted, all_feasible, rate = expected[-1]
+        assert (out.evicted_requests, out.all_feasible, out.rates.tolist()) == (evicted, all_feasible, [rate])
+        feasible += all_feasible
+        evicting += rate > 1
+    block = pam_shallow_serve(join_profiles(profiles), placement, config)
+    assert block.evicted_requests == sum(e for e, _, _ in expected)
+    assert not block.all_feasible
+    assert block.rates.tolist() == [rate for _, _, rate in expected]
     assert feasible > 0 and evicting > 0
 
 

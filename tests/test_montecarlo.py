@@ -302,15 +302,16 @@ def test_broken_pool_is_dropped(pool_starts, pool_path):
 
 def _expiring_clock(k):
     """A perf_counter for montecarlo that reads 0 for the deadline and the
-    checks before the first k trials, then +inf: the head runs k trials, or
-    all of them when only the last is left, as one trial is never fanned out."""
+    checks before the first k blocks, then +inf: the head runs k blocks, or
+    every trial when only the last is left, as one trial is never fanned out."""
     calls = itertools.count()
     return lambda: 0.0 if next(calls) <= k else math.inf
 
 
-@pytest.mark.parametrize("scheme", list(SCHEMES))
-@pytest.mark.parametrize("head", ["none", "one", "all but one", "all"])
-def test_head_and_pool_rows_match_serial(monkeypatch, scheme, head):
+def _head_and_pool(monkeypatch, scheme, head, block):
+    """Rows of a 6-trial parallel run scored in blocks of `block` trials,
+    whose head sees the deadline pass after the number of blocks `head`
+    names: byte-identical to the serial rows, and the head runs whole blocks."""
     trials = 6
     k = {"none": 0, "one": 1, "all but one": trials - 1, "all": trials}[head]
     spec = _spec(scheme, trials=trials, **(SMALL_STEEP if scheme == PAM_STEEP_SCHEME else SMALL))
@@ -326,9 +327,24 @@ def test_head_and_pool_rows_match_serial(monkeypatch, scheme, head):
     monkeypatch.setattr(montecarlo, "run_trials", recording)
     monkeypatch.setattr(montecarlo, "perf_counter", _expiring_clock(k))
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    # the deadline is read before each block
+    monkeypatch.setattr(montecarlo, "BLOCK_CACHES", block * spec.config.K)
     assert collect_trials(spec, workers=2).tobytes() == serial.tobytes()
     # the head; pool chunks run in other processes
-    assert in_process == [(0, trials if k == trials - 1 else k)]
+    head_trials = min(trials, k * block)
+    assert in_process == [(0, trials if trials - head_trials == 1 else head_trials)]
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("head", ["none", "one", "all but one", "all"])
+def test_head_and_pool_rows_match_serial(monkeypatch, scheme, head):
+    _head_and_pool(monkeypatch, scheme, head, block=1)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("head", ["none", "one", "all but one", "all"])
+def test_head_runs_whole_blocks(monkeypatch, scheme, head):
+    _head_and_pool(monkeypatch, scheme, head, block=4)
 
 
 def test_head_budget_starts_after_prepare(monkeypatch, pool_starts):

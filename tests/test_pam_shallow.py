@@ -136,7 +136,7 @@ def test_serve_eviction_hand_example():
     whole = pam_shallow_serve(profile, placement, config)
     assert whole.evicted_requests == 2
     assert profile.total_users - whole.evicted_requests == 0
-    assert whole.rate == 1.0
+    assert whole.rates.tolist() == [1.0]
     assert not whole.all_feasible
 
 
@@ -146,7 +146,7 @@ def test_serve_feasible_profile_needs_no_server():
     outcome = pam_shallow_serve(profile, placement, config)
     assert outcome.all_feasible
     assert profile.total_users - outcome.evicted_requests == 3
-    assert outcome.rate == 0.0
+    assert outcome.rates.tolist() == [0.0]
 
 
 def test_feasibility_flag_matches_load_helper():
@@ -181,7 +181,7 @@ def test_serve_request_accounting():
         if outcome.all_feasible:
             assert outcome.evicted_requests == 0
             assert matched_requests(profile, placement, config) == profile.total_users
-            assert outcome.rate == 0
+            assert outcome.rates.tolist() == [0.0]
 
 
 def test_serve_never_runs_hopcroft_karp(monkeypatch):

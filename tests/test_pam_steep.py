@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,16 +16,23 @@ from cachematch.pam_steep import (
     KsPlacement,
     _walk_runs,
     build_knapsack,
+    cluster_matchings,
     mlp_match,
     pam_steep_serve,
     solve_fractional_knapsack,
     steep_order_value,
 )
 from cachematch.popularity import build_catalog
-from cachematch.traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
+from cachematch.traffic import MATCHING_ROLE, RequestProfile, join_profiles, sample_profile, stream
 
 from conftest import generator_state, make_config, runs_in_file_order
 from oracles import parent_pam_steep_serve, profile_from_counts
+
+
+def serve_one(profile, placement, rng):
+    """pam_steep_serve of `profile` as a block of one trial, drawing from rng."""
+    out = pam_steep_serve(profile, placement, [rng])
+    return SimpleNamespace(unmatched_requests=int(out.unmatched_requests[0]), rate=float(out.rates[0]))
 
 
 @pytest.fixture(scope="module")
@@ -248,19 +256,47 @@ def test_serve_equals_parent_run_matcher(steep_config, shape, M):
     }[shape], M=M)
     placement = solve_fractional_knapsack(build_knapsack(config, build_catalog(config.N, config.beta)))
     unmatched = short = 0
+    profiles, rows = [], []
     for trial in range(ORACLE_PROFILES):
         profile = sample_profile(config, seed=16, trial=trial)
+        profiles.append(profile)
         rng = stream(16, trial, MATCHING_ROLE)
-        served = pam_steep_serve(profile, placement, rng)
+        served = serve_one(profile, placement, rng)
         oracle_rng = stream(16, trial, MATCHING_ROLE)
         want = parent_pam_steep_serve(profile, placement, oracle_rng)
         matched = profile.total_users - served.unmatched_requests
         assert (served.rate, matched, served.unmatched_requests) == want
         assert served.rate == float(want[0])
         assert generator_state(rng) == generator_state(oracle_rng)
+        rows.append((served.unmatched_requests, served.rate))
         unmatched += served.unmatched_requests > 0
         short += served.rate < served.unmatched_requests
     assert unmatched > 0 and short > 0  # files sent by the server, some for several requests
+    block = pam_steep_serve(join_profiles(profiles), placement,
+                            [stream(16, trial, MATCHING_ROLE) for trial in range(ORACLE_PROFILES)])
+    assert list(zip(block.unmatched_requests.tolist(), block.rates.tolist())) == rows
+
+
+@pytest.mark.parametrize("shape, M", [("steep-mlp", 4.0), ("steep.json", 4.0), ("steep.json", 16.0)])
+def test_cluster_matchings_equal_mlp_match_cluster_by_cluster(steep_config, shape, M):
+    # the walk verification's mlp-structural checks: runs found once per
+    # block, pairs kept, one generator per trial
+    config = dataclasses.replace({
+        "steep-mlp": make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1),
+        "steep.json": steep_config,
+    }[shape], M=M)
+    placement = solve_fractional_knapsack(build_knapsack(config, build_catalog(config.N, config.beta)))
+    trials = range(3, 11)
+    profiles = [sample_profile(config, 21, t) for t in trials]
+    rngs = [stream(21, t, MATCHING_ROLE) for t in trials]
+    walked = list(cluster_matchings(join_profiles(profiles), placement, rngs))
+    expected = []
+    for profile, t, rng in zip(profiles, trials, rngs):
+        oracle_rng = stream(21, t, MATCHING_ROLE)
+        expected += [mlp_match(column, placement, oracle_rng) for column in profile.counts.T]
+        assert generator_state(rng) == generator_state(oracle_rng)
+    assert walked == expected
+    assert sum(len(o.matched) for o in walked) > 0 and sum(o.unmatched_requests for o in walked) > 0
 
 
 class _CallRecorder:
@@ -286,9 +322,9 @@ def test_serve_draws_once_per_trial(steep_config):
     for trial in range(25):
         profile = sample_profile(steep_config, seed=12, trial=trial)
         recorder = _CallRecorder(stream(12, trial, MATCHING_ROLE))
-        outcome = pam_steep_serve(profile, placement, recorder)
+        outcome = serve_one(profile, placement, recorder)
         assert recorder.calls == ["random"]
-        assert outcome == pam_steep_serve(profile, placement, stream(12, trial, MATCHING_ROLE))
+        assert outcome == serve_one(profile, placement, stream(12, trial, MATCHING_ROLE))
         matched += profile.total_users - outcome.unmatched_requests
     assert matched >= 100  # many matched requests, one draw call each trial
 
@@ -343,7 +379,7 @@ def test_serve_hand_example():
     config = make_config(K=3, d=3, N=3, M=1.0, beta=2.0)
     counts = np.array([2, 1, 1], dtype=np.int64).reshape(-1, 1)
     profile = profile_from_counts(counts, config)
-    outcome = pam_steep_serve(profile, _manual_placement(), stream(0, 0, MATCHING_ROLE))
+    outcome = serve_one(profile, _manual_placement(), stream(0, 0, MATCHING_ROLE))
     assert profile.total_users - outcome.unmatched_requests == 3
     assert outcome.unmatched_requests == 1
     assert outcome.rate == 1.0
@@ -354,7 +390,7 @@ def test_serve_request_accounting(steep_config):
     placement = solve_fractional_knapsack(build_knapsack(steep_config, catalog))
     for trial in range(25):
         profile = sample_profile(steep_config, seed=31, trial=trial)
-        outcome = pam_steep_serve(profile, placement, stream(31, trial, MATCHING_ROLE))
+        outcome = serve_one(profile, placement, stream(31, trial, MATCHING_ROLE))
         assert 0 <= outcome.unmatched_requests <= profile.total_users
         assert outcome.rate <= outcome.unmatched_requests
 
@@ -366,7 +402,7 @@ def test_serve_equals_mlp_over_dense_columns(steep_config):
         profile = sample_profile(steep_config, seed=8, trial=trial)
         rng = stream(8, trial, MATCHING_ROLE)
         outcomes = [mlp_match(column, placement, rng) for column in profile.counts.T]
-        served = pam_steep_serve(profile, placement, stream(8, trial, MATCHING_ROLE))
+        served = serve_one(profile, placement, stream(8, trial, MATCHING_ROLE))
         assert profile.total_users - served.unmatched_requests == sum(len(o.matched) for o in outcomes)
         assert served.unmatched_requests == sum(o.unmatched_requests for o in outcomes)
         assert served.rate == len({n for o in outcomes for n in o.server_files})
@@ -376,8 +412,8 @@ def test_serve_is_reproducible(steep_config):
     catalog = build_catalog(steep_config.N, steep_config.beta)
     placement = solve_fractional_knapsack(build_knapsack(steep_config, catalog))
     profile = sample_profile(steep_config, seed=5, trial=0)
-    first = pam_steep_serve(profile, placement, stream(5, 0, MATCHING_ROLE))
-    second = pam_steep_serve(profile, placement, stream(5, 0, MATCHING_ROLE))
+    first = serve_one(profile, placement, stream(5, 0, MATCHING_ROLE))
+    second = serve_one(profile, placement, stream(5, 0, MATCHING_ROLE))
     assert first == second
 
 
@@ -445,7 +481,7 @@ def test_serve_replays_dense_matching_draw_for_draw(monkeypatch):
         profile = profile_from_counts(counts, config)
 
         rng = stream(i, 3, MATCHING_ROLE)
-        served = pam_steep_serve(profile, placement, rng)
+        served = serve_one(profile, placement, rng)
 
         oracle_rng = stream(i, 3, MATCHING_ROLE)
         matched, unmatched, server, events = 0, 0, set(), set()

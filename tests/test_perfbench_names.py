@@ -26,7 +26,7 @@ from cachematch.montecarlo import (
     ExperimentSpec,
 )
 from cachematch.popularity import build_catalog
-from cachematch.traffic import MATCHING_ROLE, stream
+from cachematch.traffic import MATCHING_ROLE, join_profiles, sample_profile, stream
 
 from conftest import make_config
 
@@ -71,8 +71,30 @@ def test_trials_call_through_montecarlo_names(monkeypatch, scheme):
     beta = 2.0 if scheme == PAM_STEEP_SCHEME else 0.0
     config = make_config(K=20, d=10, N=20, M=2.0, beta=beta)
     spec = ExperimentSpec(config=config, scheme=scheme, trials=6, seed=3)
+    # one profile call per trial, one scheme call per block: the four trials
+    # make one block, or two when a block may span only two trials' caches
     assert montecarlo.run_trials(spec, 2, 4).shape == (4, 3)
-    assert calls == {"sample_profile": 4, TRIAL_CALLEES[scheme]: 4}
+    assert calls == {"sample_profile": 4, TRIAL_CALLEES[scheme]: 1}
+    monkeypatch.setattr(montecarlo, "BLOCK_CACHES", 2 * config.K)
+    assert montecarlo.run_trials(spec, 2, 4).shape == (4, 3)
+    assert calls == {"sample_profile": 8, TRIAL_CALLEES[scheme]: 3}
+
+
+def test_shallow_serve_gives_what_the_serve_observer_sums():
+    # spans._observe_serve adds evicted_requests and int(all_feasible) per call
+    spans = _load("spans")
+    config = make_config(K=20, d=10, N=20, M=2.0)
+    placement = montecarlo.proportional_placement(config, build_catalog(config.N, config.beta))
+    profiles = [sample_profile(config, 3, trial) for trial in range(40)]
+    block = montecarlo.pam_shallow_serve(join_profiles(profiles), placement, config)
+    feasible = next(out for out in (montecarlo.pam_shallow_serve(p, placement, config) for p in profiles)
+                    if out.all_feasible)
+    assert type(block.evicted_requests) is int and type(block.all_feasible) is bool
+    tracer = spans.Tracer()
+    for out in (block, feasible):
+        spans._observe_serve(tracer, (), {}, out)
+    assert tracer.counters["pam_shallow.evicted_requests"] == block.evicted_requests > 0
+    assert tracer.counters["pam_shallow.feasible_trials"] == 1
 
 
 def test_traced_sample_profile_spans_carry_the_trial_ids():

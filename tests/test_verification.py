@@ -8,9 +8,9 @@ from cachematch import verification
 from cachematch.config import load_config
 from cachematch.errors import HardInvariantViolation
 from cachematch.montecarlo import ExperimentSpec, run_experiment
-from cachematch.pam_steep import build_knapsack
+from cachematch.pam_steep import build_knapsack, mlp_match
 from cachematch.popularity import build_catalog
-from cachematch.traffic import sample_profile
+from cachematch.traffic import MATCHING_ROLE, sample_profile, stream
 from cachematch.verification import FAIL, PASS, SKIPPED, verify_config
 
 from conftest import make_config
@@ -216,22 +216,48 @@ def test_steep_config_statuses():
 def test_mlp_structural_matches_each_clusters_requests(monkeypatch):
     config = load_config("configs/steep.json")
     seen = []
-    original = verification.mlp_match
+    original = verification.cluster_matchings
 
-    def recording(requests, placement, rng):
-        seen.append(np.array(requests))
-        return original(requests, placement, rng)
+    def recording(block, placement, rngs):
+        for outcome in original(block, placement, rngs):
+            seen.append((outcome, placement))
+            yield outcome
 
-    monkeypatch.setattr(verification, "mlp_match", recording)
+    monkeypatch.setattr(verification, "cluster_matchings", recording)
     assert verify_config(config, seed=4, trials=3).all_pass
-    # the oracle is the dense count view, one column per cluster
-    expected = [
-        sample_profile(config, 4, trial).counts[:, c]
-        for trial in range(3)
-        for c in range(config.num_clusters)
-    ]
-    assert len(seen) == len(expected)
-    assert all(np.array_equal(got, want) for got, want in zip(seen, expected))
+    # the oracle is mlp_match on the dense count view, one column per cluster,
+    # each trial's clusters in order on that trial's matching stream
+    expected = []
+    for trial in range(3):
+        rng = stream(4, trial, MATCHING_ROLE)
+        columns = sample_profile(config, 4, trial).counts.T
+        expected += [mlp_match(column, seen[0][1], rng) for column in columns]
+    assert [outcome for outcome, _ in seen] == expected
+    assert sum(len(o.matched) for o in expected) > 0
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("reuse", "trial 1 cluster 2: a cache matched twice"),
+    ("foreign", "trial 1: matched cache lacks the file"),
+    ("lost", "trial 1: request conservation broken"),
+])
+def test_mlp_structural_fails_a_bad_walk(monkeypatch, fault, detail):
+    config = load_config("configs/steep.json")
+    original = verification.cluster_matchings
+
+    def faulty(block, placement, rngs):
+        for i, outcome in enumerate(original(block, placement, rngs)):
+            if i == config.num_clusters + 2:  # trial 1, cluster 2
+                n = next(n for n, holders in enumerate(placement.holders) if len(holders) == 1)
+                k = placement.holders[n][0]
+                other = next(c for c in range(config.d) if c != k)
+                bad = {"reuse": ((n, k), (n, k)), "foreign": ((n, other),), "lost": ()}[fault]
+                outcome = dataclasses.replace(outcome, matched=bad, unmatched_requests=0)
+            yield outcome
+
+    monkeypatch.setattr(verification, "cluster_matchings", faulty)
+    check = next(c for c in verify_config(config, seed=4, trials=3).checks if c.name == "mlp-structural")
+    assert (check.status, check.detail) == (FAIL, detail)
 
 
 @pytest.mark.parametrize("N, d", [(256, 16), (4096, 64), (1 << 16, 256)])
