@@ -5,11 +5,12 @@ stream, so a run is reproducible and independent of how trials are split
 across worker processes: serial and parallel runs of the same spec produce
 byte-identical reports.
 
-Trials are scored a block at a time: run_trials joins the profiles of
-consecutive trials into one block, until it holds traffic.BLOCK_REQUESTS
-requests or its trials span BLOCK_CACHES caches, and makes one scheme call
-per block.  Every kernel computes each trial's row with the operations, in
-the order, of that trial scored alone, so rows do not depend on the blocking.
+Trials are scored a block at a time: run_trials asks sample_profile for
+the block of trials from where it is, at most as many as span BLOCK_CACHES
+caches, and makes one scheme call on the block as it comes, which ends early
+at traffic.BLOCK_REQUESTS requests or at the edge of a block the memo holds.
+Every kernel computes each trial's row with the operations, in the order, of
+that trial scored alone, so rows do not depend on the blocking.
 
 A parallel run does its first blocks in the calling process, until
 HEAD_BUDGET_S seconds after prepare, so a short run starts no pool.  The
@@ -34,7 +35,6 @@ from typing import Any
 
 import numpy as np
 
-from . import traffic
 from .config import SystemConfig, config_payload, validate
 from .errors import DomainError, IncompatibleScheme
 from .hcm import build_color_plan, check_slack, hcm_rate, hcm_simulate
@@ -42,7 +42,7 @@ from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_place
 from .pam_steep import build_knapsack, pam_steep_serve, solve_fractional_knapsack, steep_order_value
 from .pcd import pcd_rate_shallow, pcd_rate_steep, pcd_simulate
 from .popularity import ZipfCatalog, build_catalog
-from .traffic import MATCHING_ROLE, RequestProfile, join_profiles, sample_profile, stream
+from .traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
 PCD_SCHEME = "pcd"
 PAM_SHALLOW_SCHEME = "pam-shallow"
@@ -69,11 +69,11 @@ class Scheme:
     every trial of a chunk shares: nothing for pcd, the placement for the two
     replication schemes, the color plan for hcm.
 
-    trials(block, config, state, seed, trials) scores a block: the profiles
-    of the consecutive trials in range `trials` joined end to end
-    (traffic.join_profiles).  It gives one row (rate, coded, unmatched) per
-    trial, each equal to what that trial gives scored alone.  The last two
-    columns mean different things:
+    trials(block, config, state, seed, trials) scores a block: the profile
+    of the consecutive trials in range `trials`, whose clusters are (trial,
+    cluster) pairs, as traffic.sample_profile gives it.  It gives one row
+    (rate, coded, unmatched) per trial, each equal to what that trial gives
+    scored alone.  The last two columns mean different things:
     - pcd, hcm: the coded term and the unmatched users; rate is their sum,
       clamped at the user count
     - pam-shallow: 0 and 0, as every request that survives eviction matches
@@ -205,15 +205,9 @@ def run_trials(spec: ExperimentSpec, start: int, count: int, budget: float | Non
     while trial < stop:
         if deadline is not None and stop - trial > 1 and perf_counter() >= deadline:
             return rows[:trial - start]
-        # a block takes trials until it holds BLOCK_REQUESTS requests, so it
-        # passes that by less than one trial's requests
-        profiles, requests = [], 0
-        while trial + len(profiles) < stop and len(profiles) < most and requests < traffic.BLOCK_REQUESTS:
-            profiles.append(sample_profile(config, spec.seed, trial=trial + len(profiles), stop=stop))
-            requests += profiles[-1].total_users
-        trials = range(trial, trial + len(profiles))
-        rows[trial - start:trials.stop - start] = scheme.trials(
-            join_profiles(profiles), config, state, spec.seed, trials)
+        block = sample_profile(config, spec.seed, trial=trial, stop=min(stop, trial + most))
+        trials = range(trial, trial + block.trials)
+        rows[trial - start:trials.stop - start] = scheme.trials(block, config, state, spec.seed, trials)
         trial = trials.stop
     return rows
 

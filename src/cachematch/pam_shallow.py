@@ -129,7 +129,7 @@ def pam_shallow_serve(
     placement: ProportionalPlacement,
     config: SystemConfig,
 ) -> ShallowServeOutcome:
-    """Serve a block of request profiles; returns the block's decomposition.
+    """Serve a block of trials; returns the block's decomposition.
 
     A trial's rate counts distinct server-broadcast files (a broadcast serves
     every requester of that file in all clusters at once); it is bounded by

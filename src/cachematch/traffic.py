@@ -8,26 +8,24 @@ entropy.  Role 0 of a stream draws the request profile; role 1 feeds any
 randomized matcher run on the same trial.
 
 Profiles are drawn by Poisson splitting and store only their requests, so
-memory per trial grows with the number of requests, not with N * K/d.  A
-profile is a pure function of (N, K, d, rho, beta, seed, trial), and each
-process keeps the arrays it has drawn, up to a byte budget, so the schemes,
-sweep rows and checks that ask for the same numbers share one draw.
+memory per trial grows with the number of requests, not with N * K/d.
 
-Trials are drawn a block at a time.  Each trial still draws from its own
-stream; the file-id lookup, the offsets' cumsum and the sort within clusters
-run once per block of up to BLOCK_REQUESTS requests, so a trial's arrays are
-the same however trials are blocked.  A block holds only trials the memo has
-room to keep; once it is full, trials are drawn one at a time.
+Trials are drawn a block at a time, and a block is what the schemes score:
+its clusters are (trial, cluster) pairs, its offsets one cumsum over them,
+and the kernels count per trial, or per (trial, color), with group_counts and
+distinct_counts.  Each trial still draws from its own stream; the file-id
+lookup, the offsets' cumsum and the sort within clusters run once per block
+of up to BLOCK_REQUESTS requests, so a trial's requests are the same however
+trials are blocked.
 
-The schemes score trials a block at a time too: join_profiles lays profiles
-end to end, so a block's clusters are (trial, cluster) pairs, and the
-kernels count per trial, or per (trial, color), with group_counts and
-distinct_counts.
+A block is a pure function of (N, K, d, rho, beta, seed) and its trials, and
+each process keeps the blocks it has drawn, up to a byte budget, so the
+schemes, sweep rows and checks that ask for the same trials share one draw.
 """
 
 from __future__ import annotations
 
-import math
+import bisect
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -70,9 +68,11 @@ def _philox_key_type() -> type:
 
 @dataclass(frozen=True)
 class RequestProfile:
-    """Cluster c asked for files[offsets[c]:offsets[c + 1]], 0-indexed ids, sorted."""
+    """Cluster c asked for files[offsets[c]:offsets[c + 1]], 0-indexed ids,
+    sorted.  A block lists its trials end to end: cluster c of its i-th trial
+    is its cluster i * num_clusters + c."""
 
-    offsets: np.ndarray  # shape (num_clusters + 1,), int64, starts at 0
+    offsets: np.ndarray  # shape (trials * num_clusters + 1,), int64, starts at 0
     files: np.ndarray  # shape (total requests,), int64
     config: SystemConfig
 
@@ -92,10 +92,23 @@ class RequestProfile:
         """Cluster index of each entry of files."""
         return np.arange(self.offsets.size - 1).repeat(self.cluster_totals())
 
+    @property
+    def trials(self) -> int:
+        """Trials in the block; a profile of one trial is a block of one."""
+        return (self.offsets.size - 1) // self.config.num_clusters
+
     def trial_totals(self) -> np.ndarray:
-        """Requests per trial; a block of trials (join_profiles) has one entry per trial."""
+        """Requests per trial of the block."""
         ends = self.offsets[::self.config.num_clusters]
         return ends[1:] - ends[:-1]
+
+    def between(self, first: int, last: int) -> RequestProfile:
+        """Trials first to last - 1 of the block, counted from 0, as a block of
+        their own: its files a view, its offsets rebased to 0."""
+        clusters = self.config.num_clusters
+        offsets = self.offsets[first * clusters:last * clusters + 1]
+        files = self.files[offsets[0]:offsets[-1]]
+        return RequestProfile(offsets - offsets[0] if offsets[0] else offsets, files, self.config)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -109,11 +122,11 @@ class RequestProfile:
 
 
 PROFILE_MEMO_BYTES = 4 << 20
-# An entry's cost beyond its arrays' data (tuple, array headers, dict slot,
-# key): tracemalloc measured 350-390 bytes on numpy 2.4, CPython 3.11.
-# Charging it keeps profiles of a few requests from piling up past the budget.
+# A block's cost beyond its arrays' data (list slots, tuple, array headers):
+# tracemalloc measured 300-370 bytes on numpy 2.4, CPython 3.11.
+# Charging it keeps blocks of a few requests from piling up past the budget.
 PROFILE_MEMO_ENTRY_BYTES = 512
-# Requests per block draw.  Timed per trial against this cap (numpy 2.4, 2
+# Requests per block.  Timed per trial against this cap (numpy 2.4, 2
 # cores), block draws of 26- to 410-request profiles cost 1.5-2.4x less per
 # trial at 2^13 than trials drawn one at a time, no less at 2^14-2^15, and
 # more past 2^16, where the sort outgrows the cache.  The longest block grows
@@ -123,51 +136,40 @@ PROFILE_MEMO_ENTRY_BYTES = 512
 BLOCK_REQUESTS = 1 << 13
 
 
-def draw_profiles(config: SystemConfig, seed: int, start: int, stop: int,
-                  budget: float = math.inf) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The read-only (offsets, files) arrays of trials start, start + 1, ...,
-    each equal to a draw of its trial alone.  The block holds trial `start`,
-    then each next trial before `stop` that keeps it within BLOCK_REQUESTS
-    requests and within `budget` bytes, counting each trial's arrays and
-    PROFILE_MEMO_ENTRY_BYTES.  Both are known from a trial's Poisson totals,
-    before its uniforms are drawn.
+def draw_profiles(config: SystemConfig, seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (offsets, files) arrays of the block of trials start,
+    start + 1, ... (start < stop): cluster c of its i-th trial is its cluster
+    i * num_clusters + c.  The block holds trial `start`, then each next
+    trial before `stop` that keeps it within BLOCK_REQUESTS requests, known
+    from the trial's Poisson totals before its uniforms are drawn.
 
     Each trial draws its totals and then its uniforms from its own stream.
     The lookup of the block's uniforms, the cumsum of its offsets and the
-    sort within each (trial, cluster) are done once for the block.
+    sort within each (trial, cluster) are done once for the block, so each
+    trial's requests are those it gives drawn alone.
     """
-    clusters, N = config.num_clusters, config.N
-    width = clusters + 1
-    per_trial, uniforms, ends = [], [], [0]
-
-    def fits(requests: int) -> bool:  # one trial more, with the block at `requests`
-        return (len(per_trial) + 1) * (8 * width + PROFILE_MEMO_ENTRY_BYTES) + 8 * requests <= budget
-
-    for trial in range(start, max(stop, start + 1)):
-        if per_trial and not fits(ends[-1]):
-            break
+    per_trial, uniforms, requests = [], [], 0
+    for trial in range(start, stop):
         rng = stream(seed, trial, PROFILE_ROLE)
-        totals = rng.poisson(config.rho * config.d, size=clusters)
-        end = ends[-1] + int(totals.sum())
-        if per_trial and (end > BLOCK_REQUESTS or not fits(end)):
+        totals = rng.poisson(config.rho * config.d, size=config.num_clusters)
+        size = int(totals.sum())
+        if per_trial and requests + size > BLOCK_REQUESTS:
             break
         per_trial.append(totals)
-        uniforms.append(rng.random(end - ends[-1]))
-        ends.append(end)
+        uniforms.append(rng.random(size))
+        requests += size
     totals = _joined(per_trial)
-    offsets = np.zeros(len(per_trial) * width, dtype=np.int64)
-    rows = offsets.reshape(-1, width)
-    rows[:, 1:] = totals.reshape(-1, clusters)
-    rows.cumsum(axis=1, out=rows)
-    files = build_catalog(N, config.beta).file_ids(_joined(uniforms))
+    offsets = np.zeros(totals.size + 1, dtype=np.int64)
+    totals.cumsum(out=offsets[1:])
+    files = build_catalog(config.N, config.beta).file_ids(_joined(uniforms))
     # sort within (trial, cluster): keys in that order never cross blocks
-    base = np.repeat(np.arange(0, totals.size * N, N), totals)
+    base = np.repeat(np.arange(0, totals.size * config.N, config.N), totals)
     files += base
     files.sort()
     files -= base
     offsets.setflags(write=False)
     files.setflags(write=False)
-    return list(zip(_pieces(offsets, range(0, offsets.size + 1, width)), _pieces(files, ends)))
+    return offsets, files
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
@@ -175,34 +177,29 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _pieces(array: np.ndarray, bounds) -> list[np.ndarray]:
-    """array[bounds[i]:bounds[i + 1]] for each i; a lone piece is the array
-    itself, so a block of one keeps no view beside its arrays."""
-    if len(bounds) == 2:
-        return [array]
-    return [array[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 class _ProfileMemo:
-    """The (offsets, files) arrays drawn for one (N, K, d, rho, beta, seed),
-    by trial.  Not locked: trials run in worker processes, never in threads."""
+    """The blocks drawn for one (N, K, d, rho, beta, seed): (offsets, files)
+    arrays of trials starts[i] to stops[i] - 1, sorted by first trial and
+    never overlapping.  Not locked: trials run in worker processes, never in
+    threads."""
 
     def __init__(self) -> None:
-        self.key: tuple | None = None
-        self.entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.top = 0  # one past the highest trial in entries
+        self.clear(None)
+
+    def clear(self, key: tuple | None) -> None:
+        self.key = key
+        self.starts: list[int] = []
+        self.stops: list[int] = []
+        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
         self.charged = 0  # bytes, entry overhead included
 
-    def get(self, key: tuple, trial: int) -> tuple[np.ndarray, np.ndarray] | None:
-        if key != self.key:
-            self.key, self.entries, self.top, self.charged = key, {}, 0, 0
-        return self.entries.get(trial)
-
-    def put(self, trial: int, arrays: tuple[np.ndarray, np.ndarray]) -> None:
+    def keep(self, at: int, start: int, stop: int, arrays: tuple[np.ndarray, np.ndarray]) -> None:
+        """Hold the block as the at-th, if it fits in PROFILE_MEMO_BYTES."""
         cost = arrays[0].nbytes + arrays[1].nbytes + PROFILE_MEMO_ENTRY_BYTES
         if self.charged + cost <= PROFILE_MEMO_BYTES:
-            self.entries[trial] = arrays
-            self.top = max(self.top, trial + 1)
+            self.starts.insert(at, start)
+            self.stops.insert(at, stop)
+            self.blocks.insert(at, arrays)
             self.charged += cost
 
 
@@ -210,52 +207,42 @@ _memo = _ProfileMemo()
 
 
 def sample_profile(config: SystemConfig, seed: int, trial: int = 0, stop: int | None = None) -> RequestProfile:
-    """Draw u[n, c] ~ Poisson(rho * d * p_n), independent across (n, c).
+    """Draw u[n, c] ~ Poisson(rho * d * p_n), independent across (n, c), for
+    trials trial to stop - 1 (default: trial alone), as one block.
 
     Poisson splitting: cluster c draws Y_c ~ Poisson(rho * d) requests, each
     for file n with probability p_n, found by the guide-table inverse-CDF
     lookup of build_catalog(N, beta): one table read and one compare per
     request, and a search only in the few buckets of packed breakpoints.
 
-    The draw is a pure function of the key (N, K, d, rho, beta, seed) and
-    the trial, so its read-only arrays are kept in a per-process memo, and a
-    repeat call wraps them in a fresh profile that carries the caller's
-    config.  The memo is module state because the experiments that share a
-    draw (the schemes of a sweep row, the rows of an M sweep, the Monte Carlo
-    checks) each run their trials anew, in the calling process or in a pool
-    worker that outlives them.  It holds one key at a time, dropping every
-    entry when the key changes, and at most PROFILE_MEMO_BYTES.
-
-    A caller that goes on to the trials before `stop` passes it.  A miss past
-    every trial the memo holds then draws a block from `trial` on
-    (draw_profiles), ending at `stop`, at BLOCK_REQUESTS requests or where
-    the memo's room runs out, and keeps every trial it draws.  Any other miss
-    is a block of one, which a full memo does not keep, so memory stays
-    bounded for any trial count.
+    The block ends early, at BLOCK_REQUESTS requests (draw_profiles) or at
+    the edge of a block the per-process memo holds; the caller asks again
+    from where it ended.  A call that starts inside a held block gets a slice
+    of it: its files a view, its offsets rebased to 0.  A miss draws up to
+    the next held block and keeps what it draws if the block fits in
+    PROFILE_MEMO_BYTES.  Held arrays are read-only, and each call wraps them
+    in a fresh profile that carries the caller's config.  The memo is module
+    state because the experiments that share a draw (the schemes of a sweep
+    row, the rows of an M sweep, the Monte Carlo checks) each run their
+    trials anew, in the calling process or in a pool worker that outlives
+    them.  It holds one key at a time, dropping every block when the key
+    changes.
     """
     key = (config.N, config.K, config.d, config.rho, config.beta, operator.index(seed))
     trial = operator.index(trial)
-    arrays = _memo.get(key, trial)
-    if arrays is None:
-        stop = trial + 1 if stop is None or trial < _memo.top else operator.index(stop)
-        block = draw_profiles(config, seed, trial, stop, PROFILE_MEMO_BYTES - _memo.charged)
-        for t, entry in enumerate(block, trial):
-            _memo.put(t, entry)
-        arrays = block[0]
-    return RequestProfile(*arrays, config)
-
-
-def join_profiles(profiles: list[RequestProfile]) -> RequestProfile:
-    """The profiles' trials end to end, as one block: cluster c of profiles[i]
-    is its cluster i * num_clusters + c.  A lone profile is returned as it is."""
-    if len(profiles) == 1:
-        return profiles[0]
-    rows = np.concatenate([p.offsets for p in profiles]).reshape(len(profiles), -1)
-    ends = rows[:, -1].cumsum()
-    offsets = np.zeros(rows.size - len(profiles) + 1, dtype=np.int64)
-    # offsets[1:] is contiguous, so this reshape is a view that add fills
-    np.add(rows[:, 1:], (ends - rows[:, -1])[:, None], out=offsets[1:].reshape(len(profiles), -1))
-    return RequestProfile(offsets, np.concatenate([p.files for p in profiles]), profiles[0].config)
+    stop = trial + 1 if stop is None else max(trial + 1, operator.index(stop))
+    if key != _memo.key:
+        _memo.clear(key)
+    at = bisect.bisect_right(_memo.stops, trial)  # the first block to end past `trial`
+    if at < len(_memo.starts) and _memo.starts[at] <= trial:
+        start = _memo.starts[at]
+        block = RequestProfile(*_memo.blocks[at], config)
+        return block.between(trial - start, min(stop, _memo.stops[at]) - start)
+    if at < len(_memo.starts):
+        stop = min(stop, _memo.starts[at])
+    block = RequestProfile(*draw_profiles(config, seed, trial, stop), config)
+    _memo.keep(at, trial, trial + block.trials, (block.offsets, block.files))
+    return block
 
 
 def within_caps(sizes: np.ndarray, limit: int | np.ndarray) -> np.ndarray | slice:

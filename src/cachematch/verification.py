@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import cache
 
@@ -60,7 +61,7 @@ from .pam_shallow import (
 from .pam_steep import build_knapsack, cluster_matchings, solve_fractional_knapsack, steep_order_value
 from .pcd import cluster_unmatched_bound, pcd_rate_shallow, unmatched_tail_term
 from .popularity import build_catalog, partial_sum_A, partial_sum_envelope
-from .traffic import MATCHING_ROLE, join_profiles, sample_profile, stream
+from .traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -105,6 +106,16 @@ def _outcome(name: str, fn) -> CheckOutcome:
     except Exception as exc:  # an unexpected crash is a failure, not a skip
         return CheckOutcome(name, FAIL, f"raised {exc!r}")
     return CheckOutcome(name, PASS if ok else FAIL, detail)
+
+
+def _blocks(config: SystemConfig, seed: int, trials: int) -> Iterator[tuple[int, RequestProfile]]:
+    """(first trial, block) of each block sample_profile gives for trials 0
+    to trials - 1, in order."""
+    trial = 0
+    while trial < trials:
+        block = sample_profile(config, seed, trial, trials)
+        yield trial, block
+        trial += block.trials
 
 
 def _binomial_tail(n: int, q: float, k0: int) -> float:
@@ -257,11 +268,11 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     def pam_feasible_all_matched():
         placement = replication()
         bad = 0
-        checked = min(trials, 50)
-        for trial in range(checked):
-            profile = sample_profile(config, seed, trial, checked)
-            if pam_shallow_serve(profile, placement, config).all_feasible:
-                bad += matched_requests(profile, placement, config) != profile.total_users
+        for _, block in _blocks(config, seed, min(trials, 50)):
+            # a trial evicts nothing exactly when it broadcasts nothing
+            for i in np.flatnonzero(pam_shallow_serve(block, placement, config).rates == 0):
+                trial = block.between(i, i + 1)
+                bad += matched_requests(trial, placement, config) != trial.total_users
         return bad == 0, f"{bad} feasible trials with unmatched users"
 
     # --- lower bounds and the gap -----------------------------------------
@@ -326,20 +337,19 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
 
     def mlp_structural():
         _, placement = knapsack()
-        replayed = min(trials, 20)
-        block = join_profiles([sample_profile(config, seed, t, replayed) for t in range(replayed)])
-        rngs = [stream(seed, t, MATCHING_ROLE) for t in range(replayed)]
-        requests = block.cluster_totals().tolist()
         held = cache(lambda n: frozenset(placement.holders[n]))
-        for i, out in enumerate(cluster_matchings(block, placement, rngs)):
-            trial, c = divmod(i, config.num_clusters)
-            caches = [k for _, k in out.matched]
-            if len(set(caches)) != len(caches):
-                return False, f"trial {trial} cluster {c}: a cache matched twice"
-            if any(k not in held(n) for n, k in out.matched):
-                return False, f"trial {trial}: matched cache lacks the file"
-            if len(out.matched) + out.unmatched_requests != requests[i]:
-                return False, f"trial {trial}: request conservation broken"
+        for first, block in _blocks(config, seed, min(trials, 20)):
+            rngs = [stream(seed, t, MATCHING_ROLE) for t in range(first, first + block.trials)]
+            requests = block.cluster_totals().tolist()
+            for i, out in enumerate(cluster_matchings(block, placement, rngs)):
+                trial, c = divmod(first * config.num_clusters + i, config.num_clusters)
+                caches = [k for _, k in out.matched]
+                if len(set(caches)) != len(caches):
+                    return False, f"trial {trial} cluster {c}: a cache matched twice"
+                if any(k not in held(n) for n, k in out.matched):
+                    return False, f"trial {trial}: matched cache lacks the file"
+                if len(out.matched) + out.unmatched_requests != requests[i]:
+                    return False, f"trial {trial}: request conservation broken"
         return True, "matchings feasible and request-conserving"
 
     def steep_envelope():

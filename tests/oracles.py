@@ -7,8 +7,8 @@ regime verdicts in fractions.Fraction arithmetic, pam-steep's serve step
 as the run matcher it replaced computed it, and each scheme's accounting of
 one trial as it was before the schemes scored blocks of trials
 (oracle_row).  Also here: profile_from_counts, which builds a profile from
-a dense count matrix, and the shallow cut-set converse of the small-memory
-regime.
+a dense count matrix, join_profiles, which blocks profiles in any split,
+and the shallow cut-set converse of the small-memory regime.
 """
 
 import math
@@ -32,6 +32,19 @@ def profile_from_counts(counts, config) -> RequestProfile:
         raise DomainError(f"counts shape {counts.shape} != (N, K/d)")
     files = np.repeat(np.tile(np.arange(config.N), config.num_clusters), counts.T.ravel())
     return RequestProfile(np.concatenate(([0], np.cumsum(counts.sum(axis=0)))), files, config)
+
+
+def join_profiles(profiles: list[RequestProfile]) -> RequestProfile:
+    """The profiles' trials end to end, as one block: cluster c of profiles[i]
+    is its cluster i * num_clusters + c.  A lone profile is returned as it is."""
+    if len(profiles) == 1:
+        return profiles[0]
+    rows = np.concatenate([p.offsets for p in profiles]).reshape(len(profiles), -1)
+    ends = rows[:, -1].cumsum()
+    offsets = np.zeros(rows.size - len(profiles) + 1, dtype=np.int64)
+    # offsets[1:] is contiguous, so this reshape is a view that add fills
+    np.add(rows[:, 1:], (ends - rows[:, -1])[:, None], out=offsets[1:].reshape(len(profiles), -1))
+    return RequestProfile(offsets, np.concatenate([p.files for p in profiles]), profiles[0].config)
 
 
 class MissingCopyCount(ValueError):

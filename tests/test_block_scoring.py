@@ -23,10 +23,10 @@ from cachematch.config import load_config
 from cachematch.montecarlo import SCHEMES, ExperimentSpec, run_trials
 from cachematch.pcd import coded_pool_size
 from cachematch.popularity import build_catalog
-from cachematch.traffic import distinct_counts, group_counts, join_profiles, sample_profile
+from cachematch.traffic import distinct_counts, group_counts, sample_profile
 
 from conftest import make_config
-from oracles import oracle_row
+from oracles import join_profiles, oracle_row
 
 CASES = {
     # rho * d = 1.8 against d = 4: crowded clusters and empty ones
@@ -123,26 +123,33 @@ def test_cases_reach_every_branch():
             assert (rows[:, 2] > 0).any()
 
 
-def test_a_block_keeps_within_its_caps(monkeypatch):
+def test_a_block_keeps_within_its_caps(monkeypatch, cold_memo):
+    # a scored block is one draw: it ends where its next trial would pass
+    # BLOCK_REQUESTS requests, unless it holds one trial, or at BLOCK_CACHES caches
     config = load_config("configs/default.json")
+    totals = [int(traffic.draw_profiles(config, 2, t, t + 1)[0][-1]) for t in range(300)]
     blocks = []
     original = montecarlo.pcd_simulate
 
     def recording(block, config):
-        blocks.append((block.trial_totals().size, block.total_users))
+        blocks.append((block.trials, block.total_users))
         return original(block, config)
 
     monkeypatch.setattr(montecarlo, "pcd_simulate", recording)
-    monkeypatch.setattr(traffic, "BLOCK_REQUESTS", 500)
     spec = ExperimentSpec(config=config, scheme="pcd", trials=300, seed=2)
-    profiles = [sample_profile(config, 2, t) for t in range(300)]
-    largest = max(p.total_users for p in profiles)
+    cap = traffic.BLOCK_REQUESTS
+    monkeypatch.setattr(traffic, "BLOCK_REQUESTS", 500)
     run_trials(spec, 0, 300)
-    assert sum(t for t, _ in blocks) == 300
-    # a block takes trials until it holds BLOCK_REQUESTS requests
-    assert all(r < 500 + largest for _, r in blocks)
-    assert all(r >= 500 for _, r in blocks[:-1])
+    first = 0
+    for trials, requests in blocks:
+        assert requests == sum(totals[first:first + trials])
+        assert requests <= 500 or trials == 1
+        first += trials
+        assert first == 300 or requests + totals[first] > 500
+    assert first == 300 and len(blocks) > 1
     blocks.clear()
+    monkeypatch.setattr(traffic, "_memo", traffic._ProfileMemo())
+    monkeypatch.setattr(traffic, "BLOCK_REQUESTS", cap)
     monkeypatch.setattr(montecarlo, "BLOCK_CACHES", 5 * config.K)
     run_trials(spec, 0, 300)
     assert [t for t, _ in blocks] == [5] * 60

@@ -20,10 +20,10 @@ from cachematch.hcm import build_color_plan, hcm_simulate
 from cachematch.pam_shallow import _violating, pam_shallow_serve, proportional_placement
 from cachematch.pcd import PcdRate, coded_pool_size, pcd_simulate
 from cachematch.popularity import build_catalog
-from cachematch.traffic import PROFILE_ROLE, join_profiles, sample_profile, stream
+from cachematch.traffic import PROFILE_ROLE, sample_profile, stream
 
 from conftest import make_config
-from oracles import profile_from_counts
+from oracles import join_profiles, profile_from_counts
 
 PROFILES = 100  # random profiles per configuration
 

@@ -97,10 +97,12 @@ def test_sampled_profiles_digest_is_pinned(monkeypatch, cold_memo, config, diges
     sha = hashlib.sha256()
 
     def hashed(*args, **kwargs):
-        profile = sample_profile(*args, **kwargs)
-        sha.update(profile.offsets.tobytes())
-        sha.update(profile.files.tobytes())
-        return profile
+        block = sample_profile(*args, **kwargs)
+        for i in range(block.trials):  # trial by trial, as each was pinned
+            profile = block.between(i, i + 1)
+            sha.update(profile.offsets.tobytes())
+            sha.update(profile.files.tobytes())
+        return block
 
     monkeypatch.setattr(montecarlo, "sample_profile", hashed)
     run_trials(ExperimentSpec(config=config, scheme=PCD_SCHEME, trials=64, seed=SEED), 0, 64)

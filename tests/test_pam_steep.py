@@ -23,10 +23,10 @@ from cachematch.pam_steep import (
     steep_order_value,
 )
 from cachematch.popularity import build_catalog
-from cachematch.traffic import MATCHING_ROLE, RequestProfile, join_profiles, sample_profile, stream
+from cachematch.traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
 from conftest import generator_state, make_config, runs_in_file_order
-from oracles import parent_pam_steep_serve, profile_from_counts
+from oracles import join_profiles, parent_pam_steep_serve, profile_from_counts
 
 
 def serve_one(profile, placement, rng):

@@ -26,9 +26,10 @@ from cachematch.montecarlo import (
     ExperimentSpec,
 )
 from cachematch.popularity import build_catalog
-from cachematch.traffic import MATCHING_ROLE, join_profiles, sample_profile, stream
+from cachematch.traffic import MATCHING_ROLE, sample_profile, stream
 
 from conftest import make_config
+from oracles import join_profiles
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,7 +59,7 @@ def test_every_wrapped_name_resolves():
 
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
-def test_trials_call_through_montecarlo_names(monkeypatch, scheme):
+def test_trials_call_through_montecarlo_names(monkeypatch, cold_memo, scheme):
     calls = {"sample_profile": 0, TRIAL_CALLEES[scheme]: 0}
     for name in calls:
         original = getattr(montecarlo, name)
@@ -71,13 +72,13 @@ def test_trials_call_through_montecarlo_names(monkeypatch, scheme):
     beta = 2.0 if scheme == PAM_STEEP_SCHEME else 0.0
     config = make_config(K=20, d=10, N=20, M=2.0, beta=beta)
     spec = ExperimentSpec(config=config, scheme=scheme, trials=6, seed=3)
-    # one profile call per trial, one scheme call per block: the four trials
-    # make one block, or two when a block may span only two trials' caches
+    # one profile call and one scheme call per block: the four trials make
+    # one block, or two when a block may span only two trials' caches
     assert montecarlo.run_trials(spec, 2, 4).shape == (4, 3)
-    assert calls == {"sample_profile": 4, TRIAL_CALLEES[scheme]: 1}
+    assert calls == {"sample_profile": 1, TRIAL_CALLEES[scheme]: 1}
     monkeypatch.setattr(montecarlo, "BLOCK_CACHES", 2 * config.K)
     assert montecarlo.run_trials(spec, 2, 4).shape == (4, 3)
-    assert calls == {"sample_profile": 8, TRIAL_CALLEES[scheme]: 3}
+    assert calls == {"sample_profile": 3, TRIAL_CALLEES[scheme]: 3}
 
 
 def test_shallow_serve_gives_what_the_serve_observer_sums():
@@ -97,15 +98,17 @@ def test_shallow_serve_gives_what_the_serve_observer_sums():
     assert tracer.counters["pam_shallow.feasible_trials"] == 1
 
 
-def test_traced_sample_profile_spans_carry_the_trial_ids():
-    # spans._trial_arg reads the trial from the keyword or the fourth argument
+def test_traced_sample_profile_spans_carry_the_trial_ids(monkeypatch, cold_memo):
+    # spans._trial_arg reads the trial from the keyword or the fourth
+    # argument; run_trials passes a block's first trial by keyword
     spans = _load("spans")
-    spec = ExperimentSpec(config=make_config(K=20, d=10, N=20, M=2.0), scheme=PCD_SCHEME,
-                          trials=6, seed=3)
+    config = make_config(K=20, d=10, N=20, M=2.0)
+    monkeypatch.setattr(montecarlo, "BLOCK_CACHES", 2 * config.K)
+    spec = ExperimentSpec(config=config, scheme=PCD_SCHEME, trials=6, seed=3)
     with spans.Tracer().installed() as tracer:
         montecarlo.run_trials(spec, 2, 4)
     trials = [trial for name, trial, *_ in tracer.spans if name == "traffic.sample_profile"]
-    assert trials == [2, 3, 4, 5]
+    assert trials == [2, 4]
 
 
 def test_setup_probe_builds_every_scheme(monkeypatch):

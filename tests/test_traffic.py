@@ -16,13 +16,14 @@ from cachematch.traffic import (
     MATCHING_ROLE,
     PROFILE_ROLE,
     SAMPLER_VERSION,
+    RequestProfile,
     draw_profiles,
     sample_profile,
     stream,
 )
 
 from conftest import generator_state, make_config
-from oracles import distinct_files, profile_from_counts
+from oracles import distinct_files, join_profiles, profile_from_counts
 
 
 def test_stream_deterministic():
@@ -208,13 +209,11 @@ def test_distinct_files():
     assert distinct_files(profile) == 2
 
 
+# --- block draws ------------------------------------------------------------
 
-
-# --- the per-process profile memo -----------------------------------------
-
-def _cold_draw(monkeypatch, config, seed, trial):
-    """The profile sample_profile draws with an empty memo."""
-    with monkeypatch.context() as m:
+def _lone_draw(config, seed, trial):
+    """sample_profile's profile of `trial`, drawn alone on an empty memo."""
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(traffic, "_memo", traffic._ProfileMemo())
         return sample_profile(config, seed, trial)
 
@@ -223,89 +222,9 @@ def _same_draw(a, b):
     return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.files, b.files)
 
 
-def test_memo_hits_equal_cold_draws_across_key_changes(monkeypatch, cold_memo):
-    base = make_config(K=60, d=10, N=40, rho=0.3, beta=0.0)
-    keys = [
-        (base, 5),
-        (dataclasses.replace(base, beta=0.6), 5),  # beta alone changes the draw
-        (dataclasses.replace(base, N=50), 5),
-        (dataclasses.replace(base, K=80), 5),
-        (dataclasses.replace(base, d=20), 5),
-        (dataclasses.replace(base, rho=0.45), 5),
-        (base, 6),
-        (base, 5),  # back to the first key after the memo has dropped it
-    ]
-    for config, seed in keys:
-        for i, trial in enumerate((0, 3, 1, 3, 0)):
-            profile = sample_profile(config, seed, trial)
-            assert _same_draw(profile, _cold_draw(monkeypatch, config, seed, trial))
-            assert cold_memo.key == (config.N, config.K, config.d, config.rho, config.beta, seed)
-            if i == 0:  # each key differs from the last, whose entries all went
-                assert sorted(cold_memo.entries) == [0]
-        assert sorted(cold_memo.entries) == [0, 1, 3]
-        # a repeat call wraps the stored arrays: a hit, not a second draw
-        assert sample_profile(config, seed, 1).files is cold_memo.entries[1][1]
-
-
-def test_memo_stays_within_its_byte_budget(monkeypatch, cold_memo):
-    config = make_config(K=100, d=10, N=100, rho=0.25)
-    budget = 5000
-    monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", budget)
-    for trial in range(12):
-        profile = sample_profile(config, 9, trial)
-        charged = sum(
-            o.nbytes + f.nbytes + traffic.PROFILE_MEMO_ENTRY_BYTES
-            for o, f in cold_memo.entries.values()
-        )
-        assert cold_memo.charged == charged <= budget
-        assert _same_draw(profile, _cold_draw(monkeypatch, config, 9, trial))
-    stored = len(cold_memo.entries)
-    assert 0 < stored < 12
-    for trial in range(12):  # trials past the budget are drawn again, unchanged
-        assert _same_draw(sample_profile(config, 9, trial),
-                          _cold_draw(monkeypatch, config, 9, trial))
-    assert len(cold_memo.entries) == stored
-
-
-def test_memo_charge_covers_traced_memory_of_tiny_profiles(monkeypatch, cold_memo):
-    # K = d and rho small: most profiles hold no request, so the entry
-    # overhead is nearly all an entry costs
-    config = make_config(K=10, d=10, N=10, rho=0.01)
-    monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", 200_000)
-    sample_profile(config, 3, 0)  # first-call imports stay out of the trace
-    charged = cold_memo.charged
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for trial in range(1, 1000):
-            sample_profile(config, 3, trial)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert 200 < len(cold_memo.entries) < 1000
-    assert grown <= cold_memo.charged - charged
-    assert cold_memo.charged <= 200_000
-
-
-def test_memo_hit_carries_the_callers_config_and_no_counts(cold_memo):
-    first = make_config(M=2.0)
-    second = dataclasses.replace(first, M=16.0, t0=0.5)  # neither enters the draw
-    a = sample_profile(first, 4, 2)
-    a.counts  # built on the first caller's profile only
-    b = sample_profile(second, 4, 2)
-    assert b.files is a.files and b.offsets is a.offsets
-    assert b.config is second and a.config is first
-    assert "counts" in vars(a) and "counts" not in vars(b)
-    assert not b.files.flags.writeable and not b.offsets.flags.writeable
-
-
-# --- block draws ------------------------------------------------------------
-
-def _lone_draw(config, seed, trial):
-    """sample_profile's profile of `trial`, drawn alone on an empty memo."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(traffic, "_memo", traffic._ProfileMemo())
-        return sample_profile(config, seed, trial)
+def _lone_draws(config, seed, trials):
+    """The lone draws of `trials`, joined as one block."""
+    return join_profiles([_lone_draw(config, seed, t) for t in trials])
 
 
 @given(
@@ -325,20 +244,142 @@ def _lone_draw(config, seed, trial):
 @settings(max_examples=60, deadline=None)
 def test_block_draw_equals_lone_draws(clusters, d, extra_files, rho, beta, seed, start, length):
     config = make_config(K=clusters * d, d=d, N=clusters * d + extra_files, rho=rho, beta=beta)
-    block = draw_profiles(config, seed, start, start + length)
-    assert 1 <= len(block) <= length
-    requests = sum(files.size for _, files in block)
-    if len(block) < length:  # the cap ended it: the next trial would pass it
-        assert requests <= traffic.BLOCK_REQUESTS
-        assert requests + _lone_draw(config, seed, start + len(block)).total_users > traffic.BLOCK_REQUESTS
-    for trial, (offsets, files) in enumerate(block, start):
-        lone = _lone_draw(config, seed, trial)
-        for got, want in ((offsets, lone.offsets), (files, lone.files)):
-            assert got.dtype == np.int64 and not got.flags.writeable
-            assert np.array_equal(got, want)
-        # sorted within each cluster; a step down only where a cluster starts
-        down = np.flatnonzero(np.diff(files) < 0) + 1
-        assert np.isin(down, offsets).all()
+    offsets, files = draw_profiles(config, seed, start, start + length)
+    block = RequestProfile(offsets, files, config)
+    assert 1 <= block.trials <= length
+    if block.trials < length:  # the cap ended it: the next trial would pass it
+        assert files.size <= traffic.BLOCK_REQUESTS
+        assert files.size + _lone_draw(config, seed, start + block.trials).total_users > traffic.BLOCK_REQUESTS
+    for got in (offsets, files):
+        assert got.dtype == np.int64 and not got.flags.writeable
+    assert _same_draw(block, _lone_draws(config, seed, range(start, start + block.trials)))
+    # sorted within each (trial, cluster); a step down only where one starts
+    down = np.flatnonzero(np.diff(files) < 0) + 1
+    assert np.isin(down, offsets).all()
+
+
+# --- the per-process block memo ------------------------------------------------
+
+MEMO_KEYS = [
+    (make_config(K=60, d=10, N=40, rho=0.3), 5),
+    (make_config(K=60, d=10, N=40, rho=0.3, beta=0.6), 5),  # beta alone changes the draw
+    (make_config(K=80, d=20, N=50, rho=0.45), 5),
+    (make_config(K=60, d=10, N=40, rho=0.3), 6),
+]
+
+
+@given(
+    calls=st.lists(
+        st.tuples(st.integers(0, len(MEMO_KEYS) - 1), st.integers(0, 30),
+                  st.one_of(st.none(), st.integers(0, 45))),
+        min_size=1, max_size=24),
+    budget=st.sampled_from([0, 2500, 12_000, 4 << 20]),
+    cap=st.sampled_from([40, 1 << 13]),
+)
+# starts inside, before and between held blocks, and past them all
+@example(calls=[(0, 5, 8), (0, 2, 10), (0, 6, None), (0, 9, 20), (0, 8, 30), (0, 0, 45)],
+         budget=4 << 20, cap=1 << 13)
+@example(calls=[(0, 5, 8), (0, 2, 10), (0, 6, None), (0, 9, 20), (0, 8, 30), (0, 0, 45)],
+         budget=4 << 20, cap=40)
+# a key change, and back to a key whose blocks went
+@example(calls=[(0, 0, 10), (1, 3, 10), (0, 4, 6), (3, 4, 6)], budget=12_000, cap=1 << 13)
+@settings(max_examples=80, deadline=None)
+def test_block_memo_keeps_its_contract(calls, budget, cap):
+    draws = []
+    draw = traffic.draw_profiles
+
+    def spy(config, seed, start, stop):
+        draws.append(start)
+        return draw(config, seed, start, stop)
+
+    with pytest.MonkeyPatch.context() as m:
+        memo = traffic._ProfileMemo()
+        m.setattr(traffic, "_memo", memo)
+        m.setattr(traffic, "PROFILE_MEMO_BYTES", budget)
+        m.setattr(traffic, "BLOCK_REQUESTS", cap)
+        m.setattr(traffic, "draw_profiles", spy)
+        for index, trial, stop in calls:
+            config, seed = MEMO_KEYS[index]
+            key = (config.N, config.K, config.d, config.rho, config.beta, seed)
+            held = list(zip(memo.starts, memo.stops)) if memo.key == key else []
+            charged = memo.charged if memo.key == key else 0
+            inside = [(a, b) for a, b in held if a <= trial < b]
+            draws.clear()
+            block = sample_profile(config, seed, trial, stop)
+            drawn = list(draws)
+            first, end = trial, trial + block.trials
+            want = trial + 1 if stop is None else max(stop, trial + 1)
+            # every returned block equals the lone draws of its trials
+            assert 1 <= block.trials and end <= want and block.config is config
+            assert _same_draw(block, _lone_draws(config, seed, range(first, end)))
+            assert block.total_users <= cap or block.trials == 1
+            edges = {a for a, _ in held} | {b for _, b in held}
+            if end < want and end not in edges:  # the cap ended it
+                assert block.total_users + _lone_draw(config, seed, end).total_users > cap
+            if inside:  # a slice of the held block: no draw, no new block
+                assert drawn == [] and end <= inside[0][1]
+                assert list(zip(memo.starts, memo.stops)) == held
+                if block.files.size:
+                    assert np.shares_memory(block.files, memo.blocks[memo.starts.index(inside[0][0])][1])
+            else:  # one draw, up to the next held block, held only if it fits
+                assert drawn == [trial]
+                assert all(end <= a for a, _ in held if a > trial)
+                cost = block.offsets.nbytes + block.files.nbytes + traffic.PROFILE_MEMO_ENTRY_BYTES
+                fits = charged + cost <= budget
+                assert list(zip(memo.starts, memo.stops)) == sorted(held + [(first, end)] * fits)
+            # a key change drops every block, so only this key's blocks are held
+            assert memo.key == key
+            # held blocks never overlap, and the charge is theirs
+            assert all(a < b for a, b in zip(memo.starts, memo.stops))
+            assert all(b <= a for b, a in zip(memo.stops, memo.starts[1:]))
+            charged = sum(o.nbytes + f.nbytes + traffic.PROFILE_MEMO_ENTRY_BYTES for o, f in memo.blocks)
+            assert memo.charged == charged <= budget
+            for (a, b), arrays in zip(zip(memo.starts, memo.stops), memo.blocks):
+                assert _same_draw(RequestProfile(*arrays, config), _lone_draws(config, seed, range(a, b)))
+
+
+def test_memo_charge_covers_traced_memory_of_tiny_profiles(monkeypatch, cold_memo):
+    # K = d and rho small: most blocks of one trial hold no request, so the
+    # entry overhead is nearly all a block costs
+    config = make_config(K=10, d=10, N=10, rho=0.01)
+    monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", 200_000)
+    sample_profile(config, 3, 0)  # first-call imports stay out of the trace
+    charged = cold_memo.charged
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for trial in range(1, 1000):
+            sample_profile(config, 3, trial)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 200 < len(cold_memo.blocks) < 1000
+    assert grown <= cold_memo.charged - charged
+    assert cold_memo.charged <= 200_000
+
+
+def test_memo_hit_carries_the_callers_config_and_no_counts(cold_memo):
+    first = make_config(M=2.0)
+    second = dataclasses.replace(first, M=16.0, t0=0.5)  # neither enters the draw
+    a = sample_profile(first, 4, 2)
+    a.counts  # built on the first caller's profile only
+    b = sample_profile(second, 4, 2)
+    assert b.files.base is a.files and b.offsets.base is a.offsets  # a hit, not a second draw
+    assert b.config is second and a.config is first
+    assert "counts" in vars(a) and "counts" not in vars(b)
+    assert not b.files.flags.writeable and not b.offsets.flags.writeable
+
+
+def test_a_miss_draws_up_to_the_next_held_block(cold_memo):
+    config = make_config()
+    sample_profile(config, 4, 5)
+    below = sample_profile(config, 4, 2, stop=10)  # trials 2 to 4: trial 5 is held
+    inside = sample_profile(config, 4, 3, stop=10)  # a slice of trials 2 to 4
+    past = sample_profile(config, 4, 6, stop=10)  # past every trial held: a block to the stop
+    assert (below.trials, inside.trials, past.trials) == (3, 2, 4)
+    assert list(zip(cold_memo.starts, cold_memo.stops)) == [(2, 5), (5, 6), (6, 10)]
+    assert inside.files.base is cold_memo.blocks[0][1]
+    assert _same_draw(inside, below.between(1, 3))
 
 
 def _spy_blocks(monkeypatch):
@@ -346,36 +387,53 @@ def _spy_blocks(monkeypatch):
     blocks = []
     draw = traffic.draw_profiles
 
-    def spy(config, seed, start, stop, budget=float("inf")):
-        block = draw(config, seed, start, stop, budget)
-        blocks.append((start, len(block), sum(files.size for _, files in block)))
-        return block
+    def spy(config, seed, start, stop):
+        offsets, files = draw(config, seed, start, stop)
+        blocks.append((start, (offsets.size - 1) // config.num_clusters, files.size))
+        return offsets, files
 
     monkeypatch.setattr(traffic, "draw_profiles", spy)
     return blocks
 
 
 def test_run_keeps_every_trial_a_block_draws(monkeypatch, cold_memo):
-    # ~25 requests and ~800 bytes a trial: the memo fills part way through
+    # ~25 requests a trial, blocks of ~12 trials and ~4 KB: the memo fills
+    # part way through
     config = make_config(K=100, d=10, N=100, rho=0.25)
-    budget = 20_000
+    budget = 12_000
     monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", budget)
+    monkeypatch.setattr(traffic, "BLOCK_REQUESTS", 300)
     blocks = _spy_blocks(monkeypatch)
     spec = montecarlo.ExperimentSpec(config=config, scheme="pcd", trials=60, seed=9)
     montecarlo.run_trials(spec, 0, 60)
     drawn = [t for start, count, _ in blocks for t in range(start, start + count)]
     assert drawn == list(range(60))  # each trial drawn once, in order
-    assert max(count for _, count, _ in blocks) > 1
-    for start, count, _ in blocks:
-        kept = [t in cold_memo.entries for t in range(start, start + count)]
-        # a block keeps every trial it draws; only a block of one goes unkept
-        assert all(kept) or (count == 1 and not any(kept))
-    held = sum(o.nbytes + f.nbytes + traffic.PROFILE_MEMO_ENTRY_BYTES
-               for o, f in cold_memo.entries.values())
-    assert cold_memo.charged == held <= budget
-    assert 0 < len(cold_memo.entries) < 60
+    # a block is kept whole, or not at all
+    held = list(zip(cold_memo.starts, cold_memo.stops))
+    assert set(held) <= {(start, start + count) for start, count, _ in blocks}
+    assert 0 < len(held) < len(blocks)
+    charged = sum(o.nbytes + f.nbytes + traffic.PROFILE_MEMO_ENTRY_BYTES for o, f in cold_memo.blocks)
+    assert cold_memo.charged == charged <= budget
     for trial in range(60):  # kept or not, every trial is its lone draw
         assert _same_draw(sample_profile(config, 9, trial), _lone_draw(config, 9, trial))
+
+
+def test_a_full_memo_still_draws_whole_blocks(monkeypatch, cold_memo):
+    # a full memo keeps nothing, but run_trials still draws and scores
+    # blocks that end only at BLOCK_REQUESTS requests
+    config = make_config(K=100, d=10, N=100, rho=0.25)
+    spec = montecarlo.ExperimentSpec(config=config, scheme="pcd", trials=1000, seed=9)
+    kept = montecarlo.run_trials(spec, 0, 1000)
+    monkeypatch.setattr(traffic, "_memo", traffic._ProfileMemo())
+    monkeypatch.setattr(traffic, "PROFILE_MEMO_BYTES", 0)
+    blocks = _spy_blocks(monkeypatch)
+    rows = montecarlo.run_trials(spec, 0, 1000)
+    assert rows.tobytes() == kept.tobytes()
+    assert not traffic._memo.blocks and traffic._memo.charged == 0
+    assert [start for start, _, _ in blocks] == list(np.cumsum([0] + [n for _, n, _ in blocks[:-1]]))
+    assert sum(n for _, n, _ in blocks) == 1000 and len(blocks) > 1
+    for (start, count, requests), (after, _, _) in zip(blocks, blocks[1:]):
+        assert requests <= traffic.BLOCK_REQUESTS < requests + _lone_draw(config, 9, after).total_users
 
 
 @pytest.mark.parametrize("cap", [None, 200])
@@ -385,23 +443,11 @@ def test_no_block_passes_the_request_cap(monkeypatch, cold_memo, cap):
     if cap is not None:
         monkeypatch.setattr(traffic, "BLOCK_REQUESTS", cap)
     blocks = _spy_blocks(monkeypatch)
-    for trial in range(48):
-        sample_profile(config, 3, trial, stop=48)
+    trial = 0
+    while trial < 48:
+        trial += sample_profile(config, 3, trial, stop=48).trials
     assert sum(count for _, count, _ in blocks) == 48 and len(blocks) > 1
     for start, count, requests in blocks:
         assert count == 1 or requests <= traffic.BLOCK_REQUESTS
     if cap is not None:  # every profile outgrows this cap: blocks of one
         assert all(count == 1 for _, count, _ in blocks)
-
-
-def test_a_miss_below_a_held_trial_is_a_block_of_one(monkeypatch, cold_memo):
-    config = make_config()
-    blocks = _spy_blocks(monkeypatch)
-    sample_profile(config, 4, 5)
-    sample_profile(config, 4, 2, stop=10)  # trials 3 and 4 would reach 5, which is held
-    sample_profile(config, 4, 6, stop=10)  # past every trial held: a block to the stop
-    assert [(start, count) for start, count, _ in blocks] == [(5, 1), (2, 1), (6, 4)]
-    assert sorted(cold_memo.entries) == [2, 5, 6, 7, 8, 9]
-    # later trials of a block are hits on its arrays
-    assert sample_profile(config, 4, 8).files is cold_memo.entries[8][1]
-    assert len(blocks) == 3

@@ -8,6 +8,7 @@ from cachematch import verification
 from cachematch.config import load_config
 from cachematch.errors import HardInvariantViolation
 from cachematch.montecarlo import ExperimentSpec, run_experiment
+from cachematch.pam_shallow import pam_shallow_serve, proportional_placement
 from cachematch.pam_steep import build_knapsack, mlp_match
 from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, sample_profile, stream
@@ -180,6 +181,19 @@ def test_above_threshold_runs_replication_checks():
             f"mean rate {rate.mean_rate:.6g} (se {rate.stderr:.3g}) "
             f"vs analytic {rate.analytic_rate:.6g}"
         )
+
+
+def test_pam_feasible_all_matched_checks_each_feasible_trial(monkeypatch):
+    # a matcher one request short fails every feasible trial, and only those
+    config = dataclasses.replace(load_config("configs/default.json"), M=10.0)
+    monkeypatch.setattr(verification, "matched_requests",
+                        lambda profile, placement, config: profile.total_users - 1)
+    check = next(c for c in verify_config(config, trials=30).checks if c.name == "pam-feasible-all-matched")
+    placement = proportional_placement(config, build_catalog(config.N, config.beta))
+    feasible = sum(pam_shallow_serve(sample_profile(config, 0, t), placement, config).all_feasible
+                   for t in range(30))
+    assert 0 < feasible < 30
+    assert (check.status, check.detail) == (FAIL, f"{feasible} feasible trials with unmatched users")
 
 
 def test_steep_config_statuses():
