@@ -6,7 +6,9 @@
 
 For each seed, runs `perfbench/run.py --trace 0` once in each checkout,
 alternating which side runs first, and keeps the end-to-end metrics of the
-last output line.  The file at --out is rewritten after every pair, and runs
+last output line, and the run's user and system CPU seconds and minor page
+faults (the getrusage of its process tree), which no end-to-end metric
+shows.  The file at --out is rewritten after every pair, and runs
 of other workloads already in it are kept, so one file can gather several
 workloads run one after another.  Each workload gets, per metric, the median
 and quartiles of both sides, the change of the median relative to the
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,15 +51,20 @@ def _seeds(text: str) -> list[int]:
 def _run(checkout: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         stderr = "\n".join(proc.stderr.strip().splitlines()[-STDERR_LINES:])
         raise SystemExit(f"{side} run of {workload} at seed {seed} printed no result line "
                          f"(exit code {proc.returncode}); last stderr lines:\n{stderr}")
     last = json.loads(lines[-1])
+    # children waited for, so the run and every process it waited for
+    rusage = {"user_s": after.ru_utime - before.ru_utime, "sys_s": after.ru_stime - before.ru_stime,
+              "minor_faults": after.ru_minflt - before.ru_minflt}
     return {"failed": last["failed"], "attempted": last["attempted"], "correct": last["correct"],
-            **{name: m["value"] for name, m in last["metrics"].items()}}
+            "rusage": rusage, **{name: m["value"] for name, m in last["metrics"].items()}}
 
 
 def _spread(values: list[float]) -> dict:

@@ -42,7 +42,8 @@ from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_place
 from .pam_steep import build_knapsack, pam_steep_serve, solve_fractional_knapsack, steep_order_value
 from .pcd import pcd_rate_shallow, pcd_rate_steep, pcd_simulate
 from .popularity import ZipfCatalog, build_catalog
-from .traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
+from .traffic import MATCHING_ROLE, RequestProfile, reseat, sample_profile
+from .traffic import stream  # not called here; perfbench/spans.py still wraps montecarlo.stream
 
 PCD_SCHEME = "pcd"
 PAM_SHALLOW_SCHEME = "pam-shallow"
@@ -78,7 +79,7 @@ class Scheme:
       clamped at the user count
     - pam-shallow: 0 and 0, as every request that survives eviction matches
     - pam-steep: 0 and the unmatched requests, each trial's matcher drawing
-      from its own stream(seed, trial, MATCHING_ROLE)
+      from its own stream(seed, trial, MATCHING_ROLE), reseated in turn
 
     Callees are looked up in this module at call time, so a wrapper put on
     montecarlo.<name> sees every call: one per block.
@@ -113,7 +114,8 @@ def _pam_shallow_trials(block, config, placement, seed, trials):
 
 
 def _pam_steep_trials(block, config, placement, seed, trials):
-    out = pam_steep_serve(block, placement, [stream(seed, t, MATCHING_ROLE) for t in trials])
+    # reseated one trial at a time, as serve consumes them in order
+    out = pam_steep_serve(block, placement, (reseat(seed, t, MATCHING_ROLE) for t in trials))
     rows = np.zeros((len(trials), 3))
     rows[:, 0], rows[:, 2] = out.rates, out.unmatched_requests
     return rows

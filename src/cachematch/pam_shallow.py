@@ -71,16 +71,15 @@ def proportional_placement(
     if int(copies.sum()) > slots:
         raise InsufficientMemory("floor copy counts alone exceed cluster memory")
 
+    # each pass adds one copy to each open file, most popular first (p is
+    # nonincreasing in index), until the leftover slots run out
     leftover = slots - int(copies.sum())
     while leftover > 0:
-        open_files = np.nonzero(copies < d)[0]
+        open_files = np.flatnonzero(copies < d)[:leftover]
         if open_files.size == 0:
             break
-        for n in open_files:  # popularity order: p is nonincreasing in index
-            if leftover == 0:
-                break
-            copies[n] += 1
-            leftover -= 1
+        copies[open_files] += 1
+        leftover -= open_files.size
 
     cache_ids, cache_starts = deal_round_robin(copies, d)
     for array in (copies, cache_ids, cache_starts):

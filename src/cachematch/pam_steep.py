@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,20 +97,27 @@ def build_knapsack(config: SystemConfig, catalog: ZipfCatalog) -> KnapsackInstan
 
 
 def solve_fractional_knapsack(instance: KnapsackInstance) -> KsPlacement:
-    """Greedy ratio fill; exact for the fractional relaxation."""
+    """Greedy ratio fill; exact for the fractional relaxation.
+
+    Densest first, ties by index, files are taken whole while they fit, and
+    the first that does not gets the fraction of it that is left.  The whole
+    files are the prefix whose cumulative weight is at most the capacity c:
+    one cumsum and one searchsorted give the bytes of subtracting the
+    weights one at a time, as that is exact.  Each partial sum S is an
+    integer below 2^53, so a double.  For c < 2^53, ulp(c) is a power of two
+    at most 1, so c and S are multiples of it, and c - S, a multiple of it
+    in [0, c], needs no more bits than c: a double too.  A capacity of 2^53
+    or more exceeds every total weight, so every file is whole.
+    """
     v, w = instance.values, instance.weights
     order = np.argsort(-(v / w), kind="stable")  # densest first, ties by index
+    filled = w[order].cumsum()
+    whole = int(filled.searchsorted(instance.capacity, side="right"))
     x = np.zeros(len(v))
-    remaining = instance.capacity
-    for i in order:
-        if remaining <= 0:
-            break
-        if w[i] <= remaining:
-            x[i] = 1.0
-            remaining -= float(w[i])
-        else:
-            x[i] = remaining / float(w[i])
-            remaining = 0.0
+    x[order[:whole]] = 1.0
+    remaining = instance.capacity - (float(filled[whole - 1]) if whole else 0.0)
+    if whole < len(order) and remaining > 0:
+        x[order[whole]] = remaining / float(w[order[whole]])
     copies = np.where(x == 1.0, w, 0).astype(np.int64)
     cache_ids, cache_starts = deal_round_robin(copies, instance.cluster_size)
     cached, ids = np.flatnonzero(copies), cache_ids.tolist()
@@ -240,10 +247,14 @@ def trial_runs(block: RequestProfile) -> list[tuple[list[int], list[int], list[i
 
 
 def pam_steep_serve(
-    block: RequestProfile, placement: KsPlacement, rngs: list[np.random.Generator]
+    block: RequestProfile, placement: KsPlacement, rngs: Iterable[np.random.Generator]
 ) -> SteepServeOutcome:
     """Serve a block of profiles, one generator per trial: MLP per cluster
     (index order), one uniform per request, drawn in one call per trial.
+
+    rngs is consumed one trial at a time, in order, and a trial's draws are
+    done before the next generator is taken, so rngs may yield one generator
+    reseated anew for each trial (traffic.reseat), as the trial loop does.
 
     Reads only the requests: the block's runs are found once (trial_runs),
     and each trial's clusters are walked over the placement's holder lists.

@@ -7,6 +7,13 @@ to Philox as a two-word seed sequence, so building a stream reads no OS
 entropy.  Role 0 of a stream draws the request profile; role 1 feeds any
 randomized matcher run on the same trial.
 
+A counter-based stream is its (key, counter) pair and nothing else, so the
+trial loop does not build a generator per trial: reseat moves one generator
+per process to the state stream(seed, trial, role) starts in, by writing its
+key and counter in place (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC 2011).  A reseated generator is valid until the next reseat;
+stream builds independent generators for callers that hold several at once.
+
 Profiles are drawn by Poisson splitting and store only their requests, so
 memory per trial grows with the number of requests, not with N * K/d.
 
@@ -42,13 +49,42 @@ PROFILE_ROLE = 0
 MATCHING_ROLE = 1
 
 
-def stream(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generator:
-    """Independent generator for (seed, trial, role); same inputs, same draws."""
+def _philox_words(seed: int, trial: int, role: int) -> tuple[list[int], list[int]]:
+    """The Philox key and counter words of stream (seed, trial, role): key
+    (seed, trial), and counter word 2 = role, the state Philox.jumped(role)
+    reaches.  Keys outside [0, 2**64) are refused, not masked."""
     if not (0 <= seed < 1 << 64 and 0 <= trial < 1 << 64):
         raise DomainError(f"seed {seed} and trial {trial} must lie in [0, 2**64)")
-    key = _philox_key_type()((operator.index(seed), operator.index(trial)))
-    # counter word 2 = role: the state Philox.jumped(role) reaches, built directly
-    return np.random.Generator(np.random.Philox(key, counter=[0, 0, role, 0]))
+    return [operator.index(seed), operator.index(trial)], [0, 0, role, 0]
+
+
+def stream(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generator:
+    """Independent generator for (seed, trial, role); same inputs, same draws.
+    For callers that hold several at once, such as a generator per trial of
+    a block; the trial loop reseats one instead (reseat)."""
+    key, counter = _philox_words(seed, trial, role)
+    return np.random.Generator(np.random.Philox(_philox_key_type()(key), counter=counter))
+
+
+def reseat(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generator:
+    """The process's one reseatable generator, moved to the state that
+    stream(seed, trial, role) starts in, so it gives the same draws.  It is
+    valid only until the next reseat, which moves it again: a caller never
+    holds two at once.  Not locked: trials run in processes, never in
+    threads."""
+    generator, state = _reseatable()
+    state["state"]["key"], state["state"]["counter"] = _philox_words(seed, trial, role)
+    generator.bit_generator.state = state  # buffer empty, no uint32 held
+    return generator
+
+
+@cache
+def _reseatable() -> tuple[np.random.Generator, dict]:
+    """The generator reseat moves and the state dict it writes, made on first use."""
+    generator = stream(0, 0)
+    state = {"bit_generator": "Philox", "state": {}, "buffer": [0] * 4, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    return generator, state
 
 
 @cache
@@ -143,16 +179,17 @@ def draw_profiles(config: SystemConfig, seed: int, start: int, stop: int) -> tup
     trial before `stop` that keeps it within BLOCK_REQUESTS requests, known
     from the trial's Poisson totals before its uniforms are drawn.
 
-    Each trial draws its totals and then its uniforms from its own stream.
+    Each trial draws its totals and then its uniforms from its own stream,
+    reseated in place of being built.
     The lookup of the block's uniforms, the cumsum of its offsets and the
     sort within each (trial, cluster) are done once for the block, so each
     trial's requests are those it gives drawn alone.
     """
     per_trial, uniforms, requests = [], [], 0
     for trial in range(start, stop):
-        rng = stream(seed, trial, PROFILE_ROLE)
+        rng = reseat(seed, trial, PROFILE_ROLE)
         totals = rng.poisson(config.rho * config.d, size=config.num_clusters)
-        size = int(totals.sum())
+        size = int(np.add.reduce(totals))
         if per_trial and requests + size > BLOCK_REQUESTS:
             break
         per_trial.append(totals)
@@ -162,11 +199,15 @@ def draw_profiles(config: SystemConfig, seed: int, start: int, stop: int) -> tup
     offsets = np.zeros(totals.size + 1, dtype=np.int64)
     totals.cumsum(out=offsets[1:])
     files = build_catalog(config.N, config.beta).file_ids(_joined(uniforms))
-    # sort within (trial, cluster): keys in that order never cross blocks
-    base = np.repeat(np.arange(0, totals.size * config.N, config.N), totals)
-    files += base
-    files.sort()
-    files -= base
+    # sort within (trial, cluster): keys in that order never cross blocks;
+    # int32 keys, where they fit, sort faster
+    span = totals.size * config.N
+    dtype = np.int32 if span <= 1 << 31 else np.int64
+    base = np.repeat(np.arange(0, span, config.N, dtype=dtype), totals)
+    keys = files.astype(dtype, copy=False)
+    keys += base
+    keys.sort()
+    files = np.subtract(keys, base, dtype=np.int64)
     offsets.setflags(write=False)
     files.setflags(write=False)
     return offsets, files

@@ -4,7 +4,8 @@ Each one states a quantity the program computes another way: the distinct
 requested files of a profile, one cache's fractional load, the
 closed-form steep region in which the replication-free scheme wins, the
 regime verdicts in fractions.Fraction arithmetic, pam-steep's serve step
-as the run matcher it replaced computed it, and each scheme's accounting of
+as the run matcher it replaced computed it, both placements' fills as the
+loops they replaced computed them, and each scheme's accounting of
 one trial as it was before the schemes scored blocks of trials
 (oracle_row).  Also here: profile_from_counts, which builds a profile from
 a dense count matrix, join_profiles, which blocks profiles in any split,
@@ -196,6 +197,45 @@ def parent_pam_steep_serve(profile, placement, rng):
     _, unmatched, server = parent_match_runs(cluster[first], files[first], counts, placement, u,
                                              pairs=False)
     return len(set(server)), files.size - unmatched, unmatched
+
+
+def loop_proportional_copies(config, catalog) -> np.ndarray:
+    """pam-shallow's copy counts with the leftover slots handed out one at a
+    time, file by file in popularity order, pass after pass, as
+    proportional_placement did before its passes were numpy operations."""
+    d, M = config.d, config.M
+    copies = np.minimum(np.maximum(1, np.floor(catalog.p * d * M).astype(np.int64)), d)
+    leftover = d * int(math.floor(M)) - int(copies.sum())
+    while leftover > 0:
+        open_files = np.nonzero(copies < d)[0]
+        if open_files.size == 0:
+            break
+        for n in open_files:
+            if leftover == 0:
+                break
+            copies[n] += 1
+            leftover -= 1
+    return copies
+
+
+def loop_knapsack_fill(instance) -> np.ndarray:
+    """The fractional solution x of solve_fractional_knapsack, filled one
+    file at a time, densest first, subtracting each whole file's weight from
+    what is left."""
+    v, w = instance.values, instance.weights
+    order = np.argsort(-(v / w), kind="stable")
+    x = np.zeros(len(v))
+    remaining = instance.capacity
+    for i in order:
+        if remaining <= 0:
+            break
+        if w[i] <= remaining:
+            x[i] = 1.0
+            remaining -= float(w[i])
+        else:
+            x[i] = remaining / float(w[i])
+            remaining = 0.0
+    return x
 
 
 def first_in_file_order(files, sizes, limit):

@@ -280,14 +280,14 @@ def test_rate_curve_runs_each_scheme_once_per_row(tmp_path, monkeypatch):
 def test_rate_curve_draws_each_profile_once(tmp_path, monkeypatch, cold_memo):
     # three rows and up to three schemes a row share the same five profiles
     draws = Counter()
-    original = traffic.stream
+    original = traffic.reseat
 
     def counting(seed, trial, role=traffic.PROFILE_ROLE):
         if role == traffic.PROFILE_ROLE:
             draws[seed, trial] += 1
         return original(seed, trial, role)
 
-    monkeypatch.setattr(traffic, "stream", counting)
+    monkeypatch.setattr(traffic, "reseat", counting)
     cfg = _write_config(tmp_path)
     argv = ["rate-curve", cfg, "--param", "M", "--start", "0", "--stop", "20", "--step", "10",
             "--trials", "5", "--seed", "4", "--workers", "1", "--out", str(tmp_path / "c.csv")]

@@ -125,14 +125,14 @@ def test_consecutive_experiments_draw_each_profile_once(monkeypatch, cold_memo):
     # pcd then hcm at one seed, as a benchmark pass runs them: the second
     # experiment takes every profile from the memo
     draws = Counter()
-    original = traffic.stream
+    original = traffic.reseat
 
     def counting(seed, trial, role=traffic.PROFILE_ROLE):
         if role == traffic.PROFILE_ROLE:
             draws[seed, trial] += 1
         return original(seed, trial, role)
 
-    monkeypatch.setattr(traffic, "stream", counting)
+    monkeypatch.setattr(traffic, "reseat", counting)
     for scheme in (PCD_SCHEME, HCM_SCHEME):
         run_experiment(_spec(scheme, trials=6, seed=4, **SMALL))
     assert draws == {(4, trial): 1 for trial in range(6)}

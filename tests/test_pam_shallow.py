@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cachematch import pam_shallow
 from cachematch.errors import DomainError, InsufficientMemory
@@ -19,7 +19,7 @@ from cachematch.popularity import build_catalog
 from cachematch.traffic import sample_profile
 
 from conftest import make_config
-from oracles import fractional_load, profile_from_counts
+from oracles import fractional_load, loop_proportional_copies, profile_from_counts
 
 
 def _cache_sets(placement):
@@ -85,6 +85,30 @@ def test_placement_invariants(d, beta, extra_memory):
         assert copies.sum() == slots
     else:
         assert copies.sum() <= slots
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=400),
+    d=st.integers(min_value=1, max_value=64),
+    extra=st.floats(min_value=0.0, max_value=3.0),
+    beta=st.floats(min_value=0.0, max_value=0.95),
+)
+@example(N=1200, d=120, extra=0.6, beta=0.0)  # the replicated-shallow workload, M = 16
+@example(N=77, d=38, extra=2.8, beta=0.9)  # 29 passes, the last slot used
+@example(N=77, d=38, extra=1.1, beta=0.95)  # every file at d, slots left over
+def test_placement_copies_equal_the_leftover_loop(N, d, extra, beta):
+    # M from the threshold, or from N/d when that is higher, upward
+    M = max(N / ((1.0 - beta) * d), math.ceil(N / d)) * (1.0 + extra)
+    config = make_config(K=d, d=d, N=N, M=M, beta=beta)
+    catalog = build_catalog(N, beta)
+    want = loop_proportional_copies(config, catalog)
+    try:
+        copies = proportional_placement(config, catalog).copies
+    except InsufficientMemory:
+        assert want.sum() > d * int(math.floor(M))  # only the floor counts overflow
+        return
+    assert copies.dtype == want.dtype and copies.tobytes() == want.tobytes()
 
 
 def test_load_decay_exponent_frozen():

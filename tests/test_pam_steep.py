@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cachematch import montecarlo
+from cachematch import montecarlo, traffic
 from cachematch.config import load_config
 from cachematch.errors import DomainError
 from cachematch.montecarlo import PAM_STEEP_SCHEME, SCHEMES
@@ -26,7 +26,7 @@ from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
 from conftest import generator_state, make_config, runs_in_file_order
-from oracles import join_profiles, parent_pam_steep_serve, profile_from_counts
+from oracles import join_profiles, loop_knapsack_fill, parent_pam_steep_serve, profile_from_counts
 
 
 def serve_one(profile, placement, rng):
@@ -119,6 +119,33 @@ def test_greedy_respects_per_cache_slots(steep_config, steep_instance):
 def _holders(cache_ids, cache_starts):
     """Each file's caches, as a tuple, from deal_round_robin's flat arrays."""
     return tuple(tuple(caches.tolist()) for caches in np.split(cache_ids, cache_starts[1:]))
+
+
+@pytest.mark.parametrize("shape, M", [("steep.json", 4.0), ("steep.json", 16.0), ("steep.json", 3.7),
+                                      ("steep.json", 0.3), ("steep.json", 0.0), ("steep-mlp", 4.0),
+                                      ("K1024-beta1.5", 2.7)])
+def test_greedy_fill_equals_the_loop(steep_config, shape, M):
+    config = dataclasses.replace({
+        "steep.json": steep_config,
+        "steep-mlp": make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1),
+        "K1024-beta1.5": make_config(K=1024, d=32, N=1024, M=16.0, rho=0.5, beta=1.5),
+    }[shape], M=M)
+    instance = build_knapsack(config, build_catalog(config.N, config.beta))
+    order = np.argsort(-(instance.values / instance.weights), kind="stable")
+    filled = np.cumsum(instance.weights[order])
+    # the capacity itself, then capacities at, just below and just above
+    # cumulative weights, and past the total
+    capacities = [instance.capacity, 0.0, float(filled[0]), float(filled[3]),
+                  np.nextafter(float(filled[3]), 0.0), float(filled[3]) + 0.25, float(filled[-1]),
+                  float(filled[-1]) + 7.5]
+    for capacity in capacities:
+        at = dataclasses.replace(instance, capacity=capacity)
+        placement = solve_fractional_knapsack(at)
+        want = loop_knapsack_fill(at)
+        assert placement.x.tobytes() == want.tobytes(), capacity
+        assert np.array_equal(placement.copies, np.where(want == 1.0, instance.weights, 0))
+    fractional = solve_fractional_knapsack(instance).x
+    assert ((fractional > 0) & (fractional < 1)).sum() <= 1
 
 
 def test_holders_list_each_files_caches(steep_instance):
@@ -275,6 +302,32 @@ def test_serve_equals_parent_run_matcher(steep_config, shape, M):
     block = pam_steep_serve(join_profiles(profiles), placement,
                             [stream(16, trial, MATCHING_ROLE) for trial in range(ORACLE_PROFILES)])
     assert list(zip(block.unmatched_requests.tolist(), block.rates.tolist())) == rows
+
+
+@pytest.mark.parametrize("M", [4.0, 16.0])
+def test_serve_on_lazily_reseated_generators_equals_independent_streams(steep_config, M):
+    # the trial loop hands serve one generator, reseated as serve takes the
+    # next trial's; serve must finish each trial's draws before taking it
+    config = dataclasses.replace(steep_config, M=M)
+    placement = solve_fractional_knapsack(build_knapsack(config, build_catalog(config.N, config.beta)))
+    trials = range(5, 45)
+    block = sample_profile(config, 9, trial=trials.start, stop=trials.stop)
+    assert block.trials == len(trials)
+    taken = []
+
+    def reseated():
+        for t in trials:
+            taken.append(t)
+            yield traffic.reseat(9, t, MATCHING_ROLE)
+
+    lazy = pam_steep_serve(block, placement, reseated())
+    want = pam_steep_serve(block, placement, [stream(9, t, MATCHING_ROLE) for t in trials])
+    assert taken == list(trials)
+    assert np.array_equal(lazy.unmatched_requests, want.unmatched_requests)
+    assert np.array_equal(lazy.rates, want.rates)
+    assert want.unmatched_requests.sum() > 0 and len(set(want.rates.tolist())) > 1
+    rows = montecarlo.SCHEMES[PAM_STEEP_SCHEME].trials(block, config, placement, 9, trials)
+    assert np.array_equal(rows[:, 0], want.rates) and np.array_equal(rows[:, 2], want.unmatched_requests)
 
 
 @pytest.mark.parametrize("shape, M", [("steep-mlp", 4.0), ("steep.json", 4.0), ("steep.json", 16.0)])

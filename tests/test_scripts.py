@@ -65,6 +65,45 @@ def test_bench_pairs_names_the_run_that_printed_no_result(tmp_path):
     assert [p["seed"] for p in pairs] == [1]  # the pair written before the failure is kept
 
 
+BUSY_RUN = textwrap.dedent("""
+    import json, sys, time
+    seed = int(sys.argv[sys.argv.index("--seed") + 1])
+    if seed == 1:  # 32 MiB of fresh pages and 0.2 s of CPU, user and system
+        pages = bytearray(32 << 20)
+        pages[::4096] = b"x" * len(pages[::4096])
+        end = time.process_time() + 0.2
+        while time.process_time() < end:
+            pass
+    metrics = {name: {"value": 1.0, "unit": ""} for name in
+               ("wall_s", "setup_s", "trials_per_s.pcd", "trials_per_s.other", "peak_rss_mb")}
+    print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
+""")
+
+
+def test_bench_pairs_records_each_runs_cpu_time_and_page_faults(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(BUSY_RUN, encoding="utf-8")
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(checkout), "--change", str(checkout), "--workload", "steep-mlp",
+            "--seeds", "1-2", "--seconds", "1", "--out", str(out)]
+    assert _load("bench_pairs").main(argv) == 0
+    workload = json.loads(out.read_text(encoding="utf-8"))["workloads"]["steep-mlp"]
+    busy, idle = workload["pairs"]
+    for side in ("parent", "change"):
+        assert set(busy[side]["rusage"]) == {"user_s", "sys_s", "minor_faults"}
+        # each run's own share: the busy run's pages and CPU, not the idle one's
+        assert busy[side]["rusage"]["minor_faults"] >= 8192
+        assert idle[side]["rusage"]["minor_faults"] < busy[side]["rusage"]["minor_faults"] - 6000
+        cpu = {name: pair[side]["rusage"]["user_s"] + pair[side]["rusage"]["sys_s"]
+               for name, pair in (("busy", busy), ("idle", idle))}
+        assert cpu["busy"] >= 0.19 and cpu["idle"] < cpu["busy"] - 0.1
+        assert min(idle[side]["rusage"].values()) >= 0
+    assert "rusage" not in workload["summary"]
+    assert set(workload["summary"]) == {"wall_s", "setup_s", "trials_per_s.pcd", "trials_per_s.other",
+                                        "peak_rss_mb"}
+
+
 def _pairs(parent, change, name="wall_s"):
     return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
 

@@ -100,6 +100,39 @@ def test_stream_accepts_both_ends_of_the_key_range():
     assert not np.array_equal(high, stream(0, 0).integers(0, 1 << 30, 16))
 
 
+KEYS = st.integers(0, (1 << 64) - 1)
+
+
+@given(seed=KEYS, trial=KEYS, role=st.sampled_from([PROFILE_ROLE, MATCHING_ROLE]),
+       before=st.none() | st.tuples(KEYS, KEYS, st.integers(0, 7), st.integers(0, 9)))
+@example(seed=0, trial=0, role=PROFILE_ROLE, before=None)
+@example(seed=(1 << 64) - 1, trial=(1 << 64) - 1, role=MATCHING_ROLE, before=None)
+@example(seed=0, trial=(1 << 64) - 1, role=PROFILE_ROLE, before=((1 << 64) - 1, 0, 3, 1))
+@example(seed=5, trial=9, role=MATCHING_ROLE, before=(5, 9, 1, 2))
+@settings(max_examples=120, deadline=None)
+def test_reseat_equals_a_fresh_stream(seed, trial, role, before):
+    # `before` uses the generator first: an odd count of uint32 draws leaves
+    # one held, and uniforms read part of Philox's four-word buffer
+    if before is not None:
+        used = traffic.reseat(before[0], before[1], PROFILE_ROLE)
+        used.integers(0, 1 << 31, size=before[2], dtype=np.uint32)
+        used.random(before[3])
+    rng = traffic.reseat(seed, trial, role)
+    fresh = stream(seed, trial, role)
+    assert generator_state(rng) == generator_state(fresh)
+    assert np.array_equal(rng.poisson(2.5, size=13), fresh.poisson(2.5, size=13))
+    assert np.array_equal(rng.random(11), fresh.random(11))
+    assert np.array_equal(rng.integers(0, 1 << 31, size=3, dtype=np.uint32),
+                          fresh.integers(0, 1 << 31, size=3, dtype=np.uint32))
+    assert generator_state(rng) == generator_state(fresh)
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (1 << 64, 0), (0, 1 << 64), (0, -1)])
+def test_reseat_rejects_keys_outside_64_bits(seed, trial):
+    with pytest.raises(DomainError):
+        traffic.reseat(seed, trial)
+
+
 def test_sample_profile_shape_and_determinism(base_config):
     profile = sample_profile(base_config, seed=5, trial=2)
     assert profile.counts.shape == (base_config.N, base_config.num_clusters)
@@ -241,6 +274,8 @@ def _lone_draws(config, seed, trials):
 @example(clusters=64, d=64, extra_files=0, rho=0.1, beta=2.0, seed=5, start=3, length=12)
 # rho * d = 0.1: empty clusters and trials of no request, from mid-run
 @example(clusters=3, d=10, extra_files=0, rho=0.01, beta=0.0, seed=1, start=17, length=30)
+# N * clusters * trials = 2^18 * 12 * 800 > 2^31: sort keys too wide for int32
+@example(clusters=12, d=1, extra_files=(1 << 18) - 12, rho=0.1, beta=0.0, seed=3, start=0, length=800)
 @settings(max_examples=60, deadline=None)
 def test_block_draw_equals_lone_draws(clusters, d, extra_files, rho, beta, seed, start, length):
     config = make_config(K=clusters * d, d=d, N=clusters * d + extra_files, rho=rho, beta=beta)
