@@ -15,10 +15,10 @@ that trial scored alone, so rows do not depend on the blocking.
 A parallel run does its first blocks in the calling process, until
 HEAD_BUDGET_S seconds after prepare, so a short run starts no pool.  The
 deadline is checked between blocks, so the head overshoots its budget by up
-to one block.  A long run pays one prepare, the budget and one block before
-the trials left, two or more, go to one worker pool per process, started on
-first use and replaced only to grow, with at most one worker per trial and
-per CPU.
+to one block.  A long run pays one prepare (none when `prepared` holds its
+key), the budget and one block before the trials left, two or more, go to
+one worker pool per process, started on first use and replaced only to grow,
+with at most one worker per trial and per CPU.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from time import perf_counter
 from typing import Any
 
@@ -67,8 +68,9 @@ class Scheme:
     pam-steep it is an order-of-magnitude envelope with untracked constants,
     so its bound_satisfied is indicative only; the other three are actual
     expected-rate upper bounds.  prepare(config, catalog, t) builds the state
-    every trial of a chunk shares: nothing for pcd, the placement for the two
-    replication schemes, the color plan for hcm.
+    every trial at (config, t) shares: nothing for pcd, the placement for the
+    two replication schemes, the color plan for hcm.  It builds anew on every
+    call; the trial loop and the checks take the state from `prepared`.
 
     trials(block, config, state, seed, trials) scores a block: the profile
     of the consecutive trials in range `trials`, whose clusters are (trial,
@@ -82,7 +84,8 @@ class Scheme:
       from its own stream(seed, trial, MATCHING_ROLE), reseated in turn
 
     Callees are looked up in this module at call time, so a wrapper put on
-    montecarlo.<name> sees every call: one per block.
+    montecarlo.<name> sees every call: one trial callee per block, and the
+    prepare callees once per miss of `prepared`.
     """
 
     name: str
@@ -162,6 +165,23 @@ SCHEMES: dict[str, Scheme] = _SchemeTable((s.name, s) for s in (
 ))
 
 
+@lru_cache(maxsize=4)
+def prepared(scheme: str, config: SystemConfig, slack: float) -> Any:
+    """SCHEMES[scheme].prepare at (config, slack), built once per process
+    while held, as placement happens before any request; an exception, such
+    as InsufficientMemory, is raised anew on every call.  A pool worker
+    inherits the entries held when it is forked.
+
+    Four entries, as build_catalog keeps: runs that share a key come one after
+    another.  An entry holds nothing for pcd, 8 B per file for an hcm plan,
+    and for a placement a few words per file and one per copy placed: 25-30 B
+    per file at the benchmark's configs, 1.5 MiB for pam-steep at K = N = 2^16,
+    under the about 40 B per file of a catalog.  Entries are shared, so they
+    stay read-only.
+    """
+    return SCHEMES[scheme].prepare(config, build_catalog(config.N, config.beta), slack)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     config: SystemConfig
@@ -198,8 +218,7 @@ def run_trials(spec: ExperimentSpec, start: int, count: int, budget: float | Non
     `budget` seconds after prepare, unless fewer than two trials are left."""
     config = spec.config
     scheme = SCHEMES[spec.scheme]
-    catalog = build_catalog(config.N, config.beta)
-    state = scheme.prepare(config, catalog, spec.slack)
+    state = prepared(spec.scheme, config, spec.slack)
     deadline = None if budget is None else perf_counter() + budget
     rows = np.empty((count, 3), dtype=np.float64)
     most = max(1, BLOCK_CACHES // config.K)  # trials per block

@@ -31,7 +31,8 @@ from .bounds import (
 )
 from .config import SystemConfig, validate
 from .errors import DomainError, InsufficientMemory
-from .hcm import build_color_plan, hcm_rate, unmatched_chain_bound
+from .hcm import hcm_rate, unmatched_chain_bound
+from .hcm import build_color_plan  # not called here; perfbench/spans.py still wraps this name
 from .mathkit import (
     conditional_mean_above,
     excess_stirling_bound,
@@ -44,21 +45,17 @@ from .mathkit import (
 from .montecarlo import (
     HCM_SCHEME,
     PAM_SHALLOW_SCHEME,
+    PAM_STEEP_SCHEME,
     PCD_SCHEME,
     SCHEMES,
     ExperimentSpec,
     collect_trials,
     mean_and_stderr,
+    prepared,
     summarize,
 )
-from .pam_shallow import (
-    load_decay_exponent,
-    matched_requests,
-    memory_threshold,
-    pam_shallow_serve,
-    proportional_placement,
-)
-from .pam_steep import build_knapsack, cluster_matchings, solve_fractional_knapsack, steep_order_value
+from .pam_shallow import load_decay_exponent, matched_requests, memory_threshold, pam_shallow_serve
+from .pam_steep import build_knapsack, cluster_matchings, steep_order_value
 from .pcd import cluster_unmatched_bound, pcd_rate_shallow, unmatched_tail_term
 from .popularity import build_catalog, partial_sum_A, partial_sum_envelope
 from .traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
@@ -155,24 +152,16 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     not_steep = None if config.beta > 1 and config.d >= 2 else "requires beta > 1 and d >= 2"
 
     # --- state shared by several checks, built on first use --------------
+    # placements and plans come from montecarlo's memo, at the slack t0 the
+    # Monte Carlo runs use, so the checks and the runs share one copy
     @cache
     def mc_run(scheme):  # (per-trial rows, their RateReport)
         spec = ExperimentSpec(config=config, scheme=scheme, trials=trials, seed=seed)
         rows = collect_trials(spec)
         return rows, summarize(spec, rows)
 
-    @cache
-    def replication():
-        return proportional_placement(config, catalog)
-
-    @cache
-    def plan():
-        return build_color_plan(config, catalog, config.t0)
-
-    @cache
-    def knapsack():
-        instance = build_knapsack(config, catalog)
-        return instance, solve_fractional_knapsack(instance)
+    def state(scheme):
+        return prepared(scheme, config, config.t0)
 
     # --- scalar tail machinery -------------------------------------------
     def partial_sum_sandwich():
@@ -248,7 +237,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     # --- replication scheme, shallow -------------------------------------
     def replication_threshold():
         if above:
-            copies = replication().copies
+            copies = state(PAM_SHALLOW_SCHEME).copies
             ok = (
                 copies.min() >= 1
                 and copies.max() <= config.d
@@ -256,7 +245,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
             )
             return ok, f"placement exists; copies sum {int(copies.sum())}, cap {config.d * int(math.floor(config.M))}"
         try:
-            replication()
+            state(PAM_SHALLOW_SCHEME)
         except InsufficientMemory as exc:
             return True, f"below threshold, placement correctly refused: {exc}"
         return False, "below threshold but placement did not refuse"
@@ -266,7 +255,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         return z > 0, f"z = {z:.6g}"
 
     def pam_feasible_all_matched():
-        placement = replication()
+        placement = state(PAM_SHALLOW_SCHEME)
         bad = 0
         for _, block in _blocks(config, seed, min(trials, 50)):
             # a trial evicts nothing exactly when it broadcasts nothing
@@ -299,14 +288,14 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         return lhs <= rhs, f"color-plan rate {lhs:.6g} vs replication-free {rhs:.6g}"
 
     def hcm_exact_branch():
-        if config.M < math.ceil(config.N / plan().chi):
+        if config.M < math.ceil(config.N / state(HCM_SCHEME).chi):
             raise DomainError("memory below the exact-branch threshold ceil(N/chi)")
         lhs = hcm_rate(config, config.t0)
         rhs = unmatched_tail_term(config.K, config.t0)
         return lhs == rhs, f"{lhs!r} == {rhs!r}"
 
     def hcm_chain():
-        colors = plan()
+        colors = state(HCM_SCHEME)
         if int(colors.caches_per_color.min()) < 1:
             raise DomainError("chain bound needs every color to own a cache")
         exact = 0.0
@@ -318,13 +307,13 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
 
     # --- steep replication ------------------------------------------------
     def knapsack_memory():
-        _, placement = knapsack()
+        placement = state(PAM_STEEP_SCHEME)
         total = int(placement.copies.sum())
         ok = total <= config.d * config.M and int(placement.copies.max(initial=0)) <= config.d
         return ok, f"copies total {total} within capacity {config.d * config.M:.6g}"
 
     def knapsack_density_prefix():
-        instance, placement = knapsack()
+        instance, placement = build_knapsack(config, catalog), state(PAM_STEEP_SCHEME)
         density = instance.values / instance.weights
         order = np.argsort(-density, kind="stable")
         seen_zero = False
@@ -336,7 +325,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         return True, "greedy picks form a density-ordered prefix"
 
     def mlp_structural():
-        _, placement = knapsack()
+        placement = state(PAM_STEEP_SCHEME)
         held = cache(lambda n: frozenset(placement.holders[n]))
         for first, block in _blocks(config, seed, min(trials, 20)):
             rngs = [stream(seed, t, MATCHING_ROLE) for t in range(first, first + block.trials)]
@@ -360,7 +349,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         if dM > 1:
             direct = min(K / power_or_inf(dM, beta - 1.0), direct)
         # exact E[# distinct uncached files requested by K users]
-        uncached = catalog.p[knapsack()[1].copies == 0]
+        uncached = catalog.p[state(PAM_STEEP_SCHEME).copies == 0]
         expected_uncached = float(np.sum(1.0 - (1.0 - uncached) ** K))
         ok = order_value == direct and expected_uncached >= 0
         return ok, f"order value {order_value:.6g}, E[uncached] {expected_uncached:.6g}"

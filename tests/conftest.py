@@ -1,3 +1,6 @@
+import contextlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,11 +22,44 @@ def cold_memo(monkeypatch):
     return memo
 
 
+@contextlib.contextmanager
+def emptied_prepared():
+    """montecarlo.prepared emptied on entry and on exit: a test that patches a
+    prepare callee neither finds a state prepared before it nor leaves one
+    built by its patch for the tests after it."""
+    montecarlo.prepared.cache_clear()
+    try:
+        yield montecarlo.prepared
+    finally:
+        montecarlo.prepared.cache_clear()
+
+
+@pytest.fixture
+def cold_prepared():
+    """An empty memo of prepared states for this test, emptied again after it."""
+    with emptied_prepared() as memo:
+        yield memo
+
+
 @pytest.fixture
 def pool_path(monkeypatch):
     """No in-process head: a parallel run sends every trial to the pool, so
     a comparison across worker counts compares rows from other processes."""
     monkeypatch.setattr(montecarlo, "HEAD_BUDGET_S", 0.0)
+
+
+def count_calls(monkeypatch, module, names):
+    """Calls of each module.<name> in `names`, counted from now on."""
+    calls = Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def make_config(**overrides):

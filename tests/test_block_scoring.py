@@ -25,7 +25,7 @@ from cachematch.pcd import coded_pool_size
 from cachematch.popularity import build_catalog
 from cachematch.traffic import distinct_counts, group_counts, sample_profile
 
-from conftest import make_config
+from conftest import emptied_prepared, make_config
 from oracles import join_profiles, oracle_row
 
 CASES = {
@@ -86,7 +86,9 @@ def test_rows_do_not_depend_on_the_blocking(case, seed, start, count, cuts, bloc
     split = _split_rows(name, config, state, seed, trials, bounds)
     oracle = np.array([oracle_row(name, sample_profile(config, seed, t), config, state, seed, t)
                        for t in trials])
-    with pytest.MonkeyPatch.context() as patch:
+    # the memo is emptied around the patched plan builder, so the loop builds
+    # its plan with it and leaves none built by it behind
+    with pytest.MonkeyPatch.context() as patch, emptied_prepared():
         patch.setattr(traffic, "BLOCK_REQUESTS", block_requests)
         patch.setattr(montecarlo, "BLOCK_CACHES", block_caches)
         patch.setattr(montecarlo, "build_color_plan", plan_builder)

@@ -212,6 +212,24 @@ def test_rate_curve_leaves_cell_empty_without_whole_file_slots(tmp_path, workers
     assert all(r[5] != "" and r[7] != "" for r in rows.values())
 
 
+def test_second_rate_curve_still_leaves_cell_empty(tmp_path, cold_prepared):
+    # the refused placement is not kept: the second run is refused again
+    cfg = _write_config(tmp_path)
+    texts = []
+    for run in range(2):
+        out = tmp_path / f"curve{run}.csv"
+        argv = ["rate-curve", cfg, "--param", "M", "--start", "0", "--stop", "0", "--step", "1",
+                "--trials", "2", "--out", str(out)]
+        assert main(argv) == 0
+        texts.append(out.read_text(encoding="utf-8"))
+    assert texts[0] == texts[1]
+    header, row = [line.split(",") for line in texts[1].splitlines()]
+    assert header[6] == "sim_pam" and row[6] == "" and row[5] != "" and row[7] != ""
+    # pcd and hcm prepare once; pam-shallow is refused, and tried, in each run
+    info = cold_prepared.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 2, 2)
+
+
 @pytest.mark.filterwarnings("ignore:split points crossed")
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_rate_curve_leaves_cell_empty_where_pam_steep_does_not_apply(tmp_path, workers):

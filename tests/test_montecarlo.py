@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -12,7 +14,7 @@ import pytest
 
 from cachematch import montecarlo, traffic
 from cachematch.config import load_config
-from cachematch.errors import DomainError, HardInvariantViolation, IncompatibleScheme
+from cachematch.errors import DomainError, HardInvariantViolation, IncompatibleScheme, InsufficientMemory
 from cachematch.hcm import hcm_rate
 from cachematch.montecarlo import (
     HCM_SCHEME,
@@ -29,8 +31,9 @@ from cachematch.montecarlo import (
 from cachematch.pam_shallow import pam_shallow_rate
 from cachematch.pam_steep import steep_order_value
 from cachematch.pcd import pcd_rate_shallow, pcd_rate_steep
+from cachematch.popularity import build_catalog
 
-from conftest import make_config
+from conftest import count_calls, make_config
 
 SMALL = dict(K=20, d=10, N=20, M=2.0)
 SMALL_STEEP = dict(K=20, d=10, N=20, M=2.0, beta=2.0)
@@ -83,7 +86,7 @@ def test_analytic_dispatch():
     )
 
 
-def test_hcm_plan_is_built_at_the_spec_slack(monkeypatch):
+def test_hcm_plan_is_built_at_the_spec_slack(monkeypatch, cold_prepared):
     slacks = []
     original = montecarlo.build_color_plan
 
@@ -136,6 +139,142 @@ def test_consecutive_experiments_draw_each_profile_once(monkeypatch, cold_memo):
     for scheme in (PCD_SCHEME, HCM_SCHEME):
         run_experiment(_spec(scheme, trials=6, seed=4, **SMALL))
     assert draws == {(4, trial): 1 for trial in range(6)}
+
+
+# the montecarlo names each scheme's prepare calls
+PREPARE_CALLEES = {
+    PAM_SHALLOW_SCHEME: ("proportional_placement",),
+    PAM_STEEP_SCHEME: ("build_knapsack", "solve_fractional_knapsack"),
+    HCM_SCHEME: ("build_color_plan",),
+}
+
+
+def _small(scheme):
+    return make_config(**(SMALL_STEEP if scheme == PAM_STEEP_SCHEME else SMALL))
+
+
+def _reachable(value):
+    """Every value reachable from a prepared state through dataclass fields
+    and tuple items, the state included."""
+    yield value
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _reachable(getattr(value, field.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _reachable(item)
+
+
+@pytest.mark.parametrize("scheme", list(PREPARE_CALLEES))
+def test_consecutive_experiments_prepare_once(monkeypatch, cold_prepared, scheme):
+    calls = count_calls(monkeypatch, montecarlo, PREPARE_CALLEES[scheme])
+    config = _small(scheme)
+    for seed in (1, 2, 3):
+        run_experiment(ExperimentSpec(config=config, scheme=scheme, trials=4, seed=seed))
+    assert calls == {name: 1 for name in PREPARE_CALLEES[scheme]}
+
+
+def test_a_changed_key_prepares_anew(monkeypatch, cold_prepared):
+    calls = count_calls(monkeypatch, montecarlo, PREPARE_CALLEES[HCM_SCHEME])
+    base = make_config(**SMALL)
+    keys = [(base, base.t0), (base, 0.5)] + [
+        (config, config.t0)
+        for config in (dataclasses.replace(base, **change)
+                       for change in ({"M": 3.0}, {"d": 5}, {"beta": 0.5}, {"t0": 0.5}))
+    ]
+    for prepares, (config, slack) in enumerate(keys, 1):
+        for _ in range(2):
+            montecarlo.prepared(HCM_SCHEME, config, slack)
+        assert calls["build_color_plan"] == prepares
+
+
+def test_insufficient_memory_is_raised_on_every_call(monkeypatch, cold_prepared):
+    calls = count_calls(monkeypatch, montecarlo, PREPARE_CALLEES[PAM_SHALLOW_SCHEME])
+    config = make_config(**{**SMALL, "M": 1.0})  # below the threshold N / d = 2
+    for prepares in (1, 2):
+        with pytest.raises(InsufficientMemory):
+            montecarlo.prepared(PAM_SHALLOW_SCHEME, config, config.t0)
+        assert calls["proportional_placement"] == prepares
+    assert cold_prepared.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_prepared_states_are_read_only(cold_prepared, scheme):
+    config = _small(scheme)
+    run_trials(ExperimentSpec(config=config, scheme=scheme, trials=2, seed=1), 0, 2)
+    state = montecarlo.prepared(scheme, config, config.t0)
+    assert cold_prepared.cache_info().hits == 1  # the state the trials read
+    for value in _reachable(state):
+        assert not isinstance(value, (list, dict, set)), type(value)
+        if dataclasses.is_dataclass(value):
+            assert type(value).__dataclass_params__.frozen, type(value)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
+    assert (scheme == PCD_SCHEME) == (state is None)
+
+
+@pytest.mark.parametrize("scheme", list(PREPARE_CALLEES))
+def test_memo_holds_at_most_its_bound(cold_prepared, scheme):
+    bound = cold_prepared.cache_info().maxsize
+    assert bound == 4
+    first_config = _small(scheme)
+    first = montecarlo.prepared(scheme, first_config, first_config.t0)
+    for extra in range(1, bound + 2):
+        config = dataclasses.replace(first_config, M=first_config.M + extra)
+        montecarlo.prepared(scheme, config, config.t0)
+        assert cold_prepared.cache_info().currsize == min(extra + 1, bound)
+    again = montecarlo.prepared(scheme, first_config, first_config.t0)
+    assert again is not first  # evicted, then prepared anew
+    assert cold_prepared.cache_info().currsize == bound
+    arrays = 0
+    for a, b in zip(_reachable(first), _reachable(again), strict=True):
+        if isinstance(a, np.ndarray):
+            arrays += 1
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        elif not dataclasses.is_dataclass(a):
+            assert a == b
+    assert arrays >= 2
+
+
+# (scheme, workload config): the three the prepared docstring charges
+CHARGED = [
+    (HCM_SCHEME, dict(K=6000, d=60, N=6000, M=16.0, rho=0.05, beta=0.0, t0=0.2)),
+    (PAM_SHALLOW_SCHEME, dict(K=1200, d=120, N=1200, M=16.0, rho=0.2, beta=0.0, t0=1.0)),
+    (PAM_STEEP_SCHEME, dict(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1)),
+]
+
+
+@pytest.mark.parametrize("scheme, fields", CHARGED)
+def test_a_held_state_weighs_less_than_its_catalog(scheme, fields):
+    config = make_config(**fields)
+    catalog = build_catalog(config.N, config.beta)
+    SCHEMES[scheme].prepare(config, catalog, config.t0)  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = SCHEMES[scheme].prepare(config, catalog, config.t0)
+        held = tracemalloc.get_traced_memory()[0] - before
+        fresh = build_catalog.__wrapped__(config.N, config.beta)
+        catalog_bytes = tracemalloc.get_traced_memory()[0] - before - held
+    finally:
+        tracemalloc.stop()
+    assert state is not None and fresh.N == config.N
+    assert 0 < held < catalog_bytes
+    assert held / config.N <= 32  # bytes per file, as the docstring charges
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_reports_match_on_cold_and_warm_memos(pool_path, cold_prepared, scheme):
+    spec = ExperimentSpec(config=_small(scheme), scheme=scheme, trials=6, seed=5)
+    # a pool forked before this spec is prepared, so its workers prepare it
+    # themselves on the first parallel run, and find it on the second
+    montecarlo._drop_pool()
+    collect_trials(_spec(PCD_SCHEME, trials=6, **{**SMALL, "M": 5.0}), workers=2)
+    cold_prepared.cache_clear()
+    texts = [run_experiment(spec, workers=workers).to_json(spec.config) for workers in (2, 2, 1)]
+    cold_prepared.cache_clear()
+    texts.append(run_experiment(spec, workers=1).to_json(spec.config))
+    assert texts.count(texts[0]) == 4
 
 
 def test_report_recomputes_from_rows():
@@ -347,9 +486,10 @@ def test_head_runs_whole_blocks(monkeypatch, scheme, head):
     _head_and_pool(monkeypatch, scheme, head, block=4)
 
 
-def test_head_budget_starts_after_prepare(monkeypatch, pool_starts):
+def test_head_budget_starts_after_prepare(monkeypatch, pool_starts, cold_prepared):
     spec = _spec(PAM_SHALLOW_SCHEME, trials=6, **SMALL)
     serial = collect_trials(spec, workers=1)
+    cold_prepared.cache_clear()  # so the parallel run prepares again, slowly
     now = [0.0]
     original = montecarlo.proportional_placement
 
@@ -360,6 +500,7 @@ def test_head_budget_starts_after_prepare(monkeypatch, pool_starts):
     monkeypatch.setattr(montecarlo, "proportional_placement", slow_prepare)
     monkeypatch.setattr(montecarlo, "perf_counter", lambda: now[0])
     assert np.array_equal(collect_trials(spec, workers=2), serial)
+    assert now == [1.0]  # one prepare, in the head
     assert pool_starts == []  # the trials themselves took no time
 
 

@@ -28,7 +28,7 @@ from cachematch.montecarlo import (
 from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, sample_profile, stream
 
-from conftest import make_config
+from conftest import count_calls, make_config
 from oracles import join_profiles
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -60,15 +60,7 @@ def test_every_wrapped_name_resolves():
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_trials_call_through_montecarlo_names(monkeypatch, cold_memo, scheme):
-    calls = {"sample_profile": 0, TRIAL_CALLEES[scheme]: 0}
-    for name in calls:
-        original = getattr(montecarlo, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, name, counting)
+    calls = count_calls(monkeypatch, montecarlo, ["sample_profile", TRIAL_CALLEES[scheme]])
     beta = 2.0 if scheme == PAM_STEEP_SCHEME else 0.0
     config = make_config(K=20, d=10, N=20, M=2.0, beta=beta)
     spec = ExperimentSpec(config=config, scheme=scheme, trials=6, seed=3)
@@ -79,6 +71,31 @@ def test_trials_call_through_montecarlo_names(monkeypatch, cold_memo, scheme):
     monkeypatch.setattr(montecarlo, "BLOCK_CACHES", 2 * config.K)
     assert montecarlo.run_trials(spec, 2, 4).shape == (4, 3)
     assert calls == {"sample_profile": 3, TRIAL_CALLEES[scheme]: 3}
+
+
+# the spans of each scheme's placement or plan, recorded by the wrappers on
+# montecarlo's names
+PREPARE_SPANS = {
+    PAM_SHALLOW_SCHEME: ["pam_shallow.placement"],
+    PAM_STEEP_SCHEME: ["pam_steep.knapsack", "pam_steep.solve"],
+    HCM_SCHEME: ["hcm.plan"],
+}
+
+
+@pytest.mark.parametrize("scheme", list(PREPARE_SPANS))
+def test_traced_runs_record_prepare_on_a_memo_miss_only(cold_prepared, scheme):
+    spans = _load("spans")
+    watched = {name for names in PREPARE_SPANS.values() for name in names}
+    beta = 2.0 if scheme == PAM_STEEP_SCHEME else 0.0
+    spec = ExperimentSpec(config=make_config(K=20, d=10, N=20, M=2.0, beta=beta), scheme=scheme,
+                          trials=3, seed=3)
+    recorded = []
+    for _ in range(2):  # on a cold memo, then on a warm one
+        with spans.Tracer().installed() as tracer:
+            montecarlo.run_experiment(spec)
+        recorded.append(sorted((name, tracer.spans[parent][0]) for name, _, _, _, parent in tracer.spans
+                               if name in watched))
+    assert recorded == [[(name, "montecarlo.run_trials") for name in PREPARE_SPANS[scheme]], []]
 
 
 def test_shallow_serve_gives_what_the_serve_observer_sums():
@@ -122,7 +139,7 @@ def test_setup_probe_builds_every_scheme(monkeypatch):
         assert prepare(config, build_catalog(config.N, config.beta)) is not None
 
 
-def test_observers_read_what_the_program_returns(tmp_path):
+def test_observers_read_what_the_program_returns(tmp_path, cold_prepared):
     spans = _load("spans")
     shallow = make_config(K=20, d=10, N=20, M=2.0)  # above the replication threshold
     steep = make_config(K=20, d=10, N=20, M=2.0, beta=2.0)

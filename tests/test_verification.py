@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cachematch import verification
+from cachematch import montecarlo, verification
 from cachematch.config import load_config
 from cachematch.errors import HardInvariantViolation
 from cachematch.montecarlo import ExperimentSpec, run_experiment
@@ -14,7 +14,7 @@ from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, sample_profile, stream
 from cachematch.verification import FAIL, PASS, SKIPPED, verify_config
 
-from conftest import make_config
+from conftest import count_calls, make_config
 
 CHECK_NAMES = [
     "partial-sum-sandwich",
@@ -181,6 +181,20 @@ def test_above_threshold_runs_replication_checks():
             f"mean rate {rate.mean_rate:.6g} (se {rate.stderr:.3g}) "
             f"vs analytic {rate.analytic_rate:.6g}"
         )
+
+
+@pytest.mark.parametrize("path, changes, callees", [
+    ("configs/default.json", {"M": 10.0}, ("proportional_placement", "build_color_plan")),
+    ("configs/steep.json", {}, ("build_knapsack", "solve_fractional_knapsack")),
+])
+def test_checks_and_their_runs_share_one_prepared_state(monkeypatch, cold_prepared, path, changes, callees):
+    # the placement and plan checks read the state their Monte Carlo runs
+    # prepared, through the montecarlo names, once per config
+    calls = count_calls(monkeypatch, montecarlo, callees)
+    config = dataclasses.replace(load_config(path), **changes)
+    report = verify_config(config, trials=20)
+    assert report.all_pass
+    assert calls == dict.fromkeys(callees, 1)
 
 
 def test_pam_feasible_all_matched_checks_each_feasible_trial(monkeypatch):
