@@ -12,10 +12,10 @@ its file and retires that cache.  Files whose requests cannot all be matched
 are broadcast from the server, one transmission per distinct file.  Each
 trial draws one uniform per request in one call from its own generator; the
 request at scan position i picks index floor(u[i] * #candidates) of its
-sorted list.  numpy finds the runs of equal file ids once per block of
-trials, then each trial walks its clusters' runs, last first, over the
-holder lists.  Serve reports only counts, so it reads only the uniforms whose
-picks a later run of the same cluster can see; the generator state, and
+sorted list.  Serve reports only counts, and most runs of equal file ids
+serve min(requests, copies) whatever the picks: one numpy pass over a
+block of trials settles those, and Python walks, over the holder lists, only
+the clusters in which a pick can change a count.  The generator state, and
 every count, are those of matching every request.
 """
 
@@ -25,6 +25,7 @@ import math
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import DomainError
 from .matching import deal_round_robin
 from .mathkit import power_or_inf
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile
+from .traffic import RequestProfile, distinct_counts, group_counts
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class MlpOutcome:
     server_files: tuple[int, ...]  # distinct files with unmatched requests, sorted
 
 
-def _walk_runs(files, bounds, firsts, holders, u, pairs: bool = True):
+def _walk_runs(files, bounds, firsts, holders, u):
     """Most-popular-last matching of runs of equal file ids.
 
     Run j asks for bounds[j + 1] - bounds[j] copies of file files[j].  Cluster
@@ -145,44 +146,28 @@ def _walk_runs(files, bounds, firsts, holders, u, pairs: bool = True):
     order.  A matched request takes index int(u * len) of the sorted free
     caches among holders[n]; one that finds none leaves its uniform unused.
     Returns (matched (file, cache) pairs in match order, unmatched, server).
-
-    With pairs=False, matched stays empty and only the picks a later run of
-    the cluster can see are made: the cluster's last cached run serves
-    min(r, free caches), and a run asking for every free cache takes them
-    all, neither reading its uniforms.  The counts are those of pairs=True.
     """
     matched: list[tuple[int, int]] = []
     server: list[int] = []
     unmatched = pos = 0  # pos: the scan position of run j's first uniform
     for first, stop in zip(firsts, firsts[1:]):
-        final = stop if pairs else first  # count mode: the last cached run, served without picks
-        while final < stop and not holders[files[final]]:
-            final += 1
         taken: set[int] = set()
         for j in range(stop - 1, first - 1, -1):
             n, r = files[j], bounds[j + 1] - bounds[j]
             cand = holders[n]
-            if j == final:
-                free = len(cand) - len(taken)  # a lower bound: taken may hold others' caches
-                if free < r:
-                    free = len(cand) - len(taken.intersection(cand))
-                served = min(r, free)
-            else:
-                # filtered once: until the next file, only n's own matches retire caches
-                if taken and not taken.isdisjoint(cand):
-                    cand = [k for k in cand if k not in taken]
-                served = min(r, len(cand))
-                if served == len(cand) and not pairs:
-                    taken.update(cand)
-                elif served == 1:
-                    k = cand[int(u[pos] * len(cand))]
-                    taken.add(k)
-                    matched += [(n, k)] if pairs else []
-                else:
-                    cand = list(cand)
-                    picks = [cand.pop(int(x * len(cand))) for x in u[pos:pos + served]]
-                    taken.update(picks)
-                    matched += [(n, k) for k in picks] if pairs else []
+            # filtered once: until the next file, only n's own matches retire caches
+            if taken and not taken.isdisjoint(cand):
+                cand = [k for k in cand if k not in taken]
+            served = min(r, len(cand))
+            if served == 1:
+                k = cand[int(u[pos] * len(cand))]
+                taken.add(k)
+                matched.append((n, k))
+            elif served:
+                cand = list(cand)
+                picks = [cand.pop(int(x * len(cand))) for x in u[pos:pos + served]]
+                taken.update(picks)
+                matched += [(n, k) for k in picks]
             if served < r:
                 unmatched += r - served
                 server.append(n)
@@ -192,9 +177,9 @@ def _walk_runs(files, bounds, firsts, holders, u, pairs: bool = True):
 
 def mlp_match(requests, placement: KsPlacement, rng: np.random.Generator) -> MlpOutcome:
     """Most-popular-last matching for one cluster with requests[n] requests for
-    file n: one run per requested file, walked as pam_steep_serve walks each
-    cluster.  It draws one uniform per request in one call, so calling it
-    cluster by cluster replays serve's draws and leaves rng in the same state."""
+    file n: one run per requested file, every pick made.  It draws one uniform
+    per request in one call, so calling it cluster by cluster replays serve's
+    draws and leaves rng in the same state."""
     requests = np.asarray(requests, dtype=np.int64)
     files = np.flatnonzero(requests)
     bounds = [0, *np.cumsum(requests[files]).tolist()]
@@ -220,6 +205,18 @@ class SteepServeOutcome:
     rates: np.ndarray  # per trial: distinct files broadcast by the server
 
 
+def _block_runs(block: RequestProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(bounds, firsts) of the block's runs of equal file ids: run j is the
+    requests bounds[j]:bounds[j + 1] of the block, and (trial, cluster) c
+    holds runs firsts[c]:firsts[c + 1], in ascending file order."""
+    files, offsets = block.files, block.offsets
+    new = np.empty(files.size + 1, dtype=bool)  # new[i]: request i opens a run
+    np.not_equal(files[1:], files[:-1], out=new[1:-1])
+    new[offsets] = True  # cluster starts, and the end of the last run
+    bounds = new.nonzero()[0]
+    return bounds, bounds.searchsorted(offsets)
+
+
 def trial_runs(block: RequestProfile) -> list[tuple[list[int], list[int], list[int]]]:
     """Each trial's (files, bounds, firsts) of its runs of equal file ids, as
     _walk_runs takes them: run j asks for bounds[j + 1] - bounds[j] copies of
@@ -228,15 +225,10 @@ def trial_runs(block: RequestProfile) -> list[tuple[list[int], list[int], list[i
     column.  The runs are found once for the block; run indices count from
     the trial's first run, and bounds are positions in the block, from the
     trial's first request, bounds[0], to its end."""
-    files, offsets = block.files, block.offsets
     clusters = block.config.num_clusters
-    new = np.empty(files.size + 1, dtype=bool)  # new[i]: request i opens a run
-    np.not_equal(files[1:], files[:-1], out=new[1:-1])
-    new[offsets] = True  # cluster starts, and the end of the last run
-    bounds = new.nonzero()[0]
-    firsts = bounds.searchsorted(offsets)
+    bounds, firsts = _block_runs(block)
     trial_firsts = firsts[::clusters]
-    run_files, run_bounds = files[bounds[:-1]].tolist(), bounds.tolist()
+    run_files, run_bounds = block.files[bounds[:-1]].tolist(), bounds.tolist()
     # small run indices, as in a trial found alone, keep the walk's ints cached
     cluster_firsts = (firsts[:-1] - trial_firsts[:-1].repeat(clusters)).tolist()
     starts, out = trial_firsts.tolist(), []
@@ -255,19 +247,101 @@ def pam_steep_serve(
     rngs is consumed one trial at a time, in order, and a trial's draws are
     done before the next generator is taken, so rngs may yield one generator
     reseated anew for each trial (traffic.reseat), as the trial loop does.
+    Every trial makes its one random(R_t) call, whether or not a pick reads
+    it, so each rng ends where matching every request leaves it.
 
-    Reads only the requests: the block's runs are found once (trial_runs),
-    and each trial's clusters are walked over the placement's holder lists.
-    Only counts are reported, so the walk skips the picks no later run can
-    see; each rng still advances by one uniform per request of its trial.
+    Only counts are reported.  In a (trial, cluster), a run of r requests for
+    a file with c copies is uncached (c = 0), the final run (the first cached
+    one in file order, which the walk reaches last) or a picking run.  One
+    numpy pass serves every run min(r, c), exact whatever the picks for an
+    uncached run (its file is broadcast), a final with no picking run before
+    it, a lone picking run (it finds nothing taken), and a final after one
+    picking run p when c - min(r_p, c_p) >= r (p takes at most min(r_p, c_p)
+    of its caches).  Python walks every other cluster over the holder lists,
+    its picking runs last first and then its final, each picking run reading
+    its uniforms at its scan position in the trial; its uncached runs take no
+    cache and keep their count.  A trial's rate is its number of distinct
+    files with an unmatched request.
     """
-    unmatched, rates = [], []
-    for (files, bounds, firsts), rng in zip(trial_runs(block), rngs):
-        u = rng.random(bounds[-1] - bounds[0]).tolist()
-        _, missed, server = _walk_runs(files, bounds, firsts, placement.holders, u, pairs=False)
-        unmatched.append(missed)
-        rates.append(len(set(server)))
-    return SteepServeOutcome(np.array(unmatched, dtype=np.int64), np.array(rates, dtype=np.float64))
+    clusters = block.config.num_clusters
+    bounds, firsts = _block_runs(block)
+    sizes = np.diff(bounds)  # r of each run
+    copies = placement.copies[block.files[bounds[:-1]]]
+    served = np.minimum(sizes, copies)
+    cached = copies.nonzero()[0]
+    before = cached.searchsorted(firsts)  # cached runs ahead of each cluster
+    per_cluster = np.diff(before)
+    contended = per_cluster > 2  # two picking runs or more
+    pairs = (per_cluster == 2).nonzero()[0]  # a final and one picking run
+    final, picking = cached[before[pairs]], cached[before[pairs] + 1]
+    contended[pairs[copies[final] - served[picking] < sizes[final]]] = True
+
+    ends = block.offsets[::clusters].tolist()  # each trial's requests: ends[t]:ends[t + 1]
+    draws = [rng.random(b - a) for a, b, rng in zip(ends, ends[1:], rngs)]
+    if contended.any():
+        walked = cached[contended.repeat(per_cluster)][::-1]  # clusters last first, each's final last
+        served[walked] = _walk_contended(block, placement.holders, bounds, walked, served[walked],
+                                         contended, per_cluster, np.concatenate(draws))
+
+    missed = sizes - served
+    run_ends = firsts[::clusters]  # each trial's runs: run_ends[t]:run_ends[t + 1]
+    totals = np.concatenate(([0], missed.cumsum()))[run_ends]
+    short = missed > 0
+    per_trial = group_counts(short, np.diff(run_ends))
+    server = block.files[bounds[:-1][short]]
+    server += np.arange(per_trial.size).repeat(per_trial) * block.config.N  # keyed by trial
+    return SteepServeOutcome(np.diff(totals), distinct_counts(server, per_trial).astype(np.float64))
+
+
+def _walk_contended(block, holders, bounds, walked, most, contended, per_cluster, u):
+    """What each of the walked runs serves, in the order given: each contended
+    cluster's cached runs, from the last to its final, with a fresh taken
+    set.  most[i] = min(r, c) of walked run i is the most uniforms it reads
+    from u, the block's uniforms, at position o + e - bounds[j + 1] for a
+    run j of the (trial, cluster) whose requests are o:e."""
+    offsets = block.offsets
+    groups = per_cluster[contended][::-1]
+    cluster = contended.nonzero()[0][::-1].repeat(groups)
+    final = np.zeros(walked.size, dtype=bool)
+    final[groups.cumsum() - 1] = True
+    reads = np.where(final, 0, most)
+    ends = reads.cumsum()
+    at = ends - reads  # each run's first uniform in the gathered list
+    first = offsets[cluster] + offsets[cluster + 1] - bounds[walked + 1]
+    gathered = u[(first - at).repeat(reads) + np.arange(ends[-1])].tolist()
+    out: list[int] = []
+    taken: set[int] = set()
+    runs = zip(block.files[bounds[walked]].tolist(), (bounds[walked + 1] - bounds[walked]).tolist(),
+               at.tolist(), final.tolist())
+    for n, r, i, last in runs:
+        cand = holders[n]
+        if last:
+            free = len(cand) - len(taken)  # a lower bound: taken may hold others' caches
+            if free < r:
+                free = len(cand) - len(taken.intersection(cand))
+            out.append(r if r < free else free)
+            taken = set()
+            continue
+        if r >= len(cand):  # takes every free cache
+            held = len(taken)
+            taken.update(cand)
+            out.append(len(taken) - held)
+            continue
+        # filtered once: until the next file, only n's own matches retire caches
+        if taken and not taken.isdisjoint(cand):
+            cand = [*filterfalse(taken.__contains__, cand)]
+        free = len(cand)
+        if r >= free:
+            taken.update(cand)
+            out.append(free)
+        elif r == 1:
+            taken.add(cand[int(gathered[i] * free)])
+            out.append(1)
+        else:
+            cand = list(cand)
+            taken.update([cand.pop(int(x * len(cand))) for x in gathered[i:i + r]])
+            out.append(r)
+    return out
 
 
 def cluster_matchings(block: RequestProfile, placement: KsPlacement,

@@ -89,14 +89,3 @@ def generator_state(rng):
     flat = {**state, **state["state"]}
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in flat.items() if k != "state"}
 
-
-def runs_in_file_order(clusters, files, counts):
-    """(files, bounds, firsts) of pam_steep's run walker for runs listed in
-    scan order, as (cluster, file, count) triples with clusters ascending and
-    each cluster's files descending: run j asks for bounds[j + 1] - bounds[j]
-    copies of files[j], and cluster c holds runs firsts[c]:firsts[c + 1], in
-    ascending file order."""
-    order = np.lexsort((files, clusters))
-    bounds = np.concatenate(([0], np.cumsum(counts[order])))
-    firsts = np.searchsorted(clusters[order], np.arange(clusters.max() + 2))
-    return files[order].tolist(), bounds.tolist(), firsts.tolist()

@@ -4,7 +4,7 @@ Each one states a quantity the program computes another way: the distinct
 requested files of a profile, one cache's fractional load, the
 closed-form steep region in which the replication-free scheme wins, the
 regime verdicts in fractions.Fraction arithmetic, pam-steep's serve step
-as the run matcher it replaced computed it, both placements' fills as the
+as the run matcher and the walk it replaced computed it, both placements' fills as the
 loops they replaced computed them, and each scheme's accounting of
 one trial as it was before the schemes scored blocks of trials
 (oracle_row).  Also here: profile_from_counts, which builds a profile from
@@ -21,7 +21,7 @@ from cachematch.bounds import DISTINCT_FRACTION
 from cachematch.delivery import coded_delivery_rate
 from cachematch.errors import DomainError
 from cachematch.pam_shallow import _violating
-from cachematch.pam_steep import _walk_runs
+from cachematch.pam_steep import SteepServeOutcome, _walk_runs, trial_runs
 from cachematch.pcd import PcdRate, coded_pool_size
 from cachematch.traffic import MATCHING_ROLE, RequestProfile, stream
 
@@ -313,6 +313,20 @@ def trial_pam_shallow_serve(profile, placement, config) -> tuple[int, bool, floa
     return evicted_requests, evicted_requests == 0, float(distinct_count(files[~keep]))
 
 
+def walk_pam_steep_serve(block, placement, rngs) -> SteepServeOutcome:
+    """pam_steep_serve as it was before it settled the runs whose counts
+    cannot depend on a pick: every cluster of every trial walked by
+    _walk_runs on one uniform per request, drawn in one call per trial,
+    every pick made."""
+    unmatched, rates = [], []
+    for (files, bounds, firsts), rng in zip(trial_runs(block), rngs):
+        u = rng.random(bounds[-1] - bounds[0]).tolist()
+        _, missed, server = _walk_runs(files, bounds, firsts, placement.holders, u)
+        unmatched.append(missed)
+        rates.append(len(set(server)))
+    return SteepServeOutcome(np.array(unmatched, dtype=np.int64), np.array(rates, dtype=np.float64))
+
+
 def trial_pam_steep_serve(profile, placement, rng) -> tuple[int, float]:
     """(unmatched requests, rate) of pam-steep's serve of one trial alone."""
     files, offsets = profile.files, profile.offsets
@@ -323,7 +337,7 @@ def trial_pam_steep_serve(profile, placement, rng) -> tuple[int, float]:
     firsts = np.searchsorted(bounds, offsets).tolist()
     u = rng.random(files.size).tolist()
     _, unmatched, server = _walk_runs(files[bounds[:-1]].tolist(), bounds.tolist(), firsts,
-                                      placement.holders, u, pairs=False)
+                                      placement.holders, u)
     return unmatched, float(len(set(server)))
 
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import os
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachematch import montecarlo, traffic
 from cachematch.config import load_config
@@ -25,8 +27,9 @@ from cachematch.pam_steep import (
 from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
 
-from conftest import generator_state, make_config, runs_in_file_order
-from oracles import join_profiles, loop_knapsack_fill, parent_pam_steep_serve, profile_from_counts
+from conftest import generator_state, make_config
+from oracles import (join_profiles, loop_knapsack_fill, parent_pam_steep_serve, profile_from_counts,
+                     walk_pam_steep_serve)
 
 
 def serve_one(profile, placement, rng):
@@ -231,41 +234,66 @@ def test_extreme_uniforms_pick_the_ends_of_every_list():
         # length size..1, then one unmatched
         run = ([0], [0, size + 1], [0, 1])
         top = np.full(size + 1, np.nextafter(1.0, 0.0))
-        matched, unmatched, server = _walk_runs(*run, placement.holders, top, pairs=True)
+        matched, unmatched, server = _walk_runs(*run, placement.holders, top)
         assert matched == [(0, k) for k in reversed(range(size))]
         assert (unmatched, server) == (1, [0])
-        matched, _, _ = _walk_runs(*run, placement.holders, np.zeros(size + 1), pairs=True)
+        matched, _, _ = _walk_runs(*run, placement.holders, np.zeros(size + 1))
         assert matched == [(0, k) for k in range(size)]
+
+
+class _FixedUniforms:
+    """A generator stand-in whose one random(n) call returns `u`, as a copy."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def _one_trial(cache_lists, counts):
+    """(profile, placement) of one trial with counts[n][c] requests for file
+    n in cluster c, file n on the caches cache_lists[n]."""
+    counts = np.asarray(counts, dtype=np.int64)
+    d = 1 + max(k for caches in cache_lists for k in caches)
+    config = make_config(K=d * counts.shape[1], d=d, N=counts.shape[0], M=1.0, beta=2.0)
+    return profile_from_counts(counts, config), _placement_of(cache_lists)
+
+
+def _serve_counts(cache_lists, counts, u):
+    """(unmatched, rate) of serving _one_trial(cache_lists, counts) on uniforms u."""
+    out = serve_one(*_one_trial(cache_lists, counts), _FixedUniforms(u))
+    return out.unmatched_requests, out.rate
 
 
 def test_count_mode_reads_only_uniforms_a_later_run_can_see():
     # cluster 0 scans file 4 (1 request, 1 cache) and file 3 (2 requests, caches
     # 0 and 1), which take every free cache; file 2, which draws between caches
     # 2 and 3; file 1, the last cached run, with one of its 4 caches free for 3
-    # requests; and file 0, which has no copy.  Cluster 1 scans file 3, which
-    # draws, then file 1 with 3 free caches for 2 requests.  int() raises on a
-    # NaN uniform, so only the uniforms a later run can see may be read.
-    placement = _placement_of([[], [0, 1, 2, 3], [2, 3], [0, 1], [4]])
-    clusters = np.array([0, 0, 0, 0, 0, 1, 1])
-    files = np.array([4, 3, 2, 1, 0, 3, 1])
-    counts = np.array([1, 2, 1, 3, 2, 1, 2])
-    nan = np.nan
-    poisoned = np.array([nan, nan, nan, 0.5, nan, nan, nan, nan, nan, 0.5, nan, nan])
-    matched, unmatched, server = _walk_runs(*runs_in_file_order(clusters, files, counts), placement.holders, poisoned, pairs=False)
-    assert (matched, unmatched, sorted(server)) == ([], 4, [0, 1])
-    pairs, unmatched, server = _walk_runs(*runs_in_file_order(clusters, files, counts), placement.holders, np.nan_to_num(poisoned), pairs=True)
-    assert (len(pairs), unmatched, sorted(server)) == (8, 4, [0, 1])
+    # requests; and file 0, which has no copy.  Cluster 1 scans file 3, then
+    # file 1, which has 3 free caches for 2 requests whatever file 3 takes, so
+    # the cluster reads no uniform.  int() raises on a NaN uniform, so only the
+    # uniforms a later run can see may be read.
+    cache_lists = [[], [0, 1, 2, 3], [2, 3], [0, 1], [4]]
+    counts = [[2, 0], [3, 2], [1, 0], [2, 1], [1, 0]]
+    poisoned = np.full(12, np.nan)
+    poisoned[3] = 0.5
+    assert _serve_counts(cache_lists, counts, poisoned) == (4, 2.0)
+    walked = walk_pam_steep_serve(*_one_trial(cache_lists, counts), [_FixedUniforms(np.nan_to_num(poisoned))])
+    assert (walked.unmatched_requests.tolist(), walked.rates.tolist()) == ([4], [2.0])
 
 
 def test_count_mode_skips_the_picks_of_the_last_cached_run_behind_uncached_files():
     # one cluster scans file 2 (1 request, caches 0-3), then file 1 (2 requests,
-    # caches 0-3), then uncached file 0: file 1 is the last cached run, so only
-    # file 2's uniform is read
-    placement = _placement_of([[], [0, 1, 2, 3], [0, 1, 2, 3]])
-    poisoned = np.array([0.5, np.nan, np.nan, np.nan, np.nan])
-    matched, unmatched, server = _walk_runs([0, 1, 2], [0, 2, 4, 5], [0, 3], placement.holders,
-                                            poisoned, pairs=False)
-    assert (matched, unmatched, server) == ([], 2, [0])
+    # caches 0-3), then uncached file 0: file 1 is the last cached run, with 3
+    # free caches for 2 requests whatever file 2 takes, so no uniform is read
+    cache_lists = [[], [0, 1, 2, 3], [0, 1, 2, 3]]
+    assert _serve_counts(cache_lists, [[2], [2], [1]], np.full(5, np.nan)) == (2, 1.0)
+    # with file 3 scanned first, the cluster is walked, and only the picks of
+    # files 3 and 2 are read
+    poisoned = np.array([0.5, 0.5, np.nan, np.nan, np.nan, np.nan])
+    assert _serve_counts(cache_lists + [[0, 1, 2, 3]], [[2], [2], [1], [1]], poisoned) == (2, 1.0)
 
 
 ORACLE_PROFILES = 200  # sampled profiles per configuration
@@ -273,13 +301,14 @@ ORACLE_PROFILES = 200  # sampled profiles per configuration
 
 @pytest.mark.parametrize(
     "shape, M", [("steep-mlp", 4.0), ("steep.json", 0.5), ("steep.json", 4.0), ("steep.json", 16.0),
-                 ("K1024-beta1.5", 16.0)],
+                 ("K1024-beta1.5", 16.0), ("K1024-d1024", 16.0)],
 )
 def test_serve_equals_parent_run_matcher(steep_config, shape, M):
     config = dataclasses.replace({
         "steep-mlp": make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1),
         "steep.json": steep_config,
         "K1024-beta1.5": make_config(K=1024, d=32, N=1024, M=16.0, rho=0.5, beta=1.5),
+        "K1024-d1024": make_config(K=1024, d=1024, N=1024, M=16.0, rho=0.5, beta=1.5),
     }[shape], M=M)
     placement = solve_fractional_knapsack(build_knapsack(config, build_catalog(config.N, config.beta)))
     unmatched = short = 0
@@ -380,6 +409,98 @@ def test_serve_draws_once_per_trial(steep_config):
         assert outcome == serve_one(profile, placement, stream(12, trial, MATCHING_ROLE))
         matched += profile.total_users - outcome.unmatched_requests
     assert matched >= 100  # many matched requests, one draw call each trial
+
+
+def _random_block(gen, d, clusters, trials, rate):
+    """(placement, block, counts of each trial): a random placement of d * clusters
+    to d * clusters + 11 files, and `trials` trials of Poisson(rate) counts
+    per (file, cluster), some clusters emptied or left with one file, built
+    by profile_from_counts and joined."""
+    config = make_config(K=d * clusters, d=d, N=d * clusters + int(gen.integers(0, 12)), M=1.0, beta=2.0)
+    placement = _random_placement(gen, config.N, d)
+    counts = [gen.poisson(rate, size=(config.N, clusters)) for _ in range(trials)]
+    for trial_counts in counts:
+        if gen.random() < 0.3:
+            trial_counts[:, gen.integers(clusters)] = 0
+        if gen.random() < 0.3:  # one cluster asks for one file only
+            column = trial_counts[:, gen.integers(clusters)]
+            column[:] = 0
+            column[gen.integers(config.N)] = 1 + gen.poisson(2.0)
+    block = join_profiles([profile_from_counts(c, config) for c in counts])
+    return placement, block, counts
+
+
+def _serve_classes(placement, counts):
+    """The run classes of pam_steep_serve that the trials' clusters reach."""
+    seen = set()
+    for trial_counts in counts:
+        walked_trial = False
+        for column in trial_counts.T:
+            requested = np.flatnonzero(column)
+            cached = [n for n in requested if placement.copies[n]]
+            uncached = len(cached) < requested.size
+            if not requested.size:
+                seen.add("empty_cluster")
+            if len(cached) == 1 and column[cached[0]] > placement.copies[cached[0]]:
+                seen.add("lone_final_short")
+            tight = False
+            if len(cached) == 2:
+                final, picking = cached
+                took = min(column[picking], placement.copies[picking])
+                tight = placement.copies[final] - took < column[final]
+                seen.add("tight_final" if tight else "final_with_slack")
+            if len(cached) >= 3:
+                seen.add("two_picking_runs")
+            walked = tight or len(cached) >= 3
+            walked_trial |= walked
+            if walked and uncached:
+                seen.add("uncached_in_walked_cluster")
+        if not walked_trial:
+            seen.add("trial_not_walked")
+    return seen
+
+
+SERVE_CLASSES = {"empty_cluster", "lone_final_short", "final_with_slack", "tight_final",
+                 "two_picking_runs", "uncached_in_walked_cluster", "trial_not_walked"}
+
+
+def _assert_serve_equals_the_walk(placement, block, seed):
+    trials = range(block.trials)
+    rngs = [stream(seed, t, MATCHING_ROLE) for t in trials]
+    served = pam_steep_serve(block, placement, rngs)
+    walk_rngs = [stream(seed, t, MATCHING_ROLE) for t in trials]
+    walked = walk_pam_steep_serve(block, placement, walk_rngs)
+    assert served.unmatched_requests.dtype == np.int64 and served.rates.dtype == np.float64
+    assert served.unmatched_requests.tobytes() == walked.unmatched_requests.tobytes()
+    assert served.rates.tobytes() == walked.rates.tobytes()
+    assert [generator_state(r) for r in rngs] == [generator_state(r) for r in walk_rngs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(2, 8),
+    clusters=st.integers(1, 5),
+    trials=st.integers(1, 6),
+    rate=st.sampled_from([0.05, 0.3, 1.5, 4.0]),
+)
+def test_serve_equals_the_walk_on_random_blocks(seed, d, clusters, trials, rate):
+    # counts and generator states of the settle-then-walk serve equal the
+    # walk of every pick in every cluster
+    placement, block, _ = _random_block(np.random.default_rng(seed), d, clusters, trials, rate)
+    _assert_serve_equals_the_walk(placement, block, seed)
+
+
+def test_serve_cases_reach_every_run_class():
+    gen = np.random.default_rng(2026)
+    seen = Counter()  # cases, of 150, that reach each class
+    for seed in range(150):
+        d, clusters, trials = int(gen.integers(2, 9)), int(gen.integers(1, 6)), int(gen.integers(1, 7))
+        rate = float(gen.choice([0.05, 0.3, 1.5, 4.0]))
+        placement, block, counts = _random_block(gen, d, clusters, trials, rate)
+        _assert_serve_equals_the_walk(placement, block, seed)
+        seen.update(_serve_classes(placement, counts))
+    assert set(seen) == SERVE_CLASSES and min(seen.values()) >= 10, seen
 
 
 def test_mlp_empty_requests():
