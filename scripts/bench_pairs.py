@@ -19,6 +19,8 @@ BENCHMARK.json, which this script only reads:
   than `bound`, as a fraction of the parent's median
 - `claim_rule_met`: the change won at least 0.9 of the pairs, and the gap
   between the medians, in the better direction, exceeds the parent's IQR
+After each pair it prints a progress line: the workload, the seed, and each
+side's end-to-end metrics as JSON, in the order the sides ran.
 A run that prints no result line stops the script with its side, seed, exit
 code and last stderr lines; the pairs written before it stay in --out.
 """
@@ -137,7 +139,8 @@ def main(argv=None) -> int:
         pairs.append(pair)
         workloads[args.workload] = {"pairs": pairs, "summary": summarise(pairs, metrics) if len(pairs) > 1 else {}}
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        print(args.workload, seed, {s: pair[s]["trials_per_s.pcd"] for s in order}, flush=True)
+        shown = {side: {name: pair[side][name] for name in metrics} for side in order}
+        print(args.workload, seed, json.dumps(shown), flush=True)
     return 0
 
 

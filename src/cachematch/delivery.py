@@ -9,8 +9,9 @@ distinct demanded files costs
 normalized to one file per unit.  Non-integer t is served by memory sharing:
 linear interpolation between the neighbouring integer points.
 
-A block of trials takes the rate at each trial's distinct count; trials
-share counts, so rates_by_value asks for each count once.
+A block of trials takes the rate at each trial's distinct count from the
+rate table of its (caches, memory, files) key: coded_rates computes each
+count's rate once per key and gathers a block's rates in one index.
 """
 
 from __future__ import annotations
@@ -62,8 +63,48 @@ def coded_delivery_rate(
     return rate
 
 
-def rates_by_value(num_distinct: np.ndarray, rate: Callable[[int], float]) -> np.ndarray:
-    """rate(n) at each entry n of num_distinct, calling rate once per distinct n."""
-    values = num_distinct.tolist()
-    rates = {n: rate(n) for n in set(values)}
-    return np.array([rates[n] for n in values], dtype=np.float64)
+# Keys whose rate tables a process holds.  The rows and schemes of the
+# shipped figure sweep and its two verify-bounds runs ask for 91 keys; a
+# table holds one float per count up to the largest asked, and a count is at
+# most the requests of one trial.
+RATE_TABLE_KEYS = 128
+_rate_tables: dict[tuple[int, float, int], np.ndarray] = {}
+
+
+def coded_rates(
+    num_distinct: np.ndarray,
+    num_caches: int,
+    memory: float,
+    num_files: int,
+    rate: Callable[[int, float, int, int], float],
+) -> np.ndarray:
+    """rate(num_caches, memory, num_files, n) at each entry n of num_distinct.
+
+    The key (num_caches, memory, num_files) has a table of the rates found so
+    far, NaN where none is, grown to the largest count asked; a count missing
+    from it is filled by one call of `rate`, which callers pass as their
+    module's coded_delivery_rate, so a wrapper put on that name sees each
+    fill.  The tables of the RATE_TABLE_KEYS keys that came in last are
+    held: a new key past them drops the key that came in first.  Not locked:
+    trials run in processes, never in threads.
+    """
+    key = (num_caches, memory, num_files)
+    table = _rate_tables.get(key)
+    if table is None:
+        if len(_rate_tables) >= RATE_TABLE_KEYS:
+            del _rate_tables[next(iter(_rate_tables))]
+        table = _rate_tables[key] = np.empty(0)
+    try:
+        rates = table[num_distinct]
+    except IndexError:  # a count past the table's end
+        pass
+    else:
+        if not math.isnan(np.add.reduce(rates)):
+            return rates
+    top = int(num_distinct.max())
+    if top >= table.size:
+        table = _rate_tables[key] = np.concatenate((table, np.full(top + 1 - table.size, np.nan)))
+    for n in set(num_distinct.tolist()):
+        if math.isnan(table[n]):
+            table[n] = rate(num_caches, memory, num_files, n)
+    return table[num_distinct]

@@ -16,8 +16,9 @@ trial, cluster); a bincount over the keys gives every group's request count
 and so each trial's unmatched users.  Only when some group exceeds its
 color's m_x does a stable sort by key line the groups up for a rank mask;
 otherwise every request is matched.  One sort of trial-keyed matched files
-gives the distinct files per (trial, color), and each color's coded rate is
-computed once per distinct count in the block, then added color by color.
+gives the distinct files per (trial, color), and each color's coded rates
+are gathered from the rate table of (m_x * K/d, M, |W_x|), then added color
+by color.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .delivery import coded_delivery_rate, rates_by_value
+from .delivery import coded_delivery_rate, coded_rates
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
 from .pcd import unmatched_tail_term
@@ -148,9 +149,7 @@ def hcm_simulate(block: RequestProfile, plan: ColorPlan, config: SystemConfig) -
     coded = np.zeros(users.size)
     for x, (m_x, size) in enumerate(zip(caps.tolist(), plan.class_sizes.tolist())):
         if m_x:  # a color without caches delivers nothing; its users are unmatched
-            coded += rates_by_value(
-                distinct[:, x], lambda n: coded_delivery_rate(m_x * clusters, config.M, size, n)
-            )
+            coded += coded_rates(distinct[:, x], m_x * clusters, config.M, size, coded_delivery_rate)
     rows = np.empty((users.size, 3))
     rows[:, 1] = coded
     rows[:, 2] = unmatched

@@ -291,11 +291,23 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     return np.concatenate([head, *parts], axis=0)
 
 
+def column_mean(values: np.ndarray) -> float:
+    """values.mean() of float64 values, by the same sum and division."""
+    return float(np.add.reduce(values) / len(values))
+
+
 def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error; the error is 0 for one value."""
+    """Sample mean of float64 values and its standard error; the error is 0
+    for one value.  The steps of values.mean() and values.std(ddof=1) /
+    sqrt(n), so the bits are the same, without their dispatch, which takes
+    about 14 us on 8 values (numpy 2.4, 2-core machine)."""
     n = len(values)
-    stderr = 0.0 if n < 2 else float(values.std(ddof=1) / math.sqrt(n))
-    return float(values.mean()), stderr
+    mean = column_mean(values)
+    if n < 2:
+        return mean, 0.0
+    dev = values - mean
+    np.multiply(dev, dev, out=dev)
+    return mean, math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
 
 
 def summarize(spec: ExperimentSpec, rows: np.ndarray) -> RateReport:
@@ -308,8 +320,8 @@ def summarize(spec: ExperimentSpec, rows: np.ndarray) -> RateReport:
         seed=spec.seed,
         mean_rate=mean,
         stderr=stderr,
-        coded_mean=float(rows[:, 1].mean()),
-        unmatched_mean=float(rows[:, 2].mean()),
+        coded_mean=column_mean(rows[:, 1]),
+        unmatched_mean=column_mean(rows[:, 2]),
         analytic_rate=analytic,
         bound_satisfied=bool(mean <= analytic + 3.0 * stderr),
     )

@@ -15,7 +15,7 @@ holds more than d requests, which is almost every trial, all requests are
 matched and no rank is computed; otherwise a rank mask keeps the first d of
 each cluster.  One compare splits the matched files into pool and overflow,
 one sort of trial-keyed pool files counts each trial's distinct pool files,
-and the coded rate is computed once per distinct count in the block.
+and the trials' coded rates are gathered from the rate table of (K, M, pool).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .delivery import coded_delivery_rate, rates_by_value
+from .delivery import coded_delivery_rate, coded_rates
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI, power_or_inf
 from .traffic import RequestProfile, distinct_counts, group_counts, within_caps
@@ -116,8 +116,8 @@ def pcd_simulate(block: RequestProfile, config: SystemConfig) -> np.ndarray:
     coded = 0.0
     if pool > 0:
         keys = np.arange(0, users.size * pool, pool).repeat(pooled) + files
-        coded = rates_by_value(distinct_counts(keys, pooled),
-                               lambda n: coded_delivery_rate(config.K, config.M, pool, n))
+        coded = coded_rates(distinct_counts(keys, pooled), config.K, config.M, pool,
+                            coded_delivery_rate)
     rows = np.empty((users.size, 3))
     np.add(coded, matched - pooled, out=rows[:, 1])
     np.subtract(users, matched, out=rows[:, 2])

@@ -20,10 +20,11 @@ memory per trial grows with the number of requests, not with N * K/d.
 Trials are drawn a block at a time, and a block is what the schemes score:
 its clusters are (trial, cluster) pairs, its offsets one cumsum over them,
 and the kernels count per trial, or per (trial, color), with group_counts and
-distinct_counts.  Each trial still draws from its own stream; the file-id
-lookup, the offsets' cumsum and the sort within clusters run once per block
-of up to BLOCK_REQUESTS requests, so a trial's requests are the same however
-trials are blocked.
+distinct_counts.  Each trial still draws from its own stream, and writes
+its uniforms into one buffer of the block; the file-id lookup, the offsets'
+cumsum and the sort within clusters run once per block of up to
+BLOCK_REQUESTS requests, so a trial's requests are the same however trials
+are blocked.
 
 A block is a pure function of (N, K, d, rho, beta, seed) and its trials, and
 each process keeps the blocks it has drawn, up to a byte budget, so the
@@ -180,25 +181,30 @@ def draw_profiles(config: SystemConfig, seed: int, start: int, stop: int) -> tup
     from the trial's Poisson totals before its uniforms are drawn.
 
     Each trial draws its totals and then its uniforms from its own stream,
-    reseated in place of being built.
+    reseated in place of being built, and writes its uniforms into one
+    buffer of the block, of BLOCK_REQUESTS slots unless its first trial
+    alone asks for more.
     The lookup of the block's uniforms, the cumsum of its offsets and the
     sort within each (trial, cluster) are done once for the block, so each
     trial's requests are those it gives drawn alone.
     """
-    per_trial, uniforms, requests = [], [], 0
+    lam, clusters = config.rho * config.d, config.num_clusters
+    per_trial, uniforms, requests = [], np.empty(BLOCK_REQUESTS), 0
     for trial in range(start, stop):
         rng = reseat(seed, trial, PROFILE_ROLE)
-        totals = rng.poisson(config.rho * config.d, size=config.num_clusters)
-        size = int(np.add.reduce(totals))
-        if per_trial and requests + size > BLOCK_REQUESTS:
-            break
+        totals = rng.poisson(lam, size=clusters)
+        end = requests + sum(totals.tolist())
+        if end > BLOCK_REQUESTS:
+            if per_trial:
+                break
+            uniforms = np.empty(end)
+        rng.random(out=uniforms[requests:end])
         per_trial.append(totals)
-        uniforms.append(rng.random(size))
-        requests += size
-    totals = _joined(per_trial)
+        requests = end
+    totals = per_trial[0] if len(per_trial) == 1 else np.concatenate(per_trial)
     offsets = np.zeros(totals.size + 1, dtype=np.int64)
     totals.cumsum(out=offsets[1:])
-    files = build_catalog(config.N, config.beta).file_ids(_joined(uniforms))
+    files = build_catalog(config.N, config.beta).file_ids(uniforms[:requests])
     # sort within (trial, cluster): keys in that order never cross blocks;
     # int32 keys, where they fit, sort faster
     span = totals.size * config.N
@@ -211,11 +217,6 @@ def draw_profiles(config: SystemConfig, seed: int, start: int, stop: int) -> tup
     offsets.setflags(write=False)
     files.setflags(write=False)
     return offsets, files
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The arrays end to end; a lone array as it is, not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _ProfileMemo:

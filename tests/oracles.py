@@ -7,9 +7,10 @@ regime verdicts in fractions.Fraction arithmetic, pam-steep's serve step
 as the run matcher and the walk it replaced computed it, both placements' fills as the
 loops they replaced computed them, and each scheme's accounting of
 one trial as it was before the schemes scored blocks of trials
-(oracle_row).  Also here: profile_from_counts, which builds a profile from
-a dense count matrix, join_profiles, which blocks profiles in any split,
-and the shallow cut-set converse of the small-memory regime.
+(oracle_row), and the block draw as the loop that joined per-trial arrays
+drew it (loop_draw_profiles).  Also here: profile_from_counts, which builds
+a profile from a dense count matrix, join_profiles, which blocks profiles in
+any split, and the shallow cut-set converse of the small-memory regime.
 """
 
 import math
@@ -17,13 +18,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from cachematch import traffic
 from cachematch.bounds import DISTINCT_FRACTION
 from cachematch.delivery import coded_delivery_rate
 from cachematch.errors import DomainError
 from cachematch.pam_shallow import _violating
 from cachematch.pam_steep import SteepServeOutcome, _walk_runs, trial_runs
 from cachematch.pcd import PcdRate, coded_pool_size
-from cachematch.traffic import MATCHING_ROLE, RequestProfile, stream
+from cachematch.popularity import build_catalog
+from cachematch.traffic import MATCHING_ROLE, PROFILE_ROLE, RequestProfile, stream
 
 
 def profile_from_counts(counts, config) -> RequestProfile:
@@ -46,6 +49,28 @@ def join_profiles(profiles: list[RequestProfile]) -> RequestProfile:
     # offsets[1:] is contiguous, so this reshape is a view that add fills
     np.add(rows[:, 1:], (ends - rows[:, -1])[:, None], out=offsets[1:].reshape(len(profiles), -1))
     return RequestProfile(offsets, np.concatenate([p.files for p in profiles]), profiles[0].config)
+
+
+def loop_draw_profiles(config, seed, start, stop) -> tuple[np.ndarray, np.ndarray]:
+    """traffic.draw_profiles as a list of per-trial arrays joined at the end:
+    each trial on its own stream, its request count summed in numpy, the
+    block ended as traffic.BLOCK_REQUESTS stands at call time, and each
+    (trial, cluster) sorted by a lexsort."""
+    per_trial, uniforms, requests = [], [], 0
+    for trial in range(start, stop):
+        rng = stream(seed, trial, PROFILE_ROLE)
+        totals = rng.poisson(config.rho * config.d, size=config.num_clusters)
+        size = int(np.add.reduce(totals))
+        if per_trial and requests + size > traffic.BLOCK_REQUESTS:
+            break
+        per_trial.append(totals)
+        uniforms.append(rng.random(size))
+        requests += size
+    totals = np.concatenate(per_trial)
+    offsets = np.concatenate(([0], np.cumsum(totals))).astype(np.int64)
+    files = build_catalog(config.N, config.beta).file_ids(np.concatenate(uniforms))
+    cell = np.repeat(np.arange(totals.size), totals)
+    return offsets, files[np.lexsort((files, cell))].astype(np.int64)
 
 
 class MissingCopyCount(ValueError):

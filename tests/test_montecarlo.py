@@ -11,6 +11,8 @@ from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachematch import montecarlo, traffic
 from cachematch.config import load_config
@@ -24,9 +26,11 @@ from cachematch.montecarlo import (
     SCHEMES,
     ExperimentSpec,
     collect_trials,
+    mean_and_stderr,
     plan_chunks,
     run_experiment,
     run_trials,
+    summarize,
 )
 from cachematch.pam_shallow import pam_shallow_rate
 from cachematch.pam_steep import steep_order_value
@@ -290,6 +294,39 @@ def test_report_recomputes_from_rows():
     assert report.analytic_rate == analytic_rate(spec)
     assert isinstance(report.bound_satisfied, bool)
     assert report.bound_satisfied == (mean <= report.analytic_rate + 3.0 * stderr)
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+@given(
+    n=st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 300), st.integers(8180, 8200)),
+    kind=st.sampled_from(["uniform", "integers", "offset", "spread"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, kind="offset", seed=0)
+@example(n=2, kind="integers", seed=1)
+@example(n=8192, kind="offset", seed=2)
+@settings(max_examples=150, deadline=None)
+def test_report_statistics_equal_numpys_bit_for_bit(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    rows = {
+        "uniform": lambda: rng.random((n, 3)),
+        "integers": lambda: rng.integers(0, 400, (n, 3)).astype(np.float64),  # as unmatched counts are
+        "offset": lambda: 1e9 + rng.random((n, 3)),  # the mean cancels most of each value's digits
+        "spread": lambda: rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, (n, 3)),
+    }[kind]()
+    for col in range(3):
+        values = rows[:, col]  # strided, as summarize reads it
+        mean, stderr = mean_and_stderr(values)
+        assert _bits(mean) == _bits(values.mean())
+        want = 0.0 if n == 1 else values.std(ddof=1) / math.sqrt(n)
+        assert _bits(stderr) == _bits(want)
+    report = summarize(_spec(PCD_SCHEME, trials=n, **SMALL), rows)
+    assert _bits(report.mean_rate) == _bits(rows[:, 0].mean())
+    assert _bits(report.coded_mean) == _bits(rows[:, 1].mean())
+    assert _bits(report.unmatched_mean) == _bits(rows[:, 2].mean())
 
 
 def test_single_trial_has_zero_stderr():

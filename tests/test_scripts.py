@@ -104,6 +104,36 @@ def test_bench_pairs_records_each_runs_cpu_time_and_page_faults(tmp_path):
                                         "peak_rss_mb"}
 
 
+SCALED_RUN = textwrap.dedent("""
+    import json
+    names = ("wall_s", "setup_s", "trials_per_s.pcd", "trials_per_s.other", "peak_rss_mb")
+    metrics = {name: {"value": SCALE * (i + 1), "unit": ""} for i, name in enumerate(names)}
+    print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
+""")
+
+
+def test_bench_pairs_progress_line_shows_every_end_to_end_metric(tmp_path, capsys):
+    sides = {}
+    for side, scale in (("parent", 1.0), ("change", 10.0)):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench").mkdir(parents=True)
+        (sides[side] / "perfbench" / "run.py").write_text(SCALED_RUN.replace("SCALE", str(scale)),
+                                                         encoding="utf-8")
+    argv = ["--parent", str(sides["parent"]), "--change", str(sides["change"]), "--workload",
+            "dense-shallow", "--seeds", "5-6", "--seconds", "1", "--out", str(tmp_path / "bench.json")]
+    assert _load("bench_pairs").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = ("wall_s", "setup_s", "trials_per_s.pcd", "trials_per_s.other", "peak_rss_mb")
+    for line, seed, first in zip(lines, (5, 6), ("parent", "change")):
+        workload, shown_seed, shown = line.split(" ", 2)
+        assert (workload, int(shown_seed)) == ("dense-shallow", seed)
+        shown = json.loads(shown)
+        assert list(shown)[0] == first
+        for side, scale in (("parent", 1.0), ("change", 10.0)):
+            assert shown[side] == {name: scale * (i + 1) for i, name in enumerate(names)}
+    assert len(lines) == 2
+
+
 def _pairs(parent, change, name="wall_s"):
     return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
 

@@ -23,7 +23,7 @@ from cachematch.traffic import (
 )
 
 from conftest import generator_state, make_config
-from oracles import distinct_files, join_profiles, profile_from_counts
+from oracles import distinct_files, join_profiles, loop_draw_profiles, profile_from_counts
 
 
 def test_stream_deterministic():
@@ -291,6 +291,45 @@ def test_block_draw_equals_lone_draws(clusters, d, extra_files, rho, beta, seed,
     # sorted within each (trial, cluster); a step down only where one starts
     down = np.flatnonzero(np.diff(files) < 0) + 1
     assert np.isin(down, offsets).all()
+
+
+@given(
+    clusters=st.integers(1, 12),
+    d=st.integers(1, 40),
+    extra_files=st.integers(0, 300),
+    rho=st.sampled_from([0.01, 0.1, 0.3, 0.45]),
+    beta=st.sampled_from([0.0, 0.8, 2.0]),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 41)),
+    length=st.integers(1, 40),
+    cap=st.sampled_from([0, 5, 40, 300, None]),
+)
+# one trial past a small cap: the block buffer grows for it alone
+@example(clusters=4, d=40, extra_files=0, rho=0.45, beta=0.0, seed=1, start=0, length=1, cap=5)
+@example(clusters=4, d=40, extra_files=0, rho=0.45, beta=0.0, seed=1, start=9, length=6, cap=5)
+# trials of no request after one past the cap end the block as any other
+@example(clusters=2, d=1, extra_files=0, rho=0.3, beta=0.0, seed=4, start=0, length=30, cap=0)
+@settings(max_examples=80, deadline=None)
+def test_block_draw_equals_the_loop_oracle(clusters, d, extra_files, rho, beta, seed, start, length, cap):
+    config = make_config(K=clusters * d, d=d, N=clusters * d + extra_files, rho=rho, beta=beta)
+    with pytest.MonkeyPatch.context() as m:
+        if cap is not None:
+            m.setattr(traffic, "BLOCK_REQUESTS", cap)
+        got = draw_profiles(config, seed, start, start + length)
+        want = loop_draw_profiles(config, seed, start, start + length)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64 and g.tobytes() == w.tobytes()
+
+
+def test_memo_slices_from_mid_block_equal_the_loop_oracle(cold_memo):
+    config = make_config(K=60, d=10, N=80, rho=0.3)
+    held = sample_profile(config, 8, 0, 40)
+    assert held.trials == 40
+    for first, stop in ((7, 20), (0, 1), (39, 40), (13, 40)):
+        block = sample_profile(config, 8, first, stop)
+        want = loop_draw_profiles(config, 8, first, stop)
+        assert block.offsets.tobytes() == want[0].tobytes()
+        assert block.files.tobytes() == want[1].tobytes()
 
 
 # --- the per-process block memo ------------------------------------------------

@@ -330,3 +330,34 @@ def test_report_json_counts():
     assert [c["name"] for c in payload["checks"]] == CHECK_NAMES
     statuses = {PASS, FAIL, SKIPPED}
     assert all(c["status"] in statuses for c in payload["checks"])
+
+
+# --- known wrong results: strict xfails until their ROADMAP items land ---------
+
+# K = N = 2^16 at steep popularity, where the slack in steep pcd's coded term
+# no longer hides the matched requests outside its pool
+STEEP_2_16 = dict(K=1 << 16, d=256, N=1 << 16, M=16.0, rho=0.25, beta=2.0, t0=0.1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: at M < 1 pcd_simulate unicasts every matched user; "
+                          "25.7425 against the formula's 16")
+def test_steep_pcd_below_unit_memory_meets_its_formula():
+    config = dataclasses.replace(load_config("configs/steep.json"), M=0.5)
+    assert _statuses(verify_config(config, seed=1, trials=400))["pcd-rate-mc"] == PASS
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: rate_steep_formula has no term for matched requests "
+                          "outside the pool; 67.3213 against 63.1316")
+def test_steep_pcd_at_large_k_meets_its_formula():
+    report = verify_config(make_config(**STEEP_2_16), seed=1, trials=40)
+    assert _statuses(report)["pcd-rate-mc"] == PASS
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 4 and 12: pam-steep's order envelope fails on correct "
+                          "code; 38.425 against 16")
+def test_pam_steep_at_large_k_meets_its_envelope():
+    report = run_experiment(ExperimentSpec(make_config(**STEEP_2_16), "pam-steep", 40, 1))
+    assert report.bound_satisfied
