@@ -19,6 +19,9 @@ BENCHMARK.json, which this script only reads:
   than `bound`, as a fraction of the parent's median
 - `claim_rule_met`: the change won at least 0.9 of the pairs, and the gap
   between the medians, in the better direction, exceeds the parent's IQR
+- `unresolved`: the parent's IQR, as a fraction of its median, is wider than
+  `bound`, and not every run of the change reads better than every run of
+  the parent; such a metric is reported as unresolved, not as unchanged
 After each pair it prints a progress line: the workload, the seed, and each
 side's end-to-end metrics as JSON, in the order the sides ran.
 A run that prints no result line stops the script with its side, seed, exit
@@ -90,6 +93,7 @@ def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         par, chg = _spread(parent), _spread(change)
         change_frac = chg["median"] / par["median"] - 1.0
         gap_exceeds_iqr = sign * (chg["median"] - par["median"]) > par["iqr"]
+        every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
         out[name] = {
             "better": direction,
             "bound": metric["bound"],
@@ -101,6 +105,7 @@ def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
             "gap_exceeds_parent_iqr": gap_exceeds_iqr,
             "within_bound": -sign * change_frac <= metric["bound"],
             "claim_rule_met": wins >= CLAIM_WIN_SHARE * len(pairs) and gap_exceeds_iqr,
+            "unresolved": par["iqr"] / par["median"] > metric["bound"] and not every_run_better,
         }
     return out
 

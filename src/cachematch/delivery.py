@@ -11,14 +11,14 @@ linear interpolation between the neighbouring integer points.
 
 A block of trials takes the rate at each trial's distinct count from the
 rate table of its (caches, memory, files) key: coded_rates computes each
-count's rate once per key and gathers a block's rates in one index.
+count's rate once per key and gathers a block's rates in one index.  The
+tables are the only cache of rates; coded_delivery_rate computes anew.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +27,6 @@ def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-@lru_cache(maxsize=4096)  # bounded: worker processes live for a whole sweep
 def _integer_rate(num_caches: int, t: int, num_distinct: int) -> float:
     if t >= num_caches:
         return 0.0

@@ -5,12 +5,12 @@ stream, so a run is reproducible and independent of how trials are split
 across worker processes: serial and parallel runs of the same spec produce
 byte-identical reports.
 
-Trials are scored a block at a time: run_trials asks sample_profile for
-the block of trials from where it is, at most as many as span BLOCK_CACHES
-caches, and makes one scheme call on the block as it comes, which ends early
-at traffic.BLOCK_REQUESTS requests or at the edge of a block the memo holds.
-Every kernel computes each trial's row with the operations, in the order, of
-that trial scored alone, so rows do not depend on the blocking.
+One loop, blocks, asks sample_profile for each block of trials, at most as
+many as span BLOCK_CACHES caches, ending early at traffic.BLOCK_REQUESTS
+requests or at the edge of a block the memo holds.  run_trials scores each
+in one scheme call, and verification's structural checks walk the same
+blocks.  Every kernel computes each trial's row with the operations, in the
+order, of that trial scored alone, so rows do not depend on the blocking.
 
 A parallel run does its first blocks in the calling process, until
 HEAD_BUDGET_S seconds after prepare, so a short run starts no pool.  The
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
@@ -212,6 +212,19 @@ class RateReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def blocks(config: SystemConfig, seed: int, start: int, stop: int,
+           deadline: float | None = None) -> Iterator[tuple[range, RequestProfile]]:
+    """(trials, block) of each block of trials start..stop-1, in order; it ends
+    at the first block begun past the deadline, unless one trial is left."""
+    most = max(1, BLOCK_CACHES // config.K)  # trials per block
+    while start < stop:
+        if deadline is not None and stop - start > 1 and perf_counter() >= deadline:
+            return
+        block = sample_profile(config, seed, trial=start, stop=min(stop, start + most))
+        yield range(start, start + block.trials), block
+        start += block.trials
+
+
 def run_trials(spec: ExperimentSpec, start: int, count: int, budget: float | None = None) -> np.ndarray:
     """Rows (rate, coded, unmatched) for trials start..start+count-1, scored
     a block at a time; with a budget, it stops at the first block begun
@@ -221,16 +234,11 @@ def run_trials(spec: ExperimentSpec, start: int, count: int, budget: float | Non
     state = prepared(spec.scheme, config, spec.slack)
     deadline = None if budget is None else perf_counter() + budget
     rows = np.empty((count, 3), dtype=np.float64)
-    most = max(1, BLOCK_CACHES // config.K)  # trials per block
-    trial, stop = start, start + count
-    while trial < stop:
-        if deadline is not None and stop - trial > 1 and perf_counter() >= deadline:
-            return rows[:trial - start]
-        block = sample_profile(config, spec.seed, trial=trial, stop=min(stop, trial + most))
-        trials = range(trial, trial + block.trials)
-        rows[trial - start:trials.stop - start] = scheme.trials(block, config, state, spec.seed, trials)
-        trial = trials.stop
-    return rows
+    done = 0
+    for trials, block in blocks(config, spec.seed, start, start + count, deadline):
+        done = trials.stop - start
+        rows[trials.start - start:done] = scheme.trials(block, config, state, spec.seed, trials)
+    return rows[:done]
 
 
 def _run_chunk(args: tuple[ExperimentSpec, int, int]) -> np.ndarray:

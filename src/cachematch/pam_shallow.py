@@ -18,7 +18,7 @@ Serve takes a block of trials, whose clusters are (trial, cluster) pairs:
 one bincount gives every cache load of every trial.  bincount adds each
 slot's weights in input order, which is the order of the slot's own trial,
 so every load is the one that trial alone gives.  The load array has one
-entry per cache of the block's trials, so the trial loop bounds the caches
+entry per cache of the block's trials, so the block loop bounds the caches
 a block spans (montecarlo.BLOCK_CACHES).
 """
 

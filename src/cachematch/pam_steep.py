@@ -217,27 +217,6 @@ def _block_runs(block: RequestProfile) -> tuple[np.ndarray, np.ndarray]:
     return bounds, bounds.searchsorted(offsets)
 
 
-def trial_runs(block: RequestProfile) -> list[tuple[list[int], list[int], list[int]]]:
-    """Each trial's (files, bounds, firsts) of its runs of equal file ids, as
-    _walk_runs takes them: run j asks for bounds[j + 1] - bounds[j] copies of
-    files[j], and cluster c of the trial holds runs firsts[c]:firsts[c + 1].
-    These are the (file, count) pairs mlp_match takes from each dense cluster
-    column.  The runs are found once for the block; run indices count from
-    the trial's first run, and bounds are positions in the block, from the
-    trial's first request, bounds[0], to its end."""
-    clusters = block.config.num_clusters
-    bounds, firsts = _block_runs(block)
-    trial_firsts = firsts[::clusters]
-    run_files, run_bounds = block.files[bounds[:-1]].tolist(), bounds.tolist()
-    # small run indices, as in a trial found alone, keep the walk's ints cached
-    cluster_firsts = (firsts[:-1] - trial_firsts[:-1].repeat(clusters)).tolist()
-    starts, out = trial_firsts.tolist(), []
-    for t, (a, b) in enumerate(zip(starts, starts[1:])):
-        trial_cluster_firsts = cluster_firsts[t * clusters:(t + 1) * clusters] + [b - a]
-        out.append((run_files[a:b], run_bounds[a:b + 1], trial_cluster_firsts))
-    return out
-
-
 def pam_steep_serve(
     block: RequestProfile, placement: KsPlacement, rngs: Iterable[np.random.Generator]
 ) -> SteepServeOutcome:
@@ -345,15 +324,20 @@ def _walk_contended(block, holders, bounds, walked, most, contended, per_cluster
 
 
 def cluster_matchings(block: RequestProfile, placement: KsPlacement,
-                      rngs: list[np.random.Generator]) -> Iterator[MlpOutcome]:
-    """The MlpOutcome of each (trial, cluster) of the block, in order, on one
-    generator per trial: what mlp_match gives on each dense cluster column,
-    called cluster by cluster, found on the block's runs (trial_runs)."""
-    for (files, bounds, firsts), rng in zip(trial_runs(block), rngs):
-        origin = bounds[0]
-        u = rng.random(bounds[-1] - origin).tolist()
-        for c in range(len(firsts) - 1):
-            run = firsts[c:c + 2]
-            lo, hi = bounds[run[0]] - origin, bounds[run[1]] - origin  # the cluster's uniforms
-            matched, unmatched, server = _walk_runs(files, bounds, run, placement.holders, u[lo:hi])
+                      rngs: Iterable[np.random.Generator]) -> Iterator[MlpOutcome]:
+    """The MlpOutcome of each (trial, cluster) of the block, in order: what
+    mlp_match gives on each dense cluster column, called cluster by cluster,
+    walking _block_runs' runs on the cluster's slice of its trial's one draw.
+    rngs gives one generator per trial and is consumed as pam_steep_serve
+    consumes it, so it may reseat one generator anew for each trial."""
+    clusters = block.config.num_clusters
+    bounds, firsts = _block_runs(block)
+    files, bounds, firsts = block.files[bounds[:-1]].tolist(), bounds.tolist(), firsts.tolist()
+    offsets = block.offsets.tolist()
+    for t, rng in zip(range(block.trials), rngs):
+        origin = offsets[t * clusters]
+        u = rng.random(offsets[(t + 1) * clusters] - origin).tolist()
+        for c in range(t * clusters, (t + 1) * clusters):
+            cluster_u = u[offsets[c] - origin:offsets[c + 1] - origin]
+            matched, unmatched, server = _walk_runs(files, bounds, firsts[c:c + 2], placement.holders, cluster_u)
             yield MlpOutcome(tuple(matched), unmatched, tuple(sorted(server)))

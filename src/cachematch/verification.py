@@ -1,22 +1,22 @@
 """Numerical verification of every inequality the analysis relies on.
 
 Each check evaluates one proved inequality (or structural property) at a
-concrete config, either in closed form or against a short Monte Carlo run
-with 3-sigma slack.  The checks form one ordered table: each row is a check's
-name, its function, and the reason it is skipped at this config (None when it
-runs).  Checks whose preconditions the config does not meet are reported as
-SKIPPED, never silently dropped; in particular, when the config misses the
-cluster-size floor d >= (2*(1+t0)/alpha)*ln K, all checks that compare
-simulation against the t0-tail formulas are skipped because those formulas
-are only guaranteed above the floor.  A check that raises DomainError or
-InsufficientMemory is skipped with that message; any other exception fails it.
+concrete config, in closed form, against a short Monte Carlo run with 3-sigma
+slack, or on the blocks of trials (montecarlo.blocks) that such a run scores.
+The checks form one ordered table: each row is a check's name, its function,
+and the reason it is skipped at this config (None when it runs).  Checks
+whose preconditions the config does not meet are reported as SKIPPED, never
+silently dropped; in particular, when the config misses the cluster-size
+floor d >= (2*(1+t0)/alpha)*ln K, all checks that compare simulation against
+the t0-tail formulas are skipped because those formulas are only guaranteed
+above the floor.  A check that raises DomainError or InsufficientMemory is
+skipped with that message; any other exception fails it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import cache
 
@@ -49,6 +49,7 @@ from .montecarlo import (
     PCD_SCHEME,
     SCHEMES,
     ExperimentSpec,
+    blocks,
     collect_trials,
     mean_and_stderr,
     prepared,
@@ -58,7 +59,7 @@ from .pam_shallow import load_decay_exponent, matched_requests, memory_threshold
 from .pam_steep import build_knapsack, cluster_matchings, steep_order_value
 from .pcd import cluster_unmatched_bound, pcd_rate_shallow, unmatched_tail_term
 from .popularity import build_catalog, partial_sum_A, partial_sum_envelope
-from .traffic import MATCHING_ROLE, RequestProfile, sample_profile, stream
+from .traffic import MATCHING_ROLE, reseat, stream
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -103,16 +104,6 @@ def _outcome(name: str, fn) -> CheckOutcome:
     except Exception as exc:  # an unexpected crash is a failure, not a skip
         return CheckOutcome(name, FAIL, f"raised {exc!r}")
     return CheckOutcome(name, PASS if ok else FAIL, detail)
-
-
-def _blocks(config: SystemConfig, seed: int, trials: int) -> Iterator[tuple[int, RequestProfile]]:
-    """(first trial, block) of each block sample_profile gives for trials 0
-    to trials - 1, in order."""
-    trial = 0
-    while trial < trials:
-        block = sample_profile(config, seed, trial, trials)
-        yield trial, block
-        trial += block.trials
 
 
 def _binomial_tail(n: int, q: float, k0: int) -> float:
@@ -257,7 +248,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     def pam_feasible_all_matched():
         placement = state(PAM_SHALLOW_SCHEME)
         bad = 0
-        for _, block in _blocks(config, seed, min(trials, 50)):
+        for _, block in blocks(config, seed, 0, min(trials, 50)):
             # a trial evicts nothing exactly when it broadcasts nothing
             for i in np.flatnonzero(pam_shallow_serve(block, placement, config).rates == 0):
                 trial = block.between(i, i + 1)
@@ -327,11 +318,11 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     def mlp_structural():
         placement = state(PAM_STEEP_SCHEME)
         held = cache(lambda n: frozenset(placement.holders[n]))
-        for first, block in _blocks(config, seed, min(trials, 20)):
-            rngs = [stream(seed, t, MATCHING_ROLE) for t in range(first, first + block.trials)]
+        for walked, block in blocks(config, seed, 0, min(trials, 20)):
+            rngs = (reseat(seed, t, MATCHING_ROLE) for t in walked)
             requests = block.cluster_totals().tolist()
             for i, out in enumerate(cluster_matchings(block, placement, rngs)):
-                trial, c = divmod(first * config.num_clusters + i, config.num_clusters)
+                trial, c = divmod(walked.start * config.num_clusters + i, config.num_clusters)
                 caches = [k for _, k in out.matched]
                 if len(set(caches)) != len(caches):
                     return False, f"trial {trial} cluster {c}: a cache matched twice"

@@ -23,7 +23,7 @@ from cachematch.bounds import DISTINCT_FRACTION
 from cachematch.delivery import coded_delivery_rate
 from cachematch.errors import DomainError
 from cachematch.pam_shallow import _violating
-from cachematch.pam_steep import SteepServeOutcome, _walk_runs, trial_runs
+from cachematch.pam_steep import SteepServeOutcome, _walk_runs, cluster_matchings
 from cachematch.pcd import PcdRate, coded_pool_size
 from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, PROFILE_ROLE, RequestProfile, stream
@@ -341,14 +341,14 @@ def trial_pam_shallow_serve(profile, placement, config) -> tuple[int, bool, floa
 def walk_pam_steep_serve(block, placement, rngs) -> SteepServeOutcome:
     """pam_steep_serve as it was before it settled the runs whose counts
     cannot depend on a pick: every cluster of every trial walked by
-    _walk_runs on one uniform per request, drawn in one call per trial,
-    every pick made."""
-    unmatched, rates = [], []
-    for (files, bounds, firsts), rng in zip(trial_runs(block), rngs):
-        u = rng.random(bounds[-1] - bounds[0]).tolist()
-        _, missed, server = _walk_runs(files, bounds, firsts, placement.holders, u)
-        unmatched.append(missed)
-        rates.append(len(set(server)))
+    cluster_matchings on one uniform per request, drawn in one call per
+    trial, every pick made; per trial, the unmatched requests summed and
+    their server files counted once."""
+    clusters = block.config.num_clusters
+    outcomes = list(cluster_matchings(block, placement, rngs))
+    trials = [outcomes[t * clusters:(t + 1) * clusters] for t in range(block.trials)]
+    unmatched = [sum(o.unmatched_requests for o in trial) for trial in trials]
+    rates = [len({n for o in trial for n in o.server_files}) for trial in trials]
     return SteepServeOutcome(np.array(unmatched, dtype=np.int64), np.array(rates, dtype=np.float64))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachematch import delivery, montecarlo, pcd
-from cachematch.delivery import _integer_rate, coded_delivery_rate
+from cachematch.delivery import coded_delivery_rate
 from cachematch.hcm import build_color_plan
 from cachematch.pcd import coded_pool_size
 from cachematch.popularity import build_catalog
@@ -79,18 +79,6 @@ def test_monotone_in_memory_and_demands(C, F):
     for m in (0.0, 0.5, 1.0):
         by_ne = [coded_delivery_rate(C, m, F, ne) for ne in range(0, ne_max + 1)]
         assert all(a <= b + 1e-12 for a, b in zip(by_ne, by_ne[1:]))
-
-
-def test_integer_rate_cache_is_bounded_and_exact():
-    maxsize = _integer_rate.cache_info().maxsize
-    assert maxsize is not None and maxsize > 0
-    _integer_rate.cache_clear()
-    keys = [(C, t, ne) for C in range(1, 41) for t in range(C + 1) for ne in range(C + 1)]
-    assert len(keys) > maxsize  # the cache evicts while the grid is walked twice
-    for _ in range(2):
-        for key in keys:
-            assert _integer_rate(*key) == _integer_rate.__wrapped__(*key)
-    assert _integer_rate.cache_info().currsize == maxsize
 
 
 # --- the per-key rate tables ---------------------------------------------------

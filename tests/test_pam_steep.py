@@ -362,7 +362,8 @@ def test_serve_on_lazily_reseated_generators_equals_independent_streams(steep_co
 @pytest.mark.parametrize("shape, M", [("steep-mlp", 4.0), ("steep.json", 4.0), ("steep.json", 16.0)])
 def test_cluster_matchings_equal_mlp_match_cluster_by_cluster(steep_config, shape, M):
     # the walk verification's mlp-structural checks: runs found once per
-    # block, pairs kept, one generator per trial
+    # block, pairs kept, one generator per trial, as independent streams or
+    # as the one generator reseated for each trial that verification passes
     config = dataclasses.replace({
         "steep-mlp": make_config(K=4096, d=64, N=4096, M=4.0, rho=0.1, beta=2.0, t0=0.1),
         "steep.json": steep_config,
@@ -372,12 +373,15 @@ def test_cluster_matchings_equal_mlp_match_cluster_by_cluster(steep_config, shap
     profiles = [sample_profile(config, 21, t) for t in trials]
     rngs = [stream(21, t, MATCHING_ROLE) for t in trials]
     walked = list(cluster_matchings(join_profiles(profiles), placement, rngs))
+    reseated = list(cluster_matchings(join_profiles(profiles), placement,
+                                      (traffic.reseat(21, t, MATCHING_ROLE) for t in trials)))
     expected = []
     for profile, t, rng in zip(profiles, trials, rngs):
         oracle_rng = stream(21, t, MATCHING_ROLE)
         expected += [mlp_match(column, placement, oracle_rng) for column in profile.counts.T]
         assert generator_state(rng) == generator_state(oracle_rng)
     assert walked == expected
+    assert reseated == expected
     assert sum(len(o.matched) for o in walked) > 0 and sum(o.unmatched_requests for o in walked) > 0
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cachematch import cli, montecarlo, pam_steep
+from cachematch import cli, montecarlo, pam_steep, verification
 from cachematch.config import config_payload
 from cachematch.montecarlo import (
     HCM_SCHEME,
@@ -126,6 +126,21 @@ def test_traced_sample_profile_spans_carry_the_trial_ids(monkeypatch, cold_memo)
         montecarlo.run_trials(spec, 2, 4)
     trials = [trial for name, trial, *_ in tracer.spans if name == "traffic.sample_profile"]
     assert trials == [2, 4]
+
+
+def test_traced_verify_records_the_structural_draws(monkeypatch, cold_memo):
+    # mlp-structural draws its blocks through montecarlo.sample_profile, so a
+    # traced verify_config records them, each span carrying its first trial;
+    # verify_config is called unwrapped here, so those spans have no parent
+    spans = _load("spans")
+    config = make_config(K=20, d=10, N=20, M=2.0, beta=2.0)
+    monkeypatch.setattr(montecarlo, "BLOCK_CACHES", 2 * config.K)
+    with spans.Tracer().installed() as tracer:
+        report = verification.verify_config(config, seed=3, trials=5)
+    assert next(c for c in report.checks if c.name == "mlp-structural").status == "PASS"
+    trials = [trial for name, trial, _, _, parent in tracer.spans
+              if name == "traffic.sample_profile" and parent == -1]
+    assert trials == [0, 2, 4]
 
 
 def test_setup_probe_builds_every_scheme(monkeypatch):

@@ -165,3 +165,23 @@ def test_bench_pairs_states_the_acceptance_rule(parent, change, better, within_b
     assert got["bound"] == 0.2 and got["pairs"] == len(parent)
     assert got["within_bound"] is within_bound
     assert got["claim_rule_met"] is claim_rule_met
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, unresolved",
+    [
+        # the parent's IQR is 3.0 on a median of 10.5, 29 % against a bound of
+        # 20 %, and the change's runs fall inside its spread
+        ([9.0, 12.0] * 5, [10.5] * 10, "lower", True),
+        # the same spread, but every run of the change reads better than every
+        # run of the parent, in either direction
+        ([9.0, 12.0] * 5, [8.5] * 10, "lower", False),
+        ([9.0, 12.0] * 5, [12.5] * 10, "higher", False),
+        # a parent IQR of 1 % of its median resolves even a change that is worse
+        ([10.0, 10.1] * 5, [11.0] * 10, "lower", False),
+    ],
+)
+def test_bench_pairs_flags_a_metric_the_parents_spread_cannot_resolve(parent, change, better, unresolved):
+    summary = _load("bench_pairs").summarise(
+        _pairs(parent, change), {"wall_s": {"name": "wall_s", "better": better, "bound": 0.2}})
+    assert summary["wall_s"]["unresolved"] is unresolved

@@ -264,6 +264,31 @@ def test_mlp_structural_matches_each_clusters_requests(monkeypatch):
     assert sum(len(o.matched) for o in expected) > 0
 
 
+@pytest.mark.parametrize("path, changes, callee", [
+    ("configs/default.json", {"M": 10.0}, "pam_shallow_serve"),  # above the replication threshold
+    ("configs/steep.json", {}, "cluster_matchings"),
+])
+def test_structural_checks_obey_the_block_cap(monkeypatch, cold_memo, path, changes, callee):
+    # pam-feasible-all-matched and mlp-structural walk montecarlo's block
+    # loop: a block they score spans at most BLOCK_CACHES caches, and the
+    # report is the same at any cap
+    config = dataclasses.replace(load_config(path), **changes)
+    original = getattr(verification, callee)
+    spans = []
+
+    def recording(block, *args):
+        spans.append(block.trials)
+        return original(block, *args)
+
+    monkeypatch.setattr(verification, callee, recording)
+    default = verify_config(config, seed=2, trials=30).to_json()
+    assert max(spans) > 2  # the default cap lets a block span more trials
+    spans.clear()
+    monkeypatch.setattr(montecarlo, "BLOCK_CACHES", 2 * config.K)
+    assert verify_config(config, seed=2, trials=30).to_json() == default
+    assert spans and max(spans) <= 2
+
+
 @pytest.mark.parametrize("fault, detail", [
     ("reuse", "trial 1 cluster 2: a cache matched twice"),
     ("foreign", "trial 1: matched cache lacks the file"),
