@@ -2,17 +2,18 @@
 
 Streams are keyed by (seed, trial) through the Philox counter-based generator,
 so any trial's profile can be regenerated in isolation: results do not depend
-on iteration order or on how trials are sheared across workers.  The key goes
-to Philox as a two-word seed sequence, so building a stream reads no OS
-entropy.  Role 0 of a stream draws the request profile; role 1 feeds any
-randomized matcher run on the same trial.
+on iteration order or on how trials are sheared across workers.  Role 0 of a
+stream draws the request profile; role 1 feeds any randomized matcher run on
+the same trial.
 
-A counter-based stream is its (key, counter) pair and nothing else, so the
-trial loop does not build a generator per trial: reseat moves one generator
-per process to the state stream(seed, trial, role) starts in, by writing its
-key and counter in place (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC 2011).  A reseated generator is valid until the next reseat;
-stream builds independent generators for callers that hold several at once.
+A counter-based stream is its (key, counter) pair and nothing else (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so one write of
+key and counter into Philox's state puts a generator on a stream.  stream
+writes it into a fresh generator, built from a fixed seed so that it reads no
+OS entropy.  reseat writes it into one generator per process, which the trial
+loop moves from trial to trial in place of building a generator per trial.  A
+reseated generator is valid until the next reseat; stream builds independent
+generators for callers that hold several at once.
 
 Profiles are drawn by Poisson splitting and store only their requests, so
 memory per trial grows with the number of requests, not with N * K/d.
@@ -59,48 +60,39 @@ def _philox_words(seed: int, trial: int, role: int) -> tuple[list[int], list[int
     return [operator.index(seed), operator.index(trial)], [0, 0, role, 0]
 
 
-def stream(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generator:
-    """Independent generator for (seed, trial, role); same inputs, same draws.
-    For callers that hold several at once, such as a generator per trial of
-    a block; the trial loop reseats one instead (reseat)."""
-    key, counter = _philox_words(seed, trial, role)
-    return np.random.Generator(np.random.Philox(_philox_key_type()(key), counter=counter))
+# every stream's start state but for the key and counter _seat writes: buffer empty
+_STATE = {"bit_generator": "Philox", "state": {}, "buffer": [0] * 4, "buffer_pos": 4,
+          "has_uint32": 0, "uinteger": 0}
 
 
-def reseat(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generator:
-    """The process's one reseatable generator, moved to the state that
-    stream(seed, trial, role) starts in, so it gives the same draws.  It is
-    valid only until the next reseat, which moves it again: a caller never
-    holds two at once.  Not locked: trials run in processes, never in
-    threads."""
-    generator, state = _reseatable()
-    state["state"]["key"], state["state"]["counter"] = _philox_words(seed, trial, role)
-    generator.bit_generator.state = state  # buffer empty, no uint32 held
+def _seat(generator: np.random.Generator, seed: int, trial: int, role: int) -> np.random.Generator:
+    """Move a Philox `generator` to the state stream (seed, trial, role)
+    starts in, by writing its key and counter in place.  _STATE is not
+    locked: trials run in processes, never in threads."""
+    _STATE["state"]["key"], _STATE["state"]["counter"] = _philox_words(seed, trial, role)
+    generator.bit_generator.state = _STATE
     return generator
 
 
-@cache
-def _reseatable() -> tuple[np.random.Generator, dict]:
-    """The generator reseat moves and the state dict it writes, made on first use."""
-    generator = stream(0, 0)
-    state = {"bit_generator": "Philox", "state": {}, "buffer": [0] * 4, "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    return generator, state
+def stream(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generator:
+    """Independent generator for (seed, trial, role); same inputs, same draws.
+    For callers that hold several at once, such as a generator per trial of
+    a block; the trial loop reseats one instead (reseat).  Its seed_seq is
+    seed 0's, the same for every stream: spawn nothing from it."""
+    return _seat(np.random.Generator(np.random.Philox(0)), seed, trial, role)
+
+
+def reseat(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generator:
+    """The process's one reseatable generator, seated where stream(seed,
+    trial, role) starts, so it gives the same draws.  It is valid only until
+    the next reseat, which moves it again: a caller never holds two at once."""
+    return _seat(_reseatable(), seed, trial, role)
 
 
 @cache
-def _philox_key_type() -> type:
-    """The seed sequence stream hands Philox: the key as two uint64 words, any
-    other request refused, where Philox(key=...) draws OS entropy and discards
-    it.  Made on first use, as importing numpy.random takes about 17 ms."""
-
-    class PhiloxKey(tuple, np.random.bit_generator.ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise DomainError(f"a Philox key is 2 uint64 words, not {n_words} {np.dtype(dtype)}")
-            return np.array(self, dtype=np.uint64)
-
-    return PhiloxKey
+def _reseatable() -> np.random.Generator:
+    """The generator reseat moves, made on first use."""
+    return stream(0, 0)
 
 
 @dataclass(frozen=True)

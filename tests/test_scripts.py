@@ -1,4 +1,5 @@
-"""The scripts under scripts/: the figure datasets and the paired benchmark runner."""
+"""The scripts under scripts/: the figure datasets, the paired benchmark runner
+and the output comparison of two checkouts."""
 
 import importlib.util
 import json
@@ -7,7 +8,8 @@ import textwrap
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = REPO / "scripts"
 FIGURE_FILES = ("rates_shallow_vs_memory.csv", "rates_steep_vs_memory.csv", "rates_vs_beta.csv",
                 "regimes_shallow.csv", "regimes_steep.csv")
 
@@ -185,3 +187,29 @@ def test_bench_pairs_flags_a_metric_the_parents_spread_cannot_resolve(parent, ch
     summary = _load("bench_pairs").summarise(
         _pairs(parent, change), {"wall_s": {"name": "wall_s", "better": better, "bound": 0.2}})
     assert summary["wall_s"]["unresolved"] is unresolved
+
+
+def test_same_outputs_finds_a_checkout_the_same_as_itself(monkeypatch, capsys):
+    same_outputs = _load("same_outputs")
+    monkeypatch.setattr(same_outputs, "COMMANDS", same_outputs.COMMANDS[:1])
+    assert same_outputs.main(["--parent", str(REPO), "--change", str(REPO)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["same    -m cachematch.cli simulate configs/default.json --scheme pcd --seed 5 --trials 200 "
+                     "--workers 1", "0 of 1 commands differ"]
+
+
+def test_same_outputs_reports_what_differs(monkeypatch, capsys):
+    same_outputs = _load("same_outputs")
+    results = {
+        "parent": {"stdout": b"1", "stderr": b"", "exit code": 0, "files": {"a.json": b"{}", "b.csv": b"x"}},
+        "change": {"stdout": b"2", "stderr": b"", "exit code": 1, "files": {"a.json": b"[]", "c.csv": b"x"}},
+    }
+    monkeypatch.setattr(same_outputs, "COMMANDS", [["-m", "tool", "{checkout}/in.json"], ["-m", "other"]])
+    monkeypatch.setattr(same_outputs, "run", lambda command, checkout: results[checkout.name]
+                        if command[1] == "tool" else results["parent"])
+    assert same_outputs.main(["--parent", "parent", "--change", "change"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFFERS -m tool in.json: stdout, exit code, file a.json, b.csv not written, c.csv newly written",
+        "same    -m other",
+        "1 of 2 commands differ",
+    ]
