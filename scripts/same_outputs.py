@@ -4,12 +4,18 @@
 
 Each command of COMMANDS runs once for each checkout, in a fresh empty
 working directory, with that checkout's src/ on PYTHONPATH; `{checkout}` in
-an argument stands for the checkout's path.  The list covers what a change
+an argument stands for the checkout's path, and `{extra}` for a temporary
+directory holding EXTRA_CONFIG as hybrid.json, which both checkouts read.
+EXTRA_CONFIG is K = N = 2048, d = 128, M = 26, rho = .05, beta = .3,
+t0 = .1: hcm gets chi = 4 colors, and M is above pam-shallow's replication
+threshold of 22.86, so it scores what the shipped configs do not (hcm with
+chi >= 2, and simulations at beta in (0, 1)).  The list covers what a change
 that keeps outputs byte-identical must keep:
 - `simulate` at --workers 1 and 2, seed 5, 200 trials, for every scheme on
-  both shipped configs (a scheme that does not apply exits 2 on both sides)
-- `verify-bounds` at seed 1 on both configs: the text on stdout and the
-  --out JSON
+  both shipped configs (a scheme that does not apply exits 2 on both sides),
+  and for pcd, hcm and pam-shallow on EXTRA_CONFIG
+- `verify-bounds` at seed 1 on all three configs: the text on stdout and
+  the --out JSON
 - `scripts/make_figure_data.py --trials 50 --workers 2`
 
 For each command it compares stdout, stderr, the exit code and every file
@@ -21,6 +27,7 @@ or `DIFFERS` with what differs, and exits 1 if any command differs.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -29,12 +36,19 @@ from pathlib import Path
 
 CONFIGS = ("{checkout}/configs/default.json", "{checkout}/configs/steep.json")
 SCHEMES = ("pcd", "hcm", "pam-shallow", "pam-steep")
+EXTRA = "{extra}/hybrid.json"
+EXTRA_CONFIG = {"k": 2048, "d": 128, "n": 2048, "m": 26.0, "rho": 0.05, "beta": 0.3, "t0": 0.1}
 CLI = ("-m", "cachematch.cli")
 
+
+def simulate(config: str, scheme: str, workers: str) -> list[str]:
+    return [*CLI, "simulate", config, "--scheme", scheme, "--seed", "5", "--trials", "200", "--workers", workers]
+
+
 COMMANDS = [
-    *[[*CLI, "simulate", config, "--scheme", scheme, "--seed", "5", "--trials", "200", "--workers", workers]
-      for config in CONFIGS for scheme in SCHEMES for workers in ("1", "2")],
-    *[[*CLI, "verify-bounds", config, "--seed", "1", "--out", "report.json"] for config in CONFIGS],
+    *[simulate(config, scheme, workers) for config in CONFIGS for scheme in SCHEMES for workers in ("1", "2")],
+    *[simulate(EXTRA, scheme, workers) for scheme in SCHEMES[:3] for workers in ("1", "2")],
+    *[[*CLI, "verify-bounds", config, "--seed", "1", "--out", "report.json"] for config in (*CONFIGS, EXTRA)],
     ["{checkout}/scripts/make_figure_data.py", "--trials", "50", "--workers", "2"],
 ]
 
@@ -71,11 +85,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     differing = 0
-    for command in COMMANDS:
-        found = differences(run(command, parent), run(command, change))
-        differing += bool(found)
-        shown = " ".join(command).replace("{checkout}/", "")
-        print(f"DIFFERS {shown}: {', '.join(found)}" if found else f"same    {shown}", flush=True)
+    with tempfile.TemporaryDirectory() as extra:
+        Path(extra, "hybrid.json").write_text(json.dumps(EXTRA_CONFIG, indent=2) + "\n")
+        for command in COMMANDS:
+            argv = [arg.replace("{extra}", extra) for arg in command]
+            found = differences(run(argv, parent), run(argv, change))
+            differing += bool(found)
+            shown = " ".join(command).replace("{checkout}/", "")
+            print(f"DIFFERS {shown}: {', '.join(found)}" if found else f"same    {shown}", flush=True)
     print(f"{differing} of {len(COMMANDS)} commands differ")
     return 1 if differing else 0
 

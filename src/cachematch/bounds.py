@@ -47,7 +47,7 @@ def optimality_gap(config: SystemConfig) -> float:
     a = DISTINCT_FRACTION
     if config.M >= a * config.N / (2.0 * config.d):
         raise DomainError("gap guarantee needs M < (1 - e^(-1)/2) * N / (2*d)")
-    achievable = pcd_rate_shallow(config).total
+    achievable = pcd_rate_shallow(config)
     return achievable / shallow_lower_bound(config)
 
 

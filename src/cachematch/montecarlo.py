@@ -135,9 +135,7 @@ SCHEMES: dict[str, Scheme] = _SchemeTable((s.name, s) for s in (
     Scheme(
         PCD_SCHEME,
         lambda config: None,  # applies at every beta
-        lambda config, t: (
-            pcd_rate_shallow(config) if config.beta < 1 else pcd_rate_steep(config)
-        ).total,
+        lambda config, t: pcd_rate_shallow(config) if config.beta < 1 else pcd_rate_steep(config),
         lambda config, catalog, t: None,
         lambda block, config, state, seed, trials: pcd_simulate(block, config),
     ),

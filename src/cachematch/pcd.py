@@ -21,7 +21,6 @@ and the trials' coded rates are gathered from the rate table of (K, M, pool).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +29,6 @@ from .delivery import coded_delivery_rate, coded_rates
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI, power_or_inf
 from .traffic import RequestProfile, distinct_counts, group_counts, within_caps
-
-
-@dataclass(frozen=True)
-class PcdRate:
-    """A rate split into its coded-delivery and unmatched terms; hcm reports one too."""
-
-    coded_term: float
-    unmatched_term: float
-    total: float
 
 
 def unmatched_tail_term(K: float, t: float) -> float:
@@ -52,16 +42,14 @@ def cluster_unmatched_bound(config: SystemConfig) -> float:
     return config.K * (rho * math.exp(1.0 - rho)) ** d / SQRT_TWO_PI
 
 
-def rate_shallow_formula(K: float, N: float, M: float, rho: float, t0: float) -> PcdRate:
+def rate_shallow_formula(K: float, N: float, M: float, rho: float, t0: float) -> float:
     """min{rho*K, [N/M - 1]^+ + K^(-t0)/sqrt(2*pi)} with real-valued inputs."""
-    unmatched = unmatched_tail_term(K, t0)
     if M == 0:
-        return PcdRate(math.inf, unmatched, rho * K)
-    coded = max(N / M - 1.0, 0.0)
-    return PcdRate(coded, unmatched, min(rho * K, coded + unmatched))
+        return rho * K
+    return min(rho * K, max(N / M - 1.0, 0.0) + unmatched_tail_term(K, t0))
 
 
-def pcd_rate_shallow(config: SystemConfig) -> PcdRate:
+def pcd_rate_shallow(config: SystemConfig) -> float:
     if not 0 <= config.beta < 1:
         raise DomainError("shallow rate requires beta in [0, 1)")
     return rate_shallow_formula(config.K, config.N, config.M, config.rho, config.t0)
@@ -69,20 +57,18 @@ def pcd_rate_shallow(config: SystemConfig) -> PcdRate:
 
 def rate_steep_formula(
     K: float, N: float, M: float, rho: float, beta: float, t0: float
-) -> PcdRate:
+) -> float:
     """Piecewise steep-popularity rate; min with the rho*K unicast fallback."""
-    unmatched = unmatched_tail_term(K, t0)
     if M < 1:
-        coded = K ** (1.0 / beta)
-        return PcdRate(coded, 0.0, min(rho * K, coded))
+        return min(rho * K, K ** (1.0 / beta))
     if M < power_or_inf(N, beta) / K:
         coded = max((K * M) ** (1.0 / beta) / M - 1.0, 0.0)
     else:
         coded = max(N / M - 1.0, 0.0)
-    return PcdRate(coded, unmatched, min(rho * K, coded + unmatched))
+    return min(rho * K, coded + unmatched_tail_term(K, t0))
 
 
-def pcd_rate_steep(config: SystemConfig) -> PcdRate:
+def pcd_rate_steep(config: SystemConfig) -> float:
     if config.beta <= 1:
         raise DomainError("steep rate requires beta > 1")
     return rate_steep_formula(

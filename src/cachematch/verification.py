@@ -275,7 +275,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
     # --- color plan -------------------------------------------------------
     def hcm_dominance():
         lhs = hcm_rate(config, config.t0)
-        rhs = pcd_rate_shallow(config).total
+        rhs = pcd_rate_shallow(config)
         return lhs <= rhs, f"color-plan rate {lhs:.6g} vs replication-free {rhs:.6g}"
 
     def hcm_exact_branch():

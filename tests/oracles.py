@@ -24,7 +24,7 @@ from cachematch.delivery import coded_delivery_rate
 from cachematch.errors import DomainError
 from cachematch.pam_shallow import _violating
 from cachematch.pam_steep import SteepServeOutcome, _walk_runs, cluster_matchings
-from cachematch.pcd import PcdRate, coded_pool_size
+from cachematch.pcd import coded_pool_size
 from cachematch.popularity import build_catalog
 from cachematch.traffic import MATCHING_ROLE, PROFILE_ROLE, RequestProfile, stream
 
@@ -154,7 +154,7 @@ def shallow_lower_bound_small_memory(config) -> float:
     return scale * min(first, config.rho * config.K)
 
 
-def parent_match_runs(clusters, files, counts, placement, u, pairs=True):
+def parent_match_runs(clusters, files, counts, placement, u):
     """Most-popular-last matching of counts[i] requests for file files[i] in
     cluster clusters[i], in scan order: each cluster's files from the least
     popular (largest index) down, clusters one after another.  The run
@@ -163,13 +163,10 @@ def parent_match_runs(clusters, files, counts, placement, u, pairs=True):
     u holds one uniform in [0, 1) per request, in scan order.  A matched
     request takes index int(u * len) of the sorted list of currently available
     caches holding its file; a request that finds no available cache leaves
-    its uniform unused.  Returns (matched, unmatched, server), where matched
-    is the list of (file, cache) pairs in match order.
-
-    With pairs=False, matched stays empty, and a pick is made only where a
-    later run of the same cluster can see it: not in the last cached run of a
-    cluster, and not in a run that asks for at least as many caches as are
-    free.
+    its uniform unused.  A pick is made only where a later run of the same
+    cluster can see it: not in the last cached run of a cluster, and not in a
+    run that asks for at least as many caches as are free.  Returns
+    (unmatched, server).
     """
     sizes = placement.copies[files]
     cached = sizes > 0
@@ -179,14 +176,13 @@ def parent_match_runs(clusters, files, counts, placement, u, pairs=True):
     clusters, files, counts, sizes = clusters[cached], files[cached], counts[cached], sizes[cached]
     last = np.diff(clusters, append=-1) != 0  # nothing later in the cluster reads taken
     u = u.tolist()
-    matched: list[tuple[int, int]] = []
     cluster = None
     runs = zip(clusters.tolist(), files.tolist(), counts.tolist(), sizes.tolist(),
                positions.tolist(), last.tolist())
     for c, n, r, size, pos, final in runs:
         if c != cluster:
             cluster, taken = c, set()
-        if final and not pairs:
+        if final:
             free = size - len(taken)  # a lower bound: taken may hold others' caches
             if free < r:
                 free = size - len(taken.intersection(placement.holders[n]))
@@ -196,31 +192,27 @@ def parent_match_runs(clusters, files, counts, placement, u, pairs=True):
             if not taken.isdisjoint(cand):
                 cand = [k for k in cand if k not in taken]
             served = min(r, len(cand))
-            if pairs or served < len(cand):
-                picks = [cand.pop(int(x * len(cand))) for x in u[pos:pos + served]]
-                taken.update(picks)
-                if pairs:
-                    matched += [(n, k) for k in picks]
+            if served < len(cand):
+                taken.update(cand.pop(int(x * len(cand))) for x in u[pos:pos + served])
             else:
                 taken.update(cand)
         if served < r:
             unmatched += r - served
             server.append(n)
-    return matched, unmatched, server
+    return unmatched, server
 
 
 def parent_pam_steep_serve(profile, placement, rng):
     """(server files, matched users, unmatched requests) of pam_steep_serve,
     computed by reversing each cluster's block of the sorted request list,
-    finding its runs with np.diff and matching them with parent_match_runs
-    in count mode, on one uniform per request drawn from rng in one call."""
+    finding its runs with np.diff and matching them with parent_match_runs,
+    on one uniform per request drawn from rng in one call."""
     offsets, cluster = profile.offsets, profile.cluster_of_request()
     files = profile.files[(offsets[1:] + offsets[:-1] - 1)[cluster] - np.arange(cluster.size)]
     first = np.flatnonzero(np.diff(cluster * profile.config.N + files, prepend=-1))
     counts = np.diff(first, append=files.size)
     u = rng.random(files.size)
-    _, unmatched, server = parent_match_runs(cluster[first], files[first], counts, placement, u,
-                                             pairs=False)
+    unmatched, server = parent_match_runs(cluster[first], files[first], counts, placement, u)
     return len(set(server)), files.size - unmatched, unmatched
 
 
@@ -279,8 +271,8 @@ def distinct_count(files) -> int:
     return int(np.count_nonzero(np.bincount(files)))
 
 
-def trial_pcd_simulate(profile, config) -> PcdRate:
-    """pcd's decomposition of one trial, accounted alone."""
+def trial_pcd_simulate(profile, config) -> tuple[float, float, float]:
+    """pcd's row (total, coded, unmatched) of one trial, accounted alone."""
     pool = coded_pool_size(config)
     users = profile.total_users
     matched = first_in_file_order(profile.files, profile.cluster_totals(), config.d)
@@ -290,13 +282,13 @@ def trial_pcd_simulate(profile, config) -> PcdRate:
     coded = 0.0
     if pool > 0:
         coded = coded_delivery_rate(config.K, config.M, pool, distinct_count(in_pool))
-    coded_term = coded + (matched.size - in_pool.size)
-    total = min(coded_term + unmatched_users, float(users))
-    return PcdRate(coded_term, float(unmatched_users), float(total))
+    coded += matched.size - in_pool.size  # overflow unicasts
+    total = min(coded + unmatched_users, float(users))
+    return float(total), coded, float(unmatched_users)
 
 
-def trial_hcm_simulate(profile, plan, config) -> PcdRate:
-    """hcm's decomposition of one trial, accounted alone."""
+def trial_hcm_simulate(profile, plan, config) -> tuple[float, float, float]:
+    """hcm's row (total, coded, unmatched) of one trial, accounted alone."""
     files = profile.files
     clusters = config.num_clusters
     caps = plan.caches_per_color
@@ -319,7 +311,7 @@ def trial_hcm_simulate(profile, plan, config) -> PcdRate:
             coded += coded_delivery_rate(m_x * clusters, config.M, size, n)
 
     total = min(coded + unmatched, float(profile.total_users))
-    return PcdRate(coded, float(unmatched), total)
+    return total, coded, float(unmatched)
 
 
 def trial_pam_shallow_serve(profile, placement, config) -> tuple[int, bool, float]:
@@ -368,12 +360,10 @@ def trial_pam_steep_serve(profile, placement, rng) -> tuple[int, float]:
 
 def oracle_row(scheme, profile, config, state, seed, trial) -> tuple[float, float, float]:
     """The row (rate, coded, unmatched) of one trial of `scheme`, accounted alone."""
-    if scheme in ("pcd", "hcm"):
-        if scheme == "pcd":
-            r = trial_pcd_simulate(profile, config)
-        else:
-            r = trial_hcm_simulate(profile, state, config)
-        return r.total, r.coded_term, r.unmatched_term
+    if scheme == "pcd":
+        return trial_pcd_simulate(profile, config)
+    if scheme == "hcm":
+        return trial_hcm_simulate(profile, state, config)
     if scheme == "pam-shallow":
         return trial_pam_shallow_serve(profile, state, config)[2], 0.0, 0.0
     unmatched, rate = trial_pam_steep_serve(profile, state, stream(seed, trial, MATCHING_ROLE))

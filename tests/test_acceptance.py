@@ -302,7 +302,7 @@ def test_criterion_08_hcm_structure():
         for rho in (0.1, 0.25):
             for M in (0.0, 32.0, 128.0, 256.0, 512.0):
                 cfg = make_config(K=1024, d=256, N=1024, M=M, rho=rho, beta=beta, t0=0.5)
-                assert hcm_rate(cfg, cfg.t0) <= pcd_rate_shallow(cfg).total
+                assert hcm_rate(cfg, cfg.t0) <= pcd_rate_shallow(cfg)
                 count += 1
     assert count == 50
 
@@ -336,7 +336,7 @@ def test_criterion_10_lower_bound_consistency():
             for M in (0.5, 1.0, 2.0, 3.0, 4.0):
                 cfg = make_config(M=M, rho=rho, beta=beta)
                 bound = shallow_lower_bound(cfg)
-                assert bound <= pcd_rate_shallow(cfg).total
+                assert bound <= pcd_rate_shallow(cfg)
                 assert bound <= pam_shallow_rate(cfg)
                 assert bound <= hcm_rate(cfg, cfg.t0)
     print("criterion 10 PASS: lower bound sits below every analytic scheme rate")
@@ -388,12 +388,12 @@ def test_criterion_11_regime_classifiers():
     pair = [
         pcd_rate_shallow(
             make_config(K=k, d=d, N=k, M=float(k**0.5), beta=0.5)
-        ).total
+        )
         for k, d in ((100, 10), (1600, 40))
     ]
     assert abs(slope(*pair, 100, 1600) - 0.5) < 0.05  # nu=1, mu=1/2
     pair = [
-        rate_steep_formula(K=k, N=k, M=k**0.25, rho=0.25, beta=2.0, t0=1.0).total
+        rate_steep_formula(K=k, N=k, M=k**0.25, rho=0.25, beta=2.0, t0=1.0)
         for k in (1e3, 1e6)
     ]
     assert abs(slope(*pair, 1e3, 1e6) - 0.375) < 0.05  # (1-(beta-1)mu)/beta

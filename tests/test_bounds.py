@@ -142,7 +142,7 @@ def test_bound_below_scheme_rates(mem, rho, beta):
     # any valid lower bound sits under every achievable analytic rate
     config = make_config(M=mem, rho=rho, beta=beta)
     bound = shallow_lower_bound(config)
-    assert bound <= pcd_rate_shallow(config).total + 1e-12
+    assert bound <= pcd_rate_shallow(config) + 1e-12
     assert bound <= hcm_rate(config, config.t0) + 1e-12
 
 

@@ -148,9 +148,9 @@ def test_rate_curve_analytic_columns(tmp_path):
     # each analytic cell is its scheme's rate, written to 12 digits
     shallow = SystemConfig(K=20, d=10, N=20, M=2.0, rho=0.25, beta=0.0, t0=1.0)
     steep = SystemConfig(K=20, d=10, N=20, M=2.0, rho=0.25, beta=2.0, t0=1.0)
-    cells = [pcd_rate_shallow(shallow).total, pam_shallow_rate(shallow), hcm_rate(shallow, 1.0)]
+    cells = [pcd_rate_shallow(shallow), pam_shallow_rate(shallow), hcm_rate(shallow, 1.0)]
     assert by_beta["0"][1:4] == [f"{x:.12g}" for x in cells]
-    steep_cells = [pcd_rate_steep(steep).total, steep_order_value(steep)]
+    steep_cells = [pcd_rate_steep(steep), steep_order_value(steep)]
     assert by_beta["2"][1:3] == [f"{x:.12g}" for x in steep_cells]
 
 

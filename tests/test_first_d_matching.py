@@ -2,10 +2,11 @@
 
 Two kinds of oracle.  The dense ones are cumulative sums over the full
 N x K/d count matrix.  The reference kernels are the per-trial accounting
-that the vector kernels replaced: a rank mask for every cluster, one mask,
-rank and Python set per hcm color, a set of evicted files in pam-shallow,
-and a sampler that concatenates its offsets and sorts into a new array.  On
-the same input every kernel must give bitwise-equal results and draws.  The
+that the vector kernels replaced: a rank mask over every cluster
+(oracles.trial_pcd_simulate), one mask, rank and Python set per hcm color,
+the evictions of one trial (oracles.trial_pam_shallow_serve), and a sampler
+that concatenates its offsets and sorts into a new array.  On the same
+input every kernel must give bitwise-equal results and draws.  The
 kernels score blocks of trials: each profile is scored as a block of one, and
 the pcd and pam-shallow profiles of a test also as one joined block.
 """
@@ -17,20 +18,16 @@ import pytest
 
 from cachematch.delivery import coded_delivery_rate
 from cachematch.hcm import build_color_plan, hcm_simulate
-from cachematch.pam_shallow import _violating, pam_shallow_serve, proportional_placement
-from cachematch.pcd import PcdRate, coded_pool_size, pcd_simulate
+from cachematch.pam_shallow import pam_shallow_serve, proportional_placement
+from cachematch.pcd import coded_pool_size, pcd_simulate
 from cachematch.popularity import build_catalog
 from cachematch.traffic import PROFILE_ROLE, sample_profile, stream
 
 from conftest import make_config
-from oracles import join_profiles, profile_from_counts
+from oracles import (first_in_file_order, join_profiles, profile_from_counts,
+                     trial_pam_shallow_serve, trial_pcd_simulate)
 
 PROFILES = 100  # random profiles per configuration
-
-
-def _row(rate):
-    """A PcdRate as the row (total, coded, unmatched) the kernels give."""
-    return [rate.total, rate.coded_term, rate.unmatched_term]
 
 
 def dense_pcd_simulate(counts, config):
@@ -49,11 +46,10 @@ def dense_pcd_simulate(counts, config):
         coded = coded_delivery_rate(K, M, pool, distinct_matched)
     else:
         coded = 0.0
-    overflow_unicasts = int(matched[pool:].sum())
+    coded += int(matched[pool:].sum())  # overflow unicasts
 
-    coded_term = coded + overflow_unicasts
-    total = min(coded_term + unmatched_users, float(u.sum()))
-    return PcdRate(coded_term, float(unmatched_users), float(total))
+    total = min(coded + unmatched_users, float(u.sum()))
+    return [float(total), coded, float(unmatched_users)]
 
 
 def dense_hcm_simulate(counts, plan, config):
@@ -81,7 +77,7 @@ def dense_hcm_simulate(counts, plan, config):
         )
 
     total = min(coded + unmatched, float(u.sum()))
-    return PcdRate(coded, float(unmatched), total)
+    return [total, coded, float(unmatched)]
 
 
 def _random_counts(gen, config, per_cluster):
@@ -109,7 +105,7 @@ def test_pcd_matches_dense_oracle(config):
     for i in range(PROFILES):
         counts = _random_counts(gen, config, per_cluster=d * (0.5 + i % 3))
         profiles.append(profile_from_counts(counts, config))
-        rows.append(_row(dense_pcd_simulate(counts, config)))
+        rows.append(dense_pcd_simulate(counts, config))
         assert pcd_simulate(profiles[-1], config).tolist() == rows[-1:]
         crowded += (counts.sum(axis=0) > d).any()
         # a cluster matching a request outside the pool unicasts it
@@ -136,8 +132,8 @@ def test_hcm_matches_dense_oracle(zero_color):
         counts = _random_counts(gen, config, per_cluster=int(slots.sum()) * (0.5 + i % 3))
         profile = profile_from_counts(counts, config)
         expected = dense_hcm_simulate(counts, trial_plan, config)
-        assert hcm_simulate(profile, trial_plan, config).tolist() == [_row(expected)]
-        crowded += expected.unmatched_term > 0
+        assert hcm_simulate(profile, trial_plan, config).tolist() == [expected]
+        crowded += expected[2] > 0
     assert crowded > 0
 
 
@@ -149,29 +145,6 @@ def test_simulators_never_build_dense_counts():
     pcd_simulate(profile, config)
     hcm_simulate(profile, plan, config)
     assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt
-
-
-def reference_first_d(files, sizes, limit):
-    """Files of the first `limit` requests of each block, by a rank mask."""
-    starts = np.cumsum(sizes) - sizes
-    rank = np.arange(files.size) - np.repeat(starts, sizes)
-    return files[rank < limit]
-
-
-def reference_pcd_simulate(profile, config):
-    K, d, M = config.K, config.d, config.M
-    pool = coded_pool_size(config)
-    matched = reference_first_d(profile.files, np.diff(profile.offsets), d)
-    unmatched_users = profile.total_users - matched.size
-    if pool > 0:
-        distinct_matched = len(set(matched[matched < pool].tolist()))
-        coded = coded_delivery_rate(K, M, pool, distinct_matched)
-    else:
-        coded = 0.0
-    overflow_unicasts = int(np.count_nonzero(matched >= pool))
-    coded_term = coded + overflow_unicasts
-    total = min(coded_term + unmatched_users, float(profile.total_users))
-    return PcdRate(coded_term, float(unmatched_users), float(total))
 
 
 def reference_hcm_simulate(profile, plan, config):
@@ -187,26 +160,11 @@ def reference_hcm_simulate(profile, plan, config):
         m_x = int(plan.caches_per_color[x])
         if m_x == 0:
             continue
-        matched = reference_first_d(files[color == x], color_totals[x], m_x)
+        matched = first_in_file_order(files[color == x], color_totals[x], m_x)
         distinct = len(set(matched.tolist()))
         coded += coded_delivery_rate(m_x * clusters, config.M, int(plan.class_sizes[x]), distinct)
     total = min(coded + unmatched, float(profile.total_users))
-    return PcdRate(coded, float(unmatched), total)
-
-
-def reference_pam_shallow_serve(profile, placement, config):
-    d, clusters = config.d, config.num_clusters
-    files = profile.files
-    cluster = profile.cluster_of_request()
-    reps = placement.copies[files]
-    owner = np.repeat(np.arange(files.size), reps)
-    rank = np.arange(owner.size) - (np.cumsum(reps) - reps)[owner]
-    slots = cluster[owner] * d + placement.cache_ids[placement.cache_starts[files[owner]] + rank]
-    loads = np.bincount(slots, weights=1.0 / reps[owner], minlength=clusters * d)
-    keep = np.ones(files.size, dtype=bool)
-    keep[owner[_violating(loads)[slots]]] = False
-    evicted_requests = int(files.size - np.count_nonzero(keep))
-    return evicted_requests, evicted_requests == 0, float(len(set(files[~keep].tolist())))
+    return [total, coded, float(unmatched)]
 
 
 def reference_draw(config, catalog, seed, trial):
@@ -254,7 +212,7 @@ def test_pcd_matches_reference_kernel(config):
     for i in range(REFERENCE_PROFILES):
         counts = _varied_counts(gen, config, i, config.d)
         profiles.append(profile_from_counts(counts, config))
-        rows.append(_row(reference_pcd_simulate(profiles[-1], config)))
+        rows.append(list(trial_pcd_simulate(profiles[-1], config)))
         assert pcd_simulate(profiles[-1], config).tolist() == rows[-1:]
         over = (counts.sum(axis=0) > config.d).any()
         crowded += over
@@ -279,9 +237,9 @@ def test_hcm_matches_reference_kernel(zero_color):
         counts = _varied_counts(gen, config, i, int(slots.sum()))
         profile = profile_from_counts(counts, config)
         expected = reference_hcm_simulate(profile, trial_plan, config)
-        assert hcm_simulate(profile, trial_plan, config).tolist() == [_row(expected)]
-        crowded += expected.unmatched_term > 0
-        roomy += expected.unmatched_term == 0
+        assert hcm_simulate(profile, trial_plan, config).tolist() == [expected]
+        crowded += expected[2] > 0
+        roomy += expected[2] == 0
     assert crowded > 0 and roomy > 0
 
 
@@ -294,7 +252,7 @@ def test_pam_shallow_serve_matches_reference_kernel():
     for i in range(REFERENCE_PROFILES):
         counts = _varied_counts(gen, config, i, config.d)
         profiles.append(profile_from_counts(counts, config))
-        expected.append(reference_pam_shallow_serve(profiles[-1], placement, config))
+        expected.append(trial_pam_shallow_serve(profiles[-1], placement, config))
         out = pam_shallow_serve(profiles[-1], placement, config)
         evicted, all_feasible, rate = expected[-1]
         assert (out.evicted_requests, out.all_feasible, out.rates.tolist()) == (evicted, all_feasible, [rate])

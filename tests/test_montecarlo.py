@@ -76,10 +76,10 @@ def test_compatibility_matrix():
 
 
 def test_analytic_dispatch():
-    assert analytic_rate(_spec(PCD_SCHEME)) == pcd_rate_shallow(make_config()).total
+    assert analytic_rate(_spec(PCD_SCHEME)) == pcd_rate_shallow(make_config())
     steep = load_config("configs/steep.json")
     steep_spec = ExperimentSpec(config=steep, scheme=PCD_SCHEME, trials=1, seed=0)
-    assert analytic_rate(steep_spec) == pcd_rate_steep(steep).total
+    assert analytic_rate(steep_spec) == pcd_rate_steep(steep)
     assert analytic_rate(_spec(PAM_SHALLOW_SCHEME)) == pam_shallow_rate(make_config())
     ks_spec = ExperimentSpec(config=steep, scheme=PAM_STEEP_SCHEME, trials=1, seed=0)
     assert analytic_rate(ks_spec) == steep_order_value(steep)

@@ -36,20 +36,18 @@ def test_cluster_unmatched_bound(base_config):
 
 def test_shallow_rate_frozen(base_config):
     rate = pcd_rate_shallow(base_config)
-    assert rate.coded_term == pytest.approx(9.0, rel=1e-14)
-    assert rate.unmatched_term == pytest.approx(0.003989422804014328, rel=1e-13)
-    assert rate.total == pytest.approx(9.003989422804015, rel=1e-13)
+    # coded term N/M - 1 = 9 plus the unmatched tail K^(-t0)/sqrt(2*pi)
+    assert rate - unmatched_tail_term(100, 1.0) == pytest.approx(9.0, rel=1e-14)
+    assert rate == pytest.approx(9.003989422804015, rel=1e-13)
 
 
 def test_shallow_rate_edges():
     zero_mem = rate_shallow_formula(K=100, N=100, M=0, rho=0.25, t0=1.0)
-    assert zero_mem.total == pytest.approx(25.0)
-    assert math.isinf(zero_mem.coded_term)
+    assert zero_mem == 25.0  # no memory: unicast to every user, rho*K
     full_mem = rate_shallow_formula(K=100, N=100, M=100, rho=0.25, t0=1.0)
-    assert full_mem.coded_term == 0.0
-    assert full_mem.total == full_mem.unmatched_term
+    assert full_mem == unmatched_tail_term(100, 1.0)  # the coded term is 0
     clamped = rate_shallow_formula(K=100, N=100, M=0.5, rho=0.25, t0=1.0)
-    assert clamped.total == pytest.approx(25.0)  # unicast fallback wins
+    assert clamped == pytest.approx(25.0)  # unicast fallback wins
 
 
 def test_shallow_rejects_steep(base_config):
@@ -60,14 +58,13 @@ def test_shallow_rejects_steep(base_config):
 
 
 def test_steep_rate_frozen():
-    sub_unit = pcd_rate_steep(make_config(beta=2.0, M=0.5))
-    assert sub_unit.coded_term == pytest.approx(10.0, rel=1e-14)
-    assert sub_unit.unmatched_term == 0.0
-    assert sub_unit.total == pytest.approx(10.0, rel=1e-14)
+    # below unit memory: K^(1/beta) = 10 with no unmatched tail
+    assert pcd_rate_steep(make_config(beta=2.0, M=0.5)) == pytest.approx(10.0, rel=1e-14)
 
     unit = pcd_rate_steep(make_config(beta=2.0, M=1.0))
-    assert unit.coded_term == pytest.approx(9.0, rel=1e-13)
-    assert unit.total == pytest.approx(9.003989422804015, rel=1e-13)
+    # coded term (K*M)^(1/beta)/M - 1 = 9 plus the unmatched tail
+    assert unit - unmatched_tail_term(100, 1.0) == pytest.approx(9.0, rel=1e-13)
+    assert unit == pytest.approx(9.003989422804015, rel=1e-13)
 
 
 def test_steep_branch_continuity():
@@ -75,14 +72,15 @@ def test_steep_branch_continuity():
     boundary = 100.0**2 / 100.0
     at = rate_steep_formula(K=100, N=100, M=boundary, rho=0.25, beta=2.0, t0=1.0)
     below = rate_steep_formula(K=100, N=100, M=boundary - 1e-7, rho=0.25, beta=2.0, t0=1.0)
-    assert at.total == pytest.approx(below.total, abs=1e-6)
+    assert at == pytest.approx(below, abs=1e-6)
 
 
 def test_steep_discontinuity_at_unit_memory_is_one():
-    # coded terms differ by exactly one transmission across M = 1
+    # coded terms differ by exactly one transmission across M = 1, where the
+    # unmatched tail joins the rate: it falls by 1 - K^(-t0)/sqrt(2*pi)
     below = rate_steep_formula(K=100, N=100, M=0.999999999, rho=0.4, beta=2.0, t0=1.0)
     at = rate_steep_formula(K=100, N=100, M=1.0, rho=0.4, beta=2.0, t0=1.0)
-    assert below.coded_term - at.coded_term == pytest.approx(1.0, abs=1e-6)
+    assert below - at == pytest.approx(1.0 - unmatched_tail_term(100, 1.0), abs=1e-6)
 
 
 @settings(max_examples=60)
@@ -90,12 +88,12 @@ def test_steep_discontinuity_at_unit_memory_is_one():
 def test_rates_nonincreasing_in_memory(beta, rho):
     grid = [0.0, 0.3, 0.7, 1.0, 2.0, 5.0, 20.0, 50.0, 100.0]
     steep = [
-        rate_steep_formula(K=100, N=100, M=m, rho=rho, beta=beta, t0=1.0).total
+        rate_steep_formula(K=100, N=100, M=m, rho=rho, beta=beta, t0=1.0)
         for m in grid
     ]
     assert all(a >= b - 1e-12 for a, b in zip(steep, steep[1:]))
     shallow = [
-        rate_shallow_formula(K=100, N=100, M=m, rho=rho, t0=1.0).total for m in grid
+        rate_shallow_formula(K=100, N=100, M=m, rho=rho, t0=1.0) for m in grid
     ]
     assert all(a >= b - 1e-12 for a, b in zip(shallow, shallow[1:]))
 
@@ -165,4 +163,4 @@ def test_simulate_mean_below_analytic(base_config):
     ]
     mean = float(np.mean(totals))
     sigma = float(np.std(totals, ddof=1)) / math.sqrt(len(totals))
-    assert mean <= pcd_rate_shallow(base_config).total + 3 * sigma
+    assert mean <= pcd_rate_shallow(base_config) + 3 * sigma

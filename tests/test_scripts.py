@@ -8,6 +8,10 @@ import textwrap
 
 import pytest
 
+from cachematch.config import load_config
+from cachematch.hcm import compute_chi
+from cachematch.pam_shallow import memory_threshold
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = REPO / "scripts"
 FIGURE_FILES = ("rates_shallow_vs_memory.csv", "rates_steep_vs_memory.csv", "rates_vs_beta.csv",
@@ -196,6 +200,22 @@ def test_same_outputs_finds_a_checkout_the_same_as_itself(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["same    -m cachematch.cli simulate configs/default.json --scheme pcd --seed 5 --trials 200 "
                      "--workers 1", "0 of 1 commands differ"]
+
+
+def test_same_outputs_extra_config_has_four_colors_and_replicates(monkeypatch, capsys, tmp_path):
+    same_outputs = _load("same_outputs")
+    path = tmp_path / "hybrid.json"
+    path.write_text(json.dumps(same_outputs.EXTRA_CONFIG))
+    config = load_config(str(path))
+    assert compute_chi(config, config.t0) == 4
+    assert 0 < config.beta < 1 and config.M > memory_threshold(config)
+    # both checkouts read the one written config
+    hcm = [c for c in same_outputs.COMMANDS if same_outputs.EXTRA in c and "hcm" in c]
+    monkeypatch.setattr(same_outputs, "COMMANDS", hcm[:1])
+    assert same_outputs.main(["--parent", str(REPO), "--change", str(REPO)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "same    -m cachematch.cli simulate {extra}/hybrid.json --scheme hcm --seed 5 --trials 200 --workers 1",
+        "0 of 1 commands differ"]
 
 
 def test_same_outputs_reports_what_differs(monkeypatch, capsys):
