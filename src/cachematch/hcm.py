@@ -34,7 +34,7 @@ from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
 from .pcd import unmatched_tail_term
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile, distinct_counts, within_caps
+from .traffic import RequestProfile, distinct_counts, group_keys, within_caps
 
 
 def popularity_split_gain(beta: float) -> float:
@@ -84,16 +84,15 @@ def build_color_plan(config: SystemConfig, catalog: ZipfCatalog, t: float) -> Co
     file_color = np.arange(config.N, dtype=np.int64) % chi
     class_sizes = np.bincount(file_color, minlength=chi)
     class_mass = np.bincount(file_color, weights=catalog.p, minlength=chi)
-    caches_per_color = np.floor(config.d * class_mass).astype(np.int64)
+    # P_x is a ratio of integers for one color (1) and at beta = 0 (|W_x| / N),
+    # so floor those in integers: a float sum of p can land just below d * P_x
+    if chi == 1 or config.beta == 0:
+        caches_per_color = config.d * class_sizes // config.N
+    else:
+        caches_per_color = np.floor(config.d * class_mass).astype(np.int64)
     for arr in (file_color, class_sizes, class_mass, caches_per_color):
         arr.setflags(write=False)
-    return ColorPlan(
-        chi=chi,
-        file_color=file_color,
-        class_sizes=class_sizes,
-        class_mass=class_mass,
-        caches_per_color=caches_per_color,
-    )
+    return ColorPlan(chi, file_color, class_sizes, class_mass, caches_per_color)
 
 
 def hcm_rate(config: SystemConfig, t: float) -> float:
@@ -121,8 +120,9 @@ def unmatched_chain_bound(plan: ColorPlan, config: SystemConfig) -> float:
     return config.K * float(terms.sum()) / SQRT_TWO_PI
 
 
-def hcm_simulate(block: RequestProfile, plan: ColorPlan, config: SystemConfig) -> np.ndarray:
-    """Rows (total, coded term, unmatched users) of the block's trials under the color plan."""
+def hcm_simulate(block: RequestProfile, plan: ColorPlan) -> np.ndarray:
+    """Rows (total, coded term, unmatched users) of the block's trials, at its config, under the color plan."""
+    config = block.config
     files = block.files
     users = block.trial_totals()
     cells = block.offsets.size - 1  # (trial, cluster) pairs
@@ -138,18 +138,17 @@ def hcm_simulate(block: RequestProfile, plan: ColorPlan, config: SystemConfig) -
     unmatched = users - matched.sum(axis=0)
     # file ids keyed by (trial, color): each key's distinct files are the
     # demands of that color's coded round in that trial
-    ids = (np.arange(0, users.size * plan.chi, plan.chi).repeat(users) + color) * config.N + files
+    ids = group_keys(color * config.N + files, users, plan.chi * config.N)
     if unmatched.any():
         # a stable sort by group keeps each group file-sorted
         order = key.argsort(kind="stable")
         ids = ids[order][within_caps(group_totals, group_caps)]
     distinct = distinct_counts(ids, matched.T.ravel()).reshape(users.size, plan.chi)
 
-    clusters = config.num_clusters
     coded = np.zeros(users.size)
     for x, (m_x, size) in enumerate(zip(caps.tolist(), plan.class_sizes.tolist())):
         if m_x:  # a color without caches delivers nothing; its users are unmatched
-            coded += coded_rates(distinct[:, x], m_x * clusters, config.M, size, coded_delivery_rate)
+            coded += coded_rates(distinct[:, x], m_x * config.num_clusters, config.M, size, coded_delivery_rate)
     rows = np.empty((users.size, 3))
     rows[:, 1] = coded
     rows[:, 2] = unmatched

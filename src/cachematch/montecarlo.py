@@ -43,7 +43,7 @@ from .pam_shallow import pam_shallow_rate, pam_shallow_serve, proportional_place
 from .pam_steep import build_knapsack, pam_steep_serve, solve_fractional_knapsack, steep_order_value
 from .pcd import pcd_rate_shallow, pcd_rate_steep, pcd_simulate
 from .popularity import ZipfCatalog, build_catalog
-from .traffic import MATCHING_ROLE, RequestProfile, reseat, sample_profile
+from .traffic import RequestProfile, matching_streams, sample_profile
 from .traffic import stream  # not called here; perfbench/spans.py still wraps montecarlo.stream
 
 PCD_SCHEME = "pcd"
@@ -72,27 +72,27 @@ class Scheme:
     two replication schemes, the color plan for hcm.  It builds anew on every
     call; the trial loop and the checks take the state from `prepared`.
 
-    trials(block, config, state, seed, trials) scores a block: the profile
-    of the consecutive trials in range `trials`, whose clusters are (trial,
-    cluster) pairs, as traffic.sample_profile gives it.  It gives one row
+    trials(block, state, seed, trials) scores a block, at the config it
+    carries: the consecutive trials in range `trials`, whose clusters are
+    (trial, cluster) pairs, as sample_profile draws them.  It gives one row
     (rate, coded, unmatched) per trial, each equal to what that trial gives
     scored alone.  The last two columns mean different things:
     - pcd, hcm: the coded term and the unmatched users; rate is their sum,
       clamped at the user count
     - pam-shallow: 0 and 0, as every request that survives eviction matches
-    - pam-steep: 0 and the unmatched requests, each trial's matcher drawing
-      from its own stream(seed, trial, MATCHING_ROLE), reseated in turn
+    - pam-steep: 0 and the unmatched requests, from traffic.matching_streams
 
     Callees are looked up in this module at call time, so a wrapper put on
     montecarlo.<name> sees every call: one trial callee per block, and the
-    prepare callees once per miss of `prepared`.
+    prepare callees once per miss of `prepared`.  The pool pickles
+    run_trials by name, so a parallel run refuses a wrapper on run_trials.
     """
 
     name: str
     check: Callable[[SystemConfig], None]
     analytic: Callable[[SystemConfig, float], float]
     prepare: Callable[[SystemConfig, ZipfCatalog, float], Any]
-    trials: Callable[[RequestProfile, SystemConfig, Any, int, range], np.ndarray]
+    trials: Callable[[RequestProfile, Any, int, range], np.ndarray]
 
 
 def _shallow_only(name: str) -> Callable[[SystemConfig], None]:
@@ -110,15 +110,14 @@ def _steep_only(config: SystemConfig) -> None:
         raise IncompatibleScheme(f"{PAM_STEEP_SCHEME} requires d >= 2, got {config.d}")
 
 
-def _pam_shallow_trials(block, config, placement, seed, trials):
+def _pam_shallow_trials(block, placement, seed, trials):
     rows = np.zeros((len(trials), 3))
-    rows[:, 0] = pam_shallow_serve(block, placement, config).rates
+    rows[:, 0] = pam_shallow_serve(block, placement).rates
     return rows
 
 
-def _pam_steep_trials(block, config, placement, seed, trials):
-    # reseated one trial at a time, as serve consumes them in order
-    out = pam_steep_serve(block, placement, (reseat(seed, t, MATCHING_ROLE) for t in trials))
+def _pam_steep_trials(block, placement, seed, trials):
+    out = pam_steep_serve(block, placement, matching_streams(seed, trials))
     rows = np.zeros((len(trials), 3))
     rows[:, 0], rows[:, 2] = out.rates, out.unmatched_requests
     return rows
@@ -137,7 +136,7 @@ SCHEMES: dict[str, Scheme] = _SchemeTable((s.name, s) for s in (
         lambda config: None,  # applies at every beta
         lambda config, t: pcd_rate_shallow(config) if config.beta < 1 else pcd_rate_steep(config),
         lambda config, catalog, t: None,
-        lambda block, config, state, seed, trials: pcd_simulate(block, config),
+        lambda block, state, seed, trials: pcd_simulate(block),
     ),
     Scheme(
         PAM_SHALLOW_SCHEME,
@@ -158,7 +157,7 @@ SCHEMES: dict[str, Scheme] = _SchemeTable((s.name, s) for s in (
         _shallow_only(HCM_SCHEME),
         hcm_rate,
         lambda config, catalog, t: build_color_plan(config, catalog, t),
-        lambda block, config, plan, seed, trials: hcm_simulate(block, plan, config),
+        lambda block, plan, seed, trials: hcm_simulate(block, plan),
     ),
 ))
 
@@ -235,12 +234,8 @@ def run_trials(spec: ExperimentSpec, start: int, count: int, budget: float | Non
     done = 0
     for trials, block in blocks(config, spec.seed, start, start + count, deadline):
         done = trials.stop - start
-        rows[trials.start - start:done] = scheme.trials(block, config, state, spec.seed, trials)
+        rows[trials.start - start:done] = scheme.trials(block, state, spec.seed, trials)
     return rows[:done]
-
-
-def _run_chunk(args: tuple[ExperimentSpec, int, int]) -> np.ndarray:
-    return run_trials(*args)
 
 
 def plan_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -290,7 +285,7 @@ def collect_trials(spec: ExperimentSpec, workers: int = 1) -> np.ndarray:
     chunks = plan_chunks(spec.trials - done, workers)  # two or more, as two or more trials are left
     pool = _worker_pool(len(chunks))
     try:
-        parts = list(pool.map(_run_chunk, [(spec, done + start, count) for start, count in chunks]))
+        parts = list(pool.map(run_trials, [spec] * len(chunks), [done + s for s, _ in chunks], [c for _, c in chunks]))
     except BrokenProcessPool:
         _drop_pool()  # the next call starts a fresh pool
         raise

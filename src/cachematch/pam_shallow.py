@@ -34,7 +34,7 @@ from .errors import DomainError, InsufficientMemory
 from .matching import ClusterBipartiteGraph, deal_round_robin, max_matching
 from .mathkit import cramer_h
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile, distinct_counts, group_counts
+from .traffic import RequestProfile, distinct_counts, group_counts, group_keys
 
 _LOAD_TOL = 1e-9  # float slack on the exact rational load threshold
 
@@ -123,19 +123,15 @@ def _violating(loads: np.ndarray) -> np.ndarray:
     return loads > 1.0 + _LOAD_TOL
 
 
-def pam_shallow_serve(
-    block: RequestProfile,
-    placement: ProportionalPlacement,
-    config: SystemConfig,
-) -> ShallowServeOutcome:
-    """Serve a block of trials; returns the block's decomposition.
+def pam_shallow_serve(block: RequestProfile, placement: ProportionalPlacement) -> ShallowServeOutcome:
+    """Serve a block of trials at its config; returns the block's decomposition.
 
     A trial's rate counts distinct server-broadcast files (a broadcast serves
     every requester of that file in all clusters at once); it is bounded by
     the trial's unicast count automatically.  Work and memory grow with the
     number of requests and caches in the block, not with N.
     """
-    d = config.d
+    d = block.config.d
     files = block.files
     users = block.trial_totals()
     cell = block.cluster_of_request()  # (trial, cluster) pair of each request
@@ -154,26 +150,19 @@ def pam_shallow_serve(
     evicted_requests = int(np.count_nonzero(evicted))
     rates = np.zeros(users.size)
     if evicted_requests:
-        keys = np.arange(0, users.size * config.N, config.N).repeat(users) + files
-        rates += distinct_counts(keys[evicted], group_counts(evicted, users))
-    return ShallowServeOutcome(
-        evicted_requests=evicted_requests,
-        all_feasible=evicted_requests == 0,
-        rates=rates,
-    )
+        per_trial = group_counts(evicted, users)
+        rates += distinct_counts(group_keys(files[evicted], per_trial, block.config.N), per_trial)
+    return ShallowServeOutcome(evicted_requests, all_feasible=evicted_requests == 0, rates=rates)
 
 
-def matched_requests(
-    profile: RequestProfile,
-    placement: ProportionalPlacement,
-    config: SystemConfig,
-) -> int:
-    """Requests Hopcroft-Karp matches to distinct caches of their cluster,
-    summed over clusters: the check that a feasible profile matches in full."""
+def matched_requests(profile: RequestProfile, placement: ProportionalPlacement) -> int:
+    """Requests Hopcroft-Karp matches to distinct caches of their cluster (of
+    the profile's d), summed over clusters: the check that a feasible profile
+    matches in full."""
     ids, starts = placement.cache_ids.tolist(), placement.cache_starts.tolist()
     ends = (placement.cache_starts + placement.copies).tolist()
     matched = 0
     for cluster_files in np.split(profile.files, profile.offsets[1:-1]):
         adjacency = tuple([tuple(ids[starts[n]:ends[n]]) for n in cluster_files.tolist()])
-        matched += max_matching(ClusterBipartiteGraph(len(adjacency), config.d, adjacency)).size
+        matched += max_matching(ClusterBipartiteGraph(len(adjacency), profile.config.d, adjacency)).size
     return matched

@@ -34,7 +34,7 @@ from .errors import DomainError
 from .matching import deal_round_robin
 from .mathkit import power_or_inf
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile, distinct_counts, group_counts
+from .traffic import RequestProfile, distinct_counts, group_counts, group_keys
 
 
 @dataclass(frozen=True)
@@ -223,9 +223,8 @@ def pam_steep_serve(
     """Serve a block of profiles, one generator per trial: MLP per cluster
     (index order), one uniform per request, drawn in one call per trial.
 
-    rngs is consumed one trial at a time, in order, and a trial's draws are
-    done before the next generator is taken, so rngs may yield one generator
-    reseated anew for each trial (traffic.reseat), as the trial loop does.
+    rngs is consumed one trial at a time, each trial's draws done before the
+    next generator is taken, so it may be traffic.matching_streams.
     Every trial makes its one random(R_t) call, whether or not a pick reads
     it, so each rng ends where matching every request leaves it.
 
@@ -267,8 +266,7 @@ def pam_steep_serve(
     totals = np.concatenate(([0], missed.cumsum()))[run_ends]
     short = missed > 0
     per_trial = group_counts(short, np.diff(run_ends))
-    server = block.files[bounds[:-1][short]]
-    server += np.arange(per_trial.size).repeat(per_trial) * block.config.N  # keyed by trial
+    server = group_keys(block.files[bounds[:-1][short]], per_trial, block.config.N)
     return SteepServeOutcome(np.diff(totals), distinct_counts(server, per_trial).astype(np.float64))
 
 
@@ -328,8 +326,7 @@ def cluster_matchings(block: RequestProfile, placement: KsPlacement,
     """The MlpOutcome of each (trial, cluster) of the block, in order: what
     mlp_match gives on each dense cluster column, called cluster by cluster,
     walking _block_runs' runs on the cluster's slice of its trial's one draw.
-    rngs gives one generator per trial and is consumed as pam_steep_serve
-    consumes it, so it may reseat one generator anew for each trial."""
+    rngs is consumed as pam_steep_serve consumes it."""
     clusters = block.config.num_clusters
     bounds, firsts = _block_runs(block)
     files, bounds, firsts = block.files[bounds[:-1]].tolist(), bounds.tolist(), firsts.tolist()

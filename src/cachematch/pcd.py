@@ -28,7 +28,7 @@ from .config import SystemConfig
 from .delivery import coded_delivery_rate, coded_rates
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI, power_or_inf
-from .traffic import RequestProfile, distinct_counts, group_counts, within_caps
+from .traffic import RequestProfile, distinct_counts, group_counts, group_keys, within_caps
 
 
 def unmatched_tail_term(K: float, t: float) -> float:
@@ -85,12 +85,12 @@ def coded_pool_size(config: SystemConfig) -> int:
     return min(config.N, int(math.floor((config.K * config.M) ** (1.0 / config.beta))))
 
 
-def pcd_simulate(block: RequestProfile, config: SystemConfig) -> np.ndarray:
-    """Rows (total, coded term, unmatched users) of the block's trials."""
+def pcd_simulate(block: RequestProfile) -> np.ndarray:
+    """Rows (total, coded term, unmatched users) of the block's trials, at its config."""
+    config = block.config
     pool = coded_pool_size(config)
     users = block.trial_totals()
-    sizes = block.cluster_totals()
-    keep = within_caps(sizes, config.d)  # slice(None) when every request matches
+    keep = within_caps(block.cluster_totals(), config.d)  # slice(None) when every request matches
     files = block.files[keep]
     matched = users if isinstance(keep, slice) else group_counts(keep, users)
     pooled = matched
@@ -101,9 +101,8 @@ def pcd_simulate(block: RequestProfile, config: SystemConfig) -> np.ndarray:
 
     coded = 0.0
     if pool > 0:
-        keys = np.arange(0, users.size * pool, pool).repeat(pooled) + files
-        coded = coded_rates(distinct_counts(keys, pooled), config.K, config.M, pool,
-                            coded_delivery_rate)
+        distinct = distinct_counts(group_keys(files, pooled, pool), pooled)
+        coded = coded_rates(distinct, config.K, config.M, pool, coded_delivery_rate)
     rows = np.empty((users.size, 3))
     np.add(coded, matched - pooled, out=rows[:, 1])
     np.subtract(users, matched, out=rows[:, 2])

@@ -4,7 +4,7 @@ Streams are keyed by (seed, trial) through the Philox counter-based generator,
 so any trial's profile can be regenerated in isolation: results do not depend
 on iteration order or on how trials are sheared across workers.  Role 0 of a
 stream draws the request profile; role 1 feeds any randomized matcher run on
-the same trial.
+the same trial, and matching_streams gives a block's role-1 streams.
 
 A counter-based stream is its (key, counter) pair and nothing else (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so one write of
@@ -18,14 +18,15 @@ generators for callers that hold several at once.
 Profiles are drawn by Poisson splitting and store only their requests, so
 memory per trial grows with the number of requests, not with N * K/d.
 
-Trials are drawn a block at a time, and a block is what the schemes score:
-its clusters are (trial, cluster) pairs, its offsets one cumsum over them,
-and the kernels count per trial, or per (trial, color), with group_counts and
-distinct_counts.  Each trial still draws from its own stream, and writes
-its uniforms into one buffer of the block; the file-id lookup, the offsets'
-cumsum and the sort within clusters run once per block of up to
-BLOCK_REQUESTS requests, so a trial's requests are the same however trials
-are blocked.
+Trials are drawn a block at a time, and a block is what the schemes score,
+at the config it carries: its clusters are (trial, cluster) pairs, its
+offsets one cumsum over them, and the kernels count per trial, or per
+(trial, color), with group_counts, and with distinct_counts over the sort
+keys group_keys packs, as the sampler does to sort within (trial, cluster).
+Each trial still draws from its own stream, and writes its uniforms into
+one buffer of the block; the file-id lookup, the offsets' cumsum and the
+sort within clusters run once per block of up to BLOCK_REQUESTS requests,
+so a trial's requests are the same however trials are blocked.
 
 A block is a pure function of (N, K, d, rho, beta, seed) and its trials, and
 each process keeps the blocks it has drawn, up to a byte budget, so the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -93,6 +95,11 @@ def reseat(seed: int, trial: int, role: int = PROFILE_ROLE) -> np.random.Generat
 def _reseatable() -> np.random.Generator:
     """The generator reseat moves, made on first use."""
     return stream(0, 0)
+
+
+def matching_streams(seed: int, trials: range) -> Iterator[np.random.Generator]:
+    """Each trial's MATCHING_ROLE stream, in order, each reseated as it is taken."""
+    return (reseat(seed, t, MATCHING_ROLE) for t in trials)
 
 
 @dataclass(frozen=True)
@@ -197,15 +204,11 @@ def draw_profiles(config: SystemConfig, seed: int, start: int, stop: int) -> tup
     offsets = np.zeros(totals.size + 1, dtype=np.int64)
     totals.cumsum(out=offsets[1:])
     files = build_catalog(config.N, config.beta).file_ids(uniforms[:requests])
-    # sort within (trial, cluster): keys in that order never cross blocks;
-    # int32 keys, where they fit, sort faster
-    span = totals.size * config.N
-    dtype = np.int32 if span <= 1 << 31 else np.int64
-    base = np.repeat(np.arange(0, span, config.N, dtype=dtype), totals)
-    keys = files.astype(dtype, copy=False)
-    keys += base
+    # sort within (trial, cluster): keys in that order never cross blocks
+    keys = group_keys(files, totals, config.N)
+    base = keys - files  # (trial, cluster) * N of each request, int64
     keys.sort()
-    files = np.subtract(keys, base, dtype=np.int64)
+    files = keys - base
     offsets.setflags(write=False)
     files.setflags(write=False)
     return offsets, files
@@ -299,15 +302,22 @@ def group_counts(flags: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return counts
 
 
+def group_keys(ids: np.ndarray, sizes: np.ndarray, span: int) -> np.ndarray:
+    """Sort key g * span + id of each of `ids` (0 <= id < span), listed group by
+    group, `sizes[g]` in group g: a fresh array, int32 (which sorts about twice
+    as fast) wherever the range groups * span fits, else int64."""
+    dtype = np.int32 if sizes.size * span <= 1 << 31 else np.int64
+    keys = ids.astype(dtype)
+    keys += np.arange(0, sizes.size * span, span, dtype=dtype).repeat(sizes)
+    return keys
+
+
 def distinct_counts(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Distinct keys in each group, `sizes[g]` keys in group g, for keys whose
-    sorted order lists the groups in order (key = group * span + id, with
-    0 <= id < span): one sort, so memory grows with the keys, never with
-    groups * span."""
-    # int32 keys, where they fit, sort about twice as fast
-    ids = keys.astype(np.int32 if keys.size and keys.max() <= np.iinfo(np.int32).max else np.int64)
-    ids.sort()
-    first = np.empty(ids.size, dtype=bool)
+    """Distinct keys in each group, `sizes[g]` keys in group g, for group_keys
+    keys in any order, sorted in place: one sort, so memory grows with the
+    keys, never with groups * span."""
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
     first[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return group_counts(first, sizes)

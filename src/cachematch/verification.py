@@ -56,10 +56,10 @@ from .montecarlo import (
     summarize,
 )
 from .pam_shallow import load_decay_exponent, matched_requests, memory_threshold, pam_shallow_serve
-from .pam_steep import build_knapsack, cluster_matchings, steep_order_value
+from .pam_steep import build_knapsack, cluster_matchings, pam_steep_serve, steep_order_value
 from .pcd import cluster_unmatched_bound, pcd_rate_shallow, unmatched_tail_term
 from .popularity import build_catalog, partial_sum_A, partial_sum_envelope
-from .traffic import MATCHING_ROLE, reseat, stream
+from .traffic import matching_streams, stream
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -250,9 +250,9 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         bad = 0
         for _, block in blocks(config, seed, 0, min(trials, 50)):
             # a trial evicts nothing exactly when it broadcasts nothing
-            for i in np.flatnonzero(pam_shallow_serve(block, placement, config).rates == 0):
+            for i in np.flatnonzero(pam_shallow_serve(block, placement).rates == 0):
                 trial = block.between(i, i + 1)
-                bad += matched_requests(trial, placement, config) != trial.total_users
+                bad += matched_requests(trial, placement) != trial.total_users
         return bad == 0, f"{bad} feasible trials with unmatched users"
 
     # --- lower bounds and the gap -----------------------------------------
@@ -316,13 +316,15 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         return True, "greedy picks form a density-ordered prefix"
 
     def mlp_structural():
+        # the walk's matchings are feasible, and serve's counts are the walk's
         placement = state(PAM_STEEP_SCHEME)
         held = cache(lambda n: frozenset(placement.holders[n]))
         for walked, block in blocks(config, seed, 0, min(trials, 20)):
-            rngs = (reseat(seed, t, MATCHING_ROLE) for t in walked)
             requests = block.cluster_totals().tolist()
-            for i, out in enumerate(cluster_matchings(block, placement, rngs)):
-                trial, c = divmod(walked.start * config.num_clusters + i, config.num_clusters)
+            unmatched, server = [0] * len(walked), [set() for _ in walked]
+            for i, out in enumerate(cluster_matchings(block, placement, matching_streams(seed, walked))):
+                t, c = divmod(i, config.num_clusters)
+                trial = walked.start + t
                 caches = [k for _, k in out.matched]
                 if len(set(caches)) != len(caches):
                     return False, f"trial {trial} cluster {c}: a cache matched twice"
@@ -330,6 +332,13 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
                     return False, f"trial {trial}: matched cache lacks the file"
                 if len(out.matched) + out.unmatched_requests != requests[i]:
                     return False, f"trial {trial}: request conservation broken"
+                unmatched[t] += out.unmatched_requests
+                server[t].update(out.server_files)
+            serve = pam_steep_serve(block, placement, matching_streams(seed, walked))
+            counts = zip(serve.unmatched_requests.tolist(), serve.rates.tolist())
+            for trial, walk, served in zip(walked, zip(unmatched, map(len, server)), counts):
+                if walk != served:
+                    return False, f"trial {trial}: serve's (unmatched, rate) {served} != the walk's {walk}"
         return True, "matchings feasible and request-conserving"
 
     def steep_envelope():

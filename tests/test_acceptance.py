@@ -145,11 +145,11 @@ def test_criterion_04_pam_shallow_achievability():
             feasible_trials = 0
             for t in range(trials):
                 profile = sample_profile(cfg, SEED, trial=t)
-                out = pam_shallow_serve(profile, placement, cfg)
+                out = pam_shallow_serve(profile, placement)
                 rates[t] = out.rates[0]
                 if out.all_feasible:
                     feasible_trials += 1
-                    assert matched_requests(profile, placement, cfg) == profile.total_users
+                    assert matched_requests(profile, placement) == profile.total_users
             assert feasible_trials > 0
         stderr = float(rates.std(ddof=1) / math.sqrt(trials))
         assert float(rates.mean()) <= analytic + 3.0 * stderr

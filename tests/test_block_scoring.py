@@ -23,7 +23,7 @@ from cachematch.config import load_config
 from cachematch.montecarlo import SCHEMES, ExperimentSpec, run_trials
 from cachematch.pcd import coded_pool_size
 from cachematch.popularity import build_catalog
-from cachematch.traffic import distinct_counts, group_counts, sample_profile
+from cachematch.traffic import distinct_counts, group_counts, group_keys, sample_profile
 
 from conftest import emptied_prepared, make_config
 from oracles import join_profiles, oracle_row
@@ -57,7 +57,7 @@ def _prepared(case):
 def _split_rows(name, config, state, seed, trials, bounds):
     """Rows of `trials` scored as the blocks trials[bounds[i]:bounds[i + 1]]."""
     profiles = [sample_profile(config, seed, t) for t in trials]
-    parts = [SCHEMES[name].trials(join_profiles(profiles[a:b]), config, state, seed, trials[a:b])
+    parts = [SCHEMES[name].trials(join_profiles(profiles[a:b]), state, seed, trials[a:b])
              for a, b in zip(bounds, bounds[1:])]
     return np.concatenate(parts)
 
@@ -133,9 +133,9 @@ def test_a_block_keeps_within_its_caps(monkeypatch, cold_memo):
     blocks = []
     original = montecarlo.pcd_simulate
 
-    def recording(block, config):
+    def recording(block):
         blocks.append((block.trials, block.total_users))
-        return original(block, config)
+        return original(block)
 
     monkeypatch.setattr(montecarlo, "pcd_simulate", recording)
     spec = ExperimentSpec(config=config, scheme="pcd", trials=300, seed=2)
@@ -194,3 +194,15 @@ def test_group_counts_and_distinct_counts_handle_empty_groups():
     assert distinct_counts(keys, sizes).tolist() == [0, 2, 0, 2, 0]
     assert distinct_counts(keys + (1 << 40), sizes).tolist() == [0, 2, 0, 2, 0]  # int64 keys
     assert distinct_counts(np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
+
+
+def test_group_keys_pack_each_group_in_the_narrowest_dtype_of_its_range():
+    ids, sizes = np.array([4, 2, 0, 9]), np.array([2, 0, 2, 0])
+    keys = group_keys(ids, sizes, 10)
+    assert keys.dtype == np.int32 and keys.tolist() == [4, 2, 20, 29]
+    assert ids.tolist() == [4, 2, 0, 9]  # a fresh array
+    # the dtype follows the range groups * span, whatever the keys are
+    assert group_keys(ids, sizes, 1 << 29).dtype == np.int32  # every key below 2^31
+    span = (1 << 29) + 1
+    wide = group_keys(ids, sizes, span)
+    assert wide.dtype == np.int64 and wide.tolist() == [4, 2, 2 * span, 2 * span + 9]

@@ -121,7 +121,7 @@ def test_rate_tables_hold_the_coded_delivery_rate(cold_tables):
         schemes = ["pcd"] + (["hcm"] if config.beta < 1 else [])
         for scheme in schemes:
             state = montecarlo.prepared(scheme, config, config.t0)
-            rows = montecarlo.SCHEMES[scheme].trials(block, config, state, 3, range(30))
+            rows = montecarlo.SCHEMES[scheme].trials(block, state, 3, range(30))
             # each trial's row is its own accounting, memory included
             for trial in range(30):
                 want = oracle_row(scheme, block.between(trial, trial + 1), config, state, 3, trial)
@@ -140,12 +140,12 @@ def test_a_table_fills_each_count_once_through_the_callers_name(cold_tables, mon
     config = TABLE_CONFIGS[0]
     block = sample_profile(config, 4, 0, 40)
     calls = count_calls(monkeypatch, pcd, ["coded_delivery_rate"])
-    first = pcd.pcd_simulate(block, config)
+    first = pcd.pcd_simulate(block)
     (table,) = cold_tables.values()
     assert calls["coded_delivery_rate"] == np.count_nonzero(~np.isnan(table)) > 1
     calls.clear()
-    assert np.array_equal(pcd.pcd_simulate(block, config), first)
-    assert pcd.pcd_simulate(block.between(3, 9), config).tolist() == first[3:9].tolist()
+    assert np.array_equal(pcd.pcd_simulate(block), first)
+    assert pcd.pcd_simulate(block.between(3, 9)).tolist() == first[3:9].tolist()
     assert not calls  # every count held
 
 

@@ -106,11 +106,11 @@ def test_pcd_matches_dense_oracle(config):
         counts = _random_counts(gen, config, per_cluster=d * (0.5 + i % 3))
         profiles.append(profile_from_counts(counts, config))
         rows.append(dense_pcd_simulate(counts, config))
-        assert pcd_simulate(profiles[-1], config).tolist() == rows[-1:]
+        assert pcd_simulate(profiles[-1]).tolist() == rows[-1:]
         crowded += (counts.sum(axis=0) > d).any()
         # a cluster matching a request outside the pool unicasts it
         overflow += ((counts[pool:].sum(axis=0) > 0) & (counts[:pool].sum(axis=0) < d)).any()
-    assert pcd_simulate(join_profiles(profiles), config).tolist() == rows
+    assert pcd_simulate(join_profiles(profiles)).tolist() == rows
     assert crowded > 0
     assert overflow > 0 or pool in (0, config.N)
 
@@ -132,7 +132,7 @@ def test_hcm_matches_dense_oracle(zero_color):
         counts = _random_counts(gen, config, per_cluster=int(slots.sum()) * (0.5 + i % 3))
         profile = profile_from_counts(counts, config)
         expected = dense_hcm_simulate(counts, trial_plan, config)
-        assert hcm_simulate(profile, trial_plan, config).tolist() == [expected]
+        assert hcm_simulate(profile, trial_plan).tolist() == [expected]
         crowded += expected[2] > 0
     assert crowded > 0
 
@@ -142,8 +142,8 @@ def test_simulators_never_build_dense_counts():
     catalog = build_catalog(config.N, config.beta)
     plan = build_color_plan(config, catalog, t=0.0)
     profile = sample_profile(config, seed=1, trial=0)
-    pcd_simulate(profile, config)
-    hcm_simulate(profile, plan, config)
+    pcd_simulate(profile)
+    hcm_simulate(profile, plan)
     assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt
 
 
@@ -213,11 +213,11 @@ def test_pcd_matches_reference_kernel(config):
         counts = _varied_counts(gen, config, i, config.d)
         profiles.append(profile_from_counts(counts, config))
         rows.append(list(trial_pcd_simulate(profiles[-1], config)))
-        assert pcd_simulate(profiles[-1], config).tolist() == rows[-1:]
+        assert pcd_simulate(profiles[-1]).tolist() == rows[-1:]
         over = (counts.sum(axis=0) > config.d).any()
         crowded += over
         roomy += not over
-    assert pcd_simulate(join_profiles(profiles), config).tolist() == rows
+    assert pcd_simulate(join_profiles(profiles)).tolist() == rows
     assert crowded > 0 and roomy > 0  # both the rank mask and the pass-through ran
 
 
@@ -237,7 +237,7 @@ def test_hcm_matches_reference_kernel(zero_color):
         counts = _varied_counts(gen, config, i, int(slots.sum()))
         profile = profile_from_counts(counts, config)
         expected = reference_hcm_simulate(profile, trial_plan, config)
-        assert hcm_simulate(profile, trial_plan, config).tolist() == [expected]
+        assert hcm_simulate(profile, trial_plan).tolist() == [expected]
         crowded += expected[2] > 0
         roomy += expected[2] == 0
     assert crowded > 0 and roomy > 0
@@ -253,12 +253,12 @@ def test_pam_shallow_serve_matches_reference_kernel():
         counts = _varied_counts(gen, config, i, config.d)
         profiles.append(profile_from_counts(counts, config))
         expected.append(trial_pam_shallow_serve(profiles[-1], placement, config))
-        out = pam_shallow_serve(profiles[-1], placement, config)
+        out = pam_shallow_serve(profiles[-1], placement)
         evicted, all_feasible, rate = expected[-1]
         assert (out.evicted_requests, out.all_feasible, out.rates.tolist()) == (evicted, all_feasible, [rate])
         feasible += all_feasible
         evicting += rate > 1
-    block = pam_shallow_serve(join_profiles(profiles), placement, config)
+    block = pam_shallow_serve(join_profiles(profiles), placement)
     assert block.evicted_requests == sum(e for e, _, _ in expected)
     assert not block.all_feasible
     assert block.rates.tolist() == [rate for _, _, rate in expected]

@@ -148,8 +148,8 @@ def test_single_color_simulation_matches_cluster_scheme():
     assert np.array_equal(plan.caches_per_color, [2])
     for trial in range(20):
         profile = sample_profile(config, seed=13, trial=trial)
-        color = hcm_simulate(profile, plan, config)[0]
-        cluster = pcd_simulate(profile, config)[0]
+        color = hcm_simulate(profile, plan)[0]
+        cluster = pcd_simulate(profile)[0]
         assert color[0] == pytest.approx(cluster[0], rel=1e-12)
         assert color[2] == cluster[2]
 
@@ -163,7 +163,7 @@ def test_simulate_hand_example():
     counts = np.zeros((10, 1), dtype=np.int64)
     counts[0, 0] = 161  # one more request for file 0 than color 0 has caches
     profile = profile_from_counts(counts, config)
-    total, coded, unmatched = hcm_simulate(profile, plan, config)[0]
+    total, coded, unmatched = hcm_simulate(profile, plan)[0]
     assert unmatched == 1.0
     assert coded > 0.0
     assert total == pytest.approx(coded + 1.0, rel=1e-12)
@@ -176,19 +176,15 @@ def test_simulate_respects_user_clamp():
     counts = np.zeros((4, 2), dtype=np.int64)
     counts[0, 0] = 1
     profile = profile_from_counts(counts, config)
-    total, coded, unmatched = hcm_simulate(profile, plan, config)[0]
+    total, coded, unmatched = hcm_simulate(profile, plan)[0]
     assert total <= profile.total_users
 
 
-# --- a known wrong result: strict xfails until ROADMAP item 7's fix lands -----
+# --- exact masses keep every cache: float sums of P_x once landed just below
+# an exact d * P_x (0.4999999999999782 per color, and 0.9999999999999998 for
+# one color at beta = .1), losing a cache
 
-# build_color_plan floors d * P_x with P_x summed in floating point, so a mass
-# that is an exact fraction of d can land just below it and lose a cache
 
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 7: P_x = 0.4999999999999782, so each color gets "
-                          "29 of 60 caches")
 def test_two_color_split_of_equal_masses_sums_to_d():
     config = make_config(K=6000, d=60, N=6000, M=16.0, rho=0.05, t0=0.2)
     plan = build_color_plan(config, build_catalog(config.N, config.beta), t=config.t0)
@@ -196,12 +192,18 @@ def test_two_color_split_of_equal_masses_sums_to_d():
     assert plan.caches_per_color.sum() == config.d
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 7: the one color's mass sums to 0.9999999999999998, "
-                          "so it gets 59 of 60 caches")
 def test_one_color_plan_rows_equal_pcd_rows():
     config = make_config(K=600, d=60, N=600, M=2.0, rho=0.1, beta=0.1, t0=1.0)
     plan = build_color_plan(config, build_catalog(config.N, config.beta), t=config.t0)
     assert plan.chi == 1
     block = sample_profile(config, seed=1, trial=0, stop=50)
-    assert hcm_simulate(block, plan, config).tobytes() == pcd_simulate(block, config).tobytes()
+    assert hcm_simulate(block, plan).tobytes() == pcd_simulate(block).tobytes()
+
+
+def test_uniform_plan_caches_are_integer_floors():
+    # at beta = 0, P_x = |W_x| / N exactly, so floor(d * P_x) is an integer division
+    for K, d, N in ((6000, 60, 6000), (2000, 200, 999), (4096, 300, 777)):
+        config = make_config(K=K, d=d, N=N, M=16.0, rho=0.05, t0=0.2)
+        plan = build_color_plan(config, build_catalog(N, 0.0), t=0.0)
+        assert plan.chi >= 2
+        assert plan.caches_per_color.tolist() == (d * plan.class_sizes // N).tolist()

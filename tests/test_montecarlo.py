@@ -493,14 +493,17 @@ def _head_and_pool(monkeypatch, scheme, head, block):
     spec = _spec(scheme, trials=trials, **(SMALL_STEEP if scheme == PAM_STEEP_SCHEME else SMALL))
     serial = collect_trials(spec, workers=1)
     in_process = []
-    original = montecarlo.run_trials
+    original = montecarlo.blocks
 
-    def recording(spec, start, count, budget=None):
-        rows = original(spec, start, count, budget)
-        in_process.append((start, len(rows)))
-        return rows
+    # wraps the block loop, not run_trials, which the pool pickles by name
+    def recording(config, seed, start, stop, deadline=None):
+        done = start
+        for trials, block in original(config, seed, start, stop, deadline):
+            done = trials.stop
+            yield trials, block
+        in_process.append((start, done - start))
 
-    monkeypatch.setattr(montecarlo, "run_trials", recording)
+    monkeypatch.setattr(montecarlo, "blocks", recording)
     monkeypatch.setattr(montecarlo, "perf_counter", _expiring_clock(k))
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     # the deadline is read before each block

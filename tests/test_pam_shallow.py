@@ -157,7 +157,7 @@ def test_serve_eviction_hand_example():
     config, placement = _one_file_per_cache_setup()
     profile = _profile(config, [2, 0, 0])  # two requests for file 0, load 2 > 1
 
-    whole = pam_shallow_serve(profile, placement, config)
+    whole = pam_shallow_serve(profile, placement)
     assert whole.evicted_requests == 2
     assert profile.total_users - whole.evicted_requests == 0
     assert whole.rates.tolist() == [1.0]
@@ -167,7 +167,7 @@ def test_serve_eviction_hand_example():
 def test_serve_feasible_profile_needs_no_server():
     config, placement = _one_file_per_cache_setup()
     profile = _profile(config, [1, 1, 1])
-    outcome = pam_shallow_serve(profile, placement, config)
+    outcome = pam_shallow_serve(profile, placement)
     assert outcome.all_feasible
     assert profile.total_users - outcome.evicted_requests == 3
     assert outcome.rates.tolist() == [0.0]
@@ -181,7 +181,7 @@ def test_feasibility_flag_matches_load_helper():
     owner = np.repeat(np.arange(config.N), placement.copies)  # file behind each cache_ids entry
     for trial in range(40):
         profile = sample_profile(config, seed=9, trial=trial)
-        outcome = pam_shallow_serve(profile, placement, config)
+        outcome = pam_shallow_serve(profile, placement)
         loads = [
             fractional_load(
                 [(n, 1.0) for n in owner[placement.cache_ids == k]],
@@ -200,11 +200,11 @@ def test_serve_request_accounting():
     placement = proportional_placement(config, catalog)
     for trial in range(30):
         profile = sample_profile(config, seed=17, trial=trial)
-        outcome = pam_shallow_serve(profile, placement, config)
+        outcome = pam_shallow_serve(profile, placement)
         assert 0 <= outcome.evicted_requests <= profile.total_users
         if outcome.all_feasible:
             assert outcome.evicted_requests == 0
-            assert matched_requests(profile, placement, config) == profile.total_users
+            assert matched_requests(profile, placement) == profile.total_users
             assert outcome.rates.tolist() == [0.0]
 
 
@@ -213,7 +213,7 @@ def test_serve_never_runs_hopcroft_karp(monkeypatch):
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
     profiles = [sample_profile(config, seed=23, trial=t) for t in range(30)]
-    feasible = [p for p in profiles if pam_shallow_serve(p, placement, config).all_feasible]
+    feasible = [p for p in profiles if pam_shallow_serve(p, placement).all_feasible]
     assert 0 < len(feasible) < len(profiles)  # both branches run below
 
     def refuse(graph):
@@ -221,10 +221,10 @@ def test_serve_never_runs_hopcroft_karp(monkeypatch):
 
     monkeypatch.setattr(pam_shallow, "max_matching", refuse)
     for profile in profiles:
-        pam_shallow_serve(profile, placement, config)
+        pam_shallow_serve(profile, placement)
     # the checker, by contrast, calls it through pam_shallow's own name
     with pytest.raises(AssertionError, match="Hopcroft-Karp ran"):
-        matched_requests(feasible[0], placement, config)
+        matched_requests(feasible[0], placement)
 
 
 def test_survivors_always_match():
@@ -235,7 +235,7 @@ def test_survivors_always_match():
     cache_sets = _cache_sets(placement)
     for trial in range(60):
         profile = sample_profile(config, seed=23, trial=trial)
-        outcome = pam_shallow_serve(profile, placement, config)
+        outcome = pam_shallow_serve(profile, placement)
         survivors = profile.counts.copy()
         for c in range(config.num_clusters):
             for k in range(config.d):
@@ -247,4 +247,4 @@ def test_survivors_always_match():
                     survivors[stored, c] = 0  # evict every file on a violating cache
         surviving = profile_from_counts(survivors, config)
         assert surviving.total_users == profile.total_users - outcome.evicted_requests
-        assert matched_requests(surviving, placement, config) == surviving.total_users
+        assert matched_requests(surviving, placement) == surviving.total_users

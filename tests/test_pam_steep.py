@@ -355,7 +355,7 @@ def test_serve_on_lazily_reseated_generators_equals_independent_streams(steep_co
     assert np.array_equal(lazy.unmatched_requests, want.unmatched_requests)
     assert np.array_equal(lazy.rates, want.rates)
     assert want.unmatched_requests.sum() > 0 and len(set(want.rates.tolist())) > 1
-    rows = montecarlo.SCHEMES[PAM_STEEP_SCHEME].trials(block, config, placement, 9, trials)
+    rows = montecarlo.SCHEMES[PAM_STEEP_SCHEME].trials(block, placement, 9, trials)
     assert np.array_equal(rows[:, 0], want.rates) and np.array_equal(rows[:, 2], want.unmatched_requests)
 
 

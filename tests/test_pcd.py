@@ -116,7 +116,7 @@ def test_simulate_hand_example_shallow():
     counts[0, 0] = 1  # cluster 0: one request for file 0 ...
     counts[1, 0] = 2  # ... two for file 1; only d = 2 get matched
     counts[2, 1] = 1
-    total, coded, unmatched = pcd_simulate(_profile(config, counts), config)[0]
+    total, coded, unmatched = pcd_simulate(_profile(config, counts))[0]
     # matched distinct files {0, 1, 2}; t = K*M/N = 1
     want_coded = coded_delivery_rate(4, 1.0, 4, 3)
     assert want_coded == pytest.approx(1.5, rel=1e-12)
@@ -131,7 +131,7 @@ def test_simulate_hand_example_steep_overflow():
     counts = np.zeros((4, 2), dtype=np.int64)
     counts[0, 0] = 1
     counts[3, 1] = 2
-    total, coded, unmatched = pcd_simulate(_profile(config, counts), config)[0]
+    total, coded, unmatched = pcd_simulate(_profile(config, counts))[0]
     want_coded = coded_delivery_rate(4, 1.0, 2, 1)
     assert coded == pytest.approx(want_coded + 2.0, rel=1e-12)
     assert unmatched == 0.0
@@ -144,13 +144,13 @@ def test_simulate_total_clamped_by_users():
     counts[0, 0] = 1
     counts[1, 0] = 2
     counts[2, 1] = 1
-    total, coded, unmatched = pcd_simulate(_profile(config, counts), config)[0]
+    total, coded, unmatched = pcd_simulate(_profile(config, counts))[0]
     assert total == 4.0  # never exceeds the number of users
 
 
 def test_simulate_empty_profile():
     config = make_config(K=4, d=2, N=4, M=1.0)
-    total, coded, unmatched = pcd_simulate(_profile(config, np.zeros((4, 2), dtype=np.int64)), config)[0]
+    total, coded, unmatched = pcd_simulate(_profile(config, np.zeros((4, 2), dtype=np.int64)))[0]
     assert total == 0.0
     assert unmatched == 0.0
 
@@ -158,7 +158,7 @@ def test_simulate_empty_profile():
 def test_simulate_mean_below_analytic(base_config):
     # cheap seeded check; the acceptance suite runs the full-size version
     totals = [
-        pcd_simulate(sample_profile(base_config, seed=3, trial=t), base_config)[0, 0]
+        pcd_simulate(sample_profile(base_config, seed=3, trial=t))[0, 0]
         for t in range(200)
     ]
     mean = float(np.mean(totals))

@@ -104,8 +104,8 @@ def test_shallow_serve_gives_what_the_serve_observer_sums():
     config = make_config(K=20, d=10, N=20, M=2.0)
     placement = montecarlo.proportional_placement(config, build_catalog(config.N, config.beta))
     profiles = [sample_profile(config, 3, trial) for trial in range(40)]
-    block = montecarlo.pam_shallow_serve(join_profiles(profiles), placement, config)
-    feasible = next(out for out in (montecarlo.pam_shallow_serve(p, placement, config) for p in profiles)
+    block = montecarlo.pam_shallow_serve(join_profiles(profiles), placement)
+    feasible = next(out for out in (montecarlo.pam_shallow_serve(p, placement) for p in profiles)
                     if out.all_feasible)
     assert type(block.evicted_requests) is int and type(block.all_feasible) is bool
     tracer = spans.Tracer()

@@ -106,7 +106,7 @@ def test_serve_matches_dense_oracle(config):
     evicting = feasible = 0
     for profile in profiles:
         expected, unmatched_survivors = dense_serve(profile.counts, placement, config)
-        out = pam_shallow_serve(profile, placement, config)
+        out = pam_shallow_serve(profile, placement)
         assert (out.evicted_requests, out.all_feasible, out.rates.tolist()) == expected
         assert unmatched_survivors == 0  # survivors always match
         evicting += expected[0] > 0
@@ -130,5 +130,5 @@ def test_serve_never_builds_dense_counts():
     catalog = build_catalog(config.N, config.beta)
     placement = proportional_placement(config, catalog)
     profile = sample_profile(config, seed=3, trial=0)
-    pam_shallow_serve(profile, placement, config)
+    pam_shallow_serve(profile, placement)
     assert "counts" not in vars(profile)  # the lazy dense view stayed unbuilt

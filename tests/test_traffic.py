@@ -123,6 +123,12 @@ def test_reseat_equals_a_fresh_stream(seed, trial, role, before):
     assert generator_state(rng) == generator_state(fresh)
 
 
+def test_matching_streams_give_each_trials_matching_stream_in_order():
+    # each generator is drawn from before the next is taken, as serve does
+    draws = [rng.random(5).tolist() for rng in traffic.matching_streams(7, range(3, 9))]
+    assert draws == [stream(7, t, MATCHING_ROLE).random(5).tolist() for t in range(3, 9)]
+
+
 @pytest.mark.parametrize("seed, trial", [(-1, 0), (1 << 64, 0), (0, 1 << 64), (0, -1)])
 def test_reseat_rejects_keys_outside_64_bits(seed, trial):
     with pytest.raises(DomainError):

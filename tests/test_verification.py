@@ -201,10 +201,10 @@ def test_pam_feasible_all_matched_checks_each_feasible_trial(monkeypatch):
     # a matcher one request short fails every feasible trial, and only those
     config = dataclasses.replace(load_config("configs/default.json"), M=10.0)
     monkeypatch.setattr(verification, "matched_requests",
-                        lambda profile, placement, config: profile.total_users - 1)
+                        lambda profile, placement: profile.total_users - 1)
     check = next(c for c in verify_config(config, trials=30).checks if c.name == "pam-feasible-all-matched")
     placement = proportional_placement(config, build_catalog(config.N, config.beta))
-    feasible = sum(pam_shallow_serve(sample_profile(config, 0, t), placement, config).all_feasible
+    feasible = sum(pam_shallow_serve(sample_profile(config, 0, t), placement).all_feasible
                    for t in range(30))
     assert 0 < feasible < 30
     assert (check.status, check.detail) == (FAIL, f"{feasible} feasible trials with unmatched users")
