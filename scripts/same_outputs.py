@@ -5,15 +5,22 @@
 Each command of COMMANDS runs once for each checkout, in a fresh empty
 working directory, with that checkout's src/ on PYTHONPATH; `{checkout}` in
 an argument stands for the checkout's path, and `{extra}` for a temporary
-directory holding EXTRA_CONFIG as hybrid.json, which both checkouts read.
-EXTRA_CONFIG is K = N = 2048, d = 128, M = 26, rho = .05, beta = .3,
-t0 = .1: hcm gets chi = 4 colors, and M is above pam-shallow's replication
-threshold of 22.86, so it scores what the shipped configs do not (hcm with
-chi >= 2, and simulations at beta in (0, 1)).  The list covers what a change
-that keeps outputs byte-identical must keep:
+directory holding the EXTRA_CONFIGS, which both checkouts read.  They score
+what the shipped configs do not:
+- hybrid.json, K = N = 2048, d = 128, M = 26, rho = .05, beta = .3, t0 = .1:
+  hcm gets chi = 4 colors, and M is above pam-shallow's replication
+  threshold of 22.86 (hcm with chi >= 2, and simulations at beta in (0, 1))
+- crowded.json, K = N = 600, d = 2, M = 2, rho = .4, beta = .5, t0 = 1, and
+  crowded-pool.json, K = N = 256, d = 2, M = 4, rho = .4, beta = 2, t0 = .1,
+  whose coded pool is 32 < N files: every one of the 200 trials has a
+  cluster over d, so first-d matching takes its rank mask, which no shipped
+  config reaches (on default.json a cluster holds 6 requests on average
+  against d = 60)
+The list covers what a change that keeps outputs byte-identical must keep:
 - `simulate` at --workers 1 and 2, seed 5, 200 trials, for every scheme on
   both shipped configs (a scheme that does not apply exits 2 on both sides),
-  and for pcd, hcm and pam-shallow on EXTRA_CONFIG
+  for pcd, hcm and pam-shallow on hybrid.json, for pcd and hcm on
+  crowded.json and for pcd on crowded-pool.json
 - `verify-bounds` at seed 1 on all three configs: the text on stdout and
   the --out JSON
 - `scripts/make_figure_data.py --trials 50 --workers 2`
@@ -38,6 +45,13 @@ CONFIGS = ("{checkout}/configs/default.json", "{checkout}/configs/steep.json")
 SCHEMES = ("pcd", "hcm", "pam-shallow", "pam-steep")
 EXTRA = "{extra}/hybrid.json"
 EXTRA_CONFIG = {"k": 2048, "d": 128, "n": 2048, "m": 26.0, "rho": 0.05, "beta": 0.3, "t0": 0.1}
+CROWDED = "{extra}/crowded.json"
+CROWDED_POOL = "{extra}/crowded-pool.json"
+EXTRA_CONFIGS = {
+    EXTRA: EXTRA_CONFIG,
+    CROWDED: {"k": 600, "d": 2, "n": 600, "m": 2.0, "rho": 0.4, "beta": 0.5, "t0": 1.0},
+    CROWDED_POOL: {"k": 256, "d": 2, "n": 256, "m": 4.0, "rho": 0.4, "beta": 2.0, "t0": 0.1},
+}
 CLI = ("-m", "cachematch.cli")
 
 
@@ -48,6 +62,8 @@ def simulate(config: str, scheme: str, workers: str) -> list[str]:
 COMMANDS = [
     *[simulate(config, scheme, workers) for config in CONFIGS for scheme in SCHEMES for workers in ("1", "2")],
     *[simulate(EXTRA, scheme, workers) for scheme in SCHEMES[:3] for workers in ("1", "2")],
+    *[simulate(CROWDED, scheme, workers) for scheme in ("pcd", "hcm") for workers in ("1", "2")],
+    *[simulate(CROWDED_POOL, "pcd", workers) for workers in ("1", "2")],
     *[[*CLI, "verify-bounds", config, "--seed", "1", "--out", "report.json"] for config in (*CONFIGS, EXTRA)],
     ["{checkout}/scripts/make_figure_data.py", "--trials", "50", "--workers", "2"],
 ]
@@ -86,7 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     differing = 0
     with tempfile.TemporaryDirectory() as extra:
-        Path(extra, "hybrid.json").write_text(json.dumps(EXTRA_CONFIG, indent=2) + "\n")
+        for path, config in EXTRA_CONFIGS.items():
+            Path(path.replace("{extra}", extra)).write_text(json.dumps(config, indent=2) + "\n")
         for command in COMMANDS:
             argv = [arg.replace("{extra}", extra) for arg in command]
             found = differences(run(argv, parent), run(argv, change))

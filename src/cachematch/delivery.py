@@ -22,6 +22,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .traffic import RequestProfile, distinct_counts, group_counts, group_keys, within_caps
+
 
 def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -107,3 +109,65 @@ def coded_rates(
         if math.isnan(table[n]):
             table[n] = rate(num_caches, memory, num_files, n)
     return table[num_distinct]
+
+
+def first_d_rows(block: RequestProfile, caps: list[int], coded_files: list[int],
+                 rate: Callable[[int, float, int, int], float], file_color: np.ndarray | None = None) -> np.ndarray:
+    """Rows (total, coded term, unmatched users) of the block's trials, at
+    its config.  Each cluster gives its first caps[x] requests for color x,
+    in file order, to its caps[x] caches of that color and unicasts the
+    rest; color x's coded round, of caps[x] * K/d caches over its
+    coded_files[x] files, serves its matched users at `rate`.  pcd is one
+    color of d caches; hcm is one color per class of its plan.
+
+    With one color, file_color is not read, the groups are the clusters,
+    already listed in order, and the coded files are the coded_files[0] most
+    popular: a matched user asking for another is unicast.  When no cluster
+    is over its cap, which is almost every trial, every request matches and
+    no rank is computed; otherwise a rank mask keeps each cluster's first
+    caps[0].  One compare splits the matched files into pool and overflow.
+    With several colors, a bincount over each request's (color, trial,
+    cluster) key gives every group's load, and only when some group is over
+    its cap does a stable sort by that key line the groups up for the mask.
+    One sort of the matched files keyed by (trial, color) counts each
+    color's distinct files per trial, whose coded rates are gathered from
+    the rate table (coded_rates) and added color by color.  A color without
+    caches delivers nothing; its users are unmatched.
+    """
+    config = block.config
+    users = block.trial_totals()
+    coded = 0
+    if len(caps) == 1:
+        pool = coded_files[0]
+        keep = within_caps(block.cluster_totals(), caps[0])  # slice(None) when every request matches
+        files = block.files[keep]
+        matched = sizes = users if isinstance(keep, slice) else group_counts(keep, users)
+        if pool < config.N:
+            in_pool = files < pool
+            files, sizes = files[in_pool], group_counts(in_pool, matched)
+            coded = matched - sizes
+        keys = group_keys(files, sizes, pool) if pool else None
+    else:
+        cells = block.offsets.size - 1
+        color = file_color[block.files]
+        group = color * cells + block.cluster_of_request()
+        group_totals = np.bincount(group, minlength=len(caps) * cells)
+        group_caps = np.array(caps).repeat(cells)
+        per_color = np.minimum(group_totals, group_caps).reshape(len(caps), users.size, -1).sum(axis=2)
+        matched, sizes = per_color.sum(axis=0), per_color.T.ravel()
+        keys = group_keys(color * config.N + block.files, users, len(caps) * config.N)
+        if (matched < users).any():
+            # a stable sort by group keeps each group file-sorted
+            keys = keys[group.argsort(kind="stable")][within_caps(group_totals, group_caps)]
+
+    if keys is not None:
+        distinct = distinct_counts(keys, sizes)  # trial by trial, color by color
+        for x, (m_x, size) in enumerate(zip(caps, coded_files)):
+            if m_x:
+                coded = coded + coded_rates(distinct[x::len(caps)], m_x * config.num_clusters, config.M, size, rate)
+    unmatched = users - matched
+    rows = np.empty((users.size, 3))
+    rows[:, 1] = coded
+    rows[:, 2] = unmatched
+    np.minimum(coded + unmatched, users, out=rows[:, 0])
+    return rows

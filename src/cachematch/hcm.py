@@ -9,16 +9,6 @@ delivery across the clusters.  Unmatched users are unicast.
 The color count chi = floor(alpha * g * d / (2 * (1 + t) * log K)) uses the
 popularity split gain g = (3^(1-beta) - 1) / 4^(1-beta); when log K < 2*g*alpha
 the plan degenerates to a single color.
-
-A block of trials is accounted in one pass over all colors at once; its
-clusters are (trial, cluster) pairs.  Each request gets the key (color,
-trial, cluster); a bincount over the keys gives every group's request count
-and so each trial's unmatched users.  Only when some group exceeds its
-color's m_x does a stable sort by key line the groups up for a rank mask;
-otherwise every request is matched.  One sort of trial-keyed matched files
-gives the distinct files per (trial, color), and each color's coded rates
-are gathered from the rate table of (m_x * K/d, M, |W_x|), then added color
-by color.
 """
 
 from __future__ import annotations
@@ -29,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .delivery import coded_delivery_rate, coded_rates
+from .delivery import coded_delivery_rate, first_d_rows
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI
 from .pcd import unmatched_tail_term
 from .popularity import ZipfCatalog
-from .traffic import RequestProfile, distinct_counts, group_keys, within_caps
+from .traffic import RequestProfile
 
 
 def popularity_split_gain(beta: float) -> float:
@@ -122,35 +112,5 @@ def unmatched_chain_bound(plan: ColorPlan, config: SystemConfig) -> float:
 
 def hcm_simulate(block: RequestProfile, plan: ColorPlan) -> np.ndarray:
     """Rows (total, coded term, unmatched users) of the block's trials, at its config, under the color plan."""
-    config = block.config
-    files = block.files
-    users = block.trial_totals()
-    cells = block.offsets.size - 1  # (trial, cluster) pairs
-    caps = plan.caches_per_color
-
-    # group (x, cell) holds the cell's requests for color x; it matches its
-    # first m_x requests in file order, as a pcd cluster matches its first d
-    color = plan.file_color[files]
-    key = color * cells + block.cluster_of_request()
-    group_totals = np.bincount(key, minlength=plan.chi * cells)
-    group_caps = caps.repeat(cells)
-    matched = np.minimum(group_totals, group_caps).reshape(plan.chi, users.size, -1).sum(axis=2)
-    unmatched = users - matched.sum(axis=0)
-    # file ids keyed by (trial, color): each key's distinct files are the
-    # demands of that color's coded round in that trial
-    ids = group_keys(color * config.N + files, users, plan.chi * config.N)
-    if unmatched.any():
-        # a stable sort by group keeps each group file-sorted
-        order = key.argsort(kind="stable")
-        ids = ids[order][within_caps(group_totals, group_caps)]
-    distinct = distinct_counts(ids, matched.T.ravel()).reshape(users.size, plan.chi)
-
-    coded = np.zeros(users.size)
-    for x, (m_x, size) in enumerate(zip(caps.tolist(), plan.class_sizes.tolist())):
-        if m_x:  # a color without caches delivers nothing; its users are unmatched
-            coded += coded_rates(distinct[:, x], m_x * config.num_clusters, config.M, size, coded_delivery_rate)
-    rows = np.empty((users.size, 3))
-    rows[:, 1] = coded
-    rows[:, 2] = unmatched
-    np.minimum(coded + unmatched, users, out=rows[:, 0])
-    return rows
+    return first_d_rows(block, plan.caches_per_color.tolist(), plan.class_sizes.tolist(), coded_delivery_rate,
+                        plan.file_color)

@@ -66,11 +66,14 @@ class Scheme:
     check(config) raises IncompatibleScheme when the scheme does not apply.
     analytic(config, t) is the expected-rate reference at slack t.  For
     pam-steep it is an order-of-magnitude envelope with untracked constants,
-    so its bound_satisfied is indicative only; the other three are actual
-    expected-rate upper bounds.  prepare(config, catalog, t) builds the state
-    every trial at (config, t) shares: nothing for pcd, the placement for the
-    two replication schemes, the color plan for hcm.  It builds anew on every
-    call; the trial loop and the checks take the state from `prepared`.
+    so its bound_satisfied is indicative only.  pcd's steep rate (beta > 1)
+    is no upper bound either: the simulator unicasts each matched user
+    outside the coded pool, which the rate undercounts at M < 1 and large K.
+    For the rest it is an expected-rate upper bound.  prepare(config,
+    catalog, t) builds the state every trial at (config, t) shares: nothing
+    for pcd, the placement for the two replication schemes, the color plan
+    for hcm.  It builds anew on every call; the trial loop and the checks
+    take the state from `prepared`.
 
     trials(block, state, seed, trials) scores a block, at the config it
     carries: the consecutive trials in range `trials`, whose clusters are

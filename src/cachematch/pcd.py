@@ -8,14 +8,6 @@ delivery round then serves all matched users across all K caches.
 
 For steep popularity (beta > 1) only the most popular floor((K*M)^(1/beta))
 files enter the placement; requests for the remaining files are unicast.
-
-A block of trials is accounted in a few vector operations over its sorted
-request list, whose clusters are (trial, cluster) pairs.  When no cluster
-holds more than d requests, which is almost every trial, all requests are
-matched and no rank is computed; otherwise a rank mask keeps the first d of
-each cluster.  One compare splits the matched files into pool and overflow,
-one sort of trial-keyed pool files counts each trial's distinct pool files,
-and the trials' coded rates are gathered from the rate table of (K, M, pool).
 """
 
 from __future__ import annotations
@@ -25,10 +17,10 @@ import math
 import numpy as np
 
 from .config import SystemConfig
-from .delivery import coded_delivery_rate, coded_rates
+from .delivery import coded_delivery_rate, first_d_rows
 from .errors import DomainError
 from .mathkit import SQRT_TWO_PI, power_or_inf
-from .traffic import RequestProfile, distinct_counts, group_counts, group_keys, within_caps
+from .traffic import RequestProfile
 
 
 def unmatched_tail_term(K: float, t: float) -> float:
@@ -87,25 +79,4 @@ def coded_pool_size(config: SystemConfig) -> int:
 
 def pcd_simulate(block: RequestProfile) -> np.ndarray:
     """Rows (total, coded term, unmatched users) of the block's trials, at its config."""
-    config = block.config
-    pool = coded_pool_size(config)
-    users = block.trial_totals()
-    keep = within_caps(block.cluster_totals(), config.d)  # slice(None) when every request matches
-    files = block.files[keep]
-    matched = users if isinstance(keep, slice) else group_counts(keep, users)
-    pooled = matched
-    # matched users demanding files outside the pool gain nothing from caches
-    if pool < config.N:
-        in_pool = files < pool
-        files, pooled = files[in_pool], group_counts(in_pool, matched)
-
-    coded = 0.0
-    if pool > 0:
-        distinct = distinct_counts(group_keys(files, pooled, pool), pooled)
-        coded = coded_rates(distinct, config.K, config.M, pool, coded_delivery_rate)
-    rows = np.empty((users.size, 3))
-    np.add(coded, matched - pooled, out=rows[:, 1])
-    np.subtract(users, matched, out=rows[:, 2])
-    np.add(rows[:, 1], rows[:, 2], out=rows[:, 0])
-    np.minimum(rows[:, 0], users, out=rows[:, 0])
-    return rows
+    return first_d_rows(block, [block.config.d], [coded_pool_size(block.config)], coded_delivery_rate)

@@ -128,7 +128,11 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         raise DomainError(f"trials must be >= 1, got {trials}")
     catalog = build_catalog(config.N, config.beta)
     lam = config.rho * config.d  # mean requests per cluster
-    exact_u0 = config.num_clusters * expected_excess(lam, config.d)  # E[U0] = (K/d)*E[(Y-d)+]
+
+    def expected_unmatched(caps, masses):  # sum_x (K/d)*E[(Poisson(lam*P_x) - m_x)+], m_x caches for mass P_x
+        return sum(config.num_clusters * expected_excess(lam * mass, m) for m, mass in zip(caps, masses))
+
+    exact_u0 = expected_unmatched((config.d,), (1.0,))  # E[U0] = (K/d)*E[(Y-d)+]
     shallow = 0 <= config.beta < 1
 
     # --- skip reasons, None where the precondition holds -----------------
@@ -289,10 +293,7 @@ def verify_config(config: SystemConfig, seed: int = 0, trials: int = 400) -> Ver
         colors = state(HCM_SCHEME)
         if int(colors.caches_per_color.min()) < 1:
             raise DomainError("chain bound needs every color to own a cache")
-        exact = 0.0
-        for x in range(colors.chi):
-            lam_x = config.rho * config.d * float(colors.class_mass[x])
-            exact += config.num_clusters * expected_excess(lam_x, int(colors.caches_per_color[x]))
+        exact = expected_unmatched(colors.caches_per_color.tolist(), colors.class_mass.tolist())
         bound = unmatched_chain_bound(colors, config)
         return exact <= bound, f"exact unmatched {exact:.6g} vs chain bound {bound:.6g}"
 

@@ -26,7 +26,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cachematch import hcm, montecarlo, pam_shallow, pam_steep, pcd
+from cachematch import delivery, montecarlo, pam_shallow, pam_steep
 from cachematch.config import load_config
 from cachematch.montecarlo import PAM_STEEP_SCHEME, ExperimentSpec, blocks, collect_trials, prepared
 from cachematch.pam_steep import cluster_matchings
@@ -38,9 +38,9 @@ TRIALS = 100
 
 
 def halved_coded_rates(monkeypatch):
-    """pcd and hcm charge half the coded-delivery rate."""
-    for module in (pcd, hcm):
-        monkeypatch.setattr(module, "coded_rates", lambda *args, _rates=module.coded_rates: _rates(*args) / 2)
+    """pcd and hcm charge half the coded-delivery rate: their one kernel,
+    delivery.first_d_rows, gathers its rates through delivery.coded_rates."""
+    monkeypatch.setattr(delivery, "coded_rates", lambda *args, _rates=delivery.coded_rates: _rates(*args) / 2)
 
 
 def never_evict(monkeypatch):

@@ -14,9 +14,9 @@ from cachematch.hcm import (
     unmatched_chain_bound,
 )
 from cachematch.mathkit import SQRT_TWO_PI
+from cachematch.montecarlo import blocks
 from cachematch.pcd import pcd_rate_shallow, pcd_simulate
 from cachematch.popularity import build_catalog
-from cachematch.traffic import sample_profile
 
 from conftest import make_config
 from oracles import profile_from_counts
@@ -139,21 +139,6 @@ def test_dominates_pcd_on_grid():
                 assert hcm_rate(config, config.t0) <= pcd_rate_shallow(config)
 
 
-def test_single_color_simulation_matches_cluster_scheme():
-    # with chi = 1 the color plan degenerates to plain cluster matching
-    config = make_config(K=4, d=2, N=4, M=1.0)
-    catalog = build_catalog(4, 0.0)
-    plan = build_color_plan(config, catalog, t=0.0)
-    assert plan.chi == 1
-    assert np.array_equal(plan.caches_per_color, [2])
-    for trial in range(20):
-        profile = sample_profile(config, seed=13, trial=trial)
-        color = hcm_simulate(profile, plan)[0]
-        cluster = pcd_simulate(profile)[0]
-        assert color[0] == pytest.approx(cluster[0], rel=1e-12)
-        assert color[2] == cluster[2]
-
-
 def test_simulate_hand_example():
     # single cluster of 400 caches, chi = 3, caches per color [160, 120, 120]
     config = make_config(K=400, d=400, N=10, M=2.0)
@@ -192,12 +177,21 @@ def test_two_color_split_of_equal_masses_sums_to_d():
     assert plan.caches_per_color.sum() == config.d
 
 
-def test_one_color_plan_rows_equal_pcd_rows():
-    config = make_config(K=600, d=60, N=600, M=2.0, rho=0.1, beta=0.1, t0=1.0)
+@pytest.mark.parametrize("fields, seed, trials, crowded", [
+    (dict(K=600, d=60, N=600, M=2.0, rho=0.1, beta=0.1, t0=1.0), 1, 50, 0),
+    (dict(K=4, d=2, N=4, M=1.0), 13, 20, 0),
+    # every trial has a cluster over d, so every block takes the rank mask
+    (dict(K=600, d=2, N=600, M=2.0, rho=0.4, beta=0.5, t0=1.0), 5, 200, 200),
+], ids=["no-cluster-over-d", "four-caches", "every-trial-over-d"])
+def test_one_color_plan_rows_equal_pcd_rows(fields, seed, trials, crowded):
+    # with chi = 1 the color plan degenerates to plain cluster matching
+    config = make_config(**fields)
     plan = build_color_plan(config, build_catalog(config.N, config.beta), t=config.t0)
     assert plan.chi == 1
-    block = sample_profile(config, seed=1, trial=0, stop=50)
-    assert hcm_simulate(block, plan).tobytes() == pcd_simulate(block).tobytes()
+    pcd_rows = [pcd_simulate(block) for _, block in blocks(config, seed, 0, trials)]
+    hcm_rows = [hcm_simulate(block, plan) for _, block in blocks(config, seed, 0, trials)]
+    assert [rows.tobytes() for rows in hcm_rows] == [rows.tobytes() for rows in pcd_rows]
+    assert np.count_nonzero(np.concatenate(pcd_rows)[:, 2]) == crowded
 
 
 def test_uniform_plan_caches_are_integer_floors():

@@ -6,11 +6,14 @@ import json
 import pathlib
 import textwrap
 
+import numpy as np
 import pytest
 
 from cachematch.config import load_config
 from cachematch.hcm import compute_chi
+from cachematch.montecarlo import ExperimentSpec, collect_trials
 from cachematch.pam_shallow import memory_threshold
+from cachematch.pcd import coded_pool_size
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = REPO / "scripts"
@@ -216,6 +219,17 @@ def test_same_outputs_extra_config_has_four_colors_and_replicates(monkeypatch, c
     assert capsys.readouterr().out.splitlines() == [
         "same    -m cachematch.cli simulate {extra}/hybrid.json --scheme hcm --seed 5 --trials 200 --workers 1",
         "0 of 1 commands differ"]
+
+
+def test_same_outputs_crowded_configs_put_a_cluster_over_d_in_every_trial(tmp_path):
+    same_outputs = _load("same_outputs")
+    for path in (same_outputs.CROWDED, same_outputs.CROWDED_POOL):
+        written = tmp_path / "config.json"
+        written.write_text(json.dumps(same_outputs.EXTRA_CONFIGS[path]))
+        config = load_config(str(written))
+        rows = collect_trials(ExperimentSpec(config=config, scheme="pcd", trials=200, seed=5))
+        assert np.count_nonzero(rows[:, 2]) == 200
+    assert coded_pool_size(config) == 32 < config.N
 
 
 def test_same_outputs_reports_what_differs(monkeypatch, capsys):
